@@ -21,6 +21,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -182,6 +183,10 @@ int main() {
   const double p99 = percentile(raw_ms, 99);
 
   auto& reg = obs::Registry::global();
+  // Cores of the recording machine: the forward fans out over the pool, so
+  // a baseline's throughput keys are only comparable at a similar count.
+  reg.gauge("bench.serving.cores")
+      .set(static_cast<double>(std::thread::hardware_concurrency()));
   reg.gauge("bench.serve.sessions").set(static_cast<double>(load.sessions));
   reg.gauge("bench.serve.win_per_s").set_max(win_per_s);
   reg.gauge("bench.serve.repair.win_per_s").set_max(repair_win_per_s);

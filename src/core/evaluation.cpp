@@ -47,8 +47,14 @@ Table1Row Table1Evaluator::evaluate(impute::Imputer& imputer) const {
   const std::size_t queues = campaign_.gt.queue_len.size();
   std::vector<std::vector<double>> stitched(queues);
 
-  for (const auto& ex : data_.split.test) {
-    std::vector<double> imputed = imputer.impute(ex);
+  // One batched call, so model-backed imputers spread the test split over
+  // the pool; the reductions below stay serial, in window order.
+  const std::vector<std::vector<double>> all =
+      imputer.impute_batch(data_.split.test);
+  FMNET_CHECK_EQ(all.size(), data_.split.test.size());
+  for (std::size_t w = 0; w < all.size(); ++w) {
+    const auto& ex = data_.split.test[w];
+    const std::vector<double>& imputed = all[w];
     FMNET_CHECK_EQ(imputed.size(), ex.window);
     // Consistency in normalised units (constraint record units).
     std::vector<double> normalised(imputed.size());

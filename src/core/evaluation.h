@@ -45,7 +45,9 @@ class Table1Evaluator {
                   double burst_threshold_fraction = 0.08,
                   tasks::C4Config c4 = {});
 
-  /// Imputes every test example with `imputer` and fills a Table1Row.
+  /// Imputes every test example with `imputer` (one impute_batch call over
+  /// the test split — equal, by the Imputer contract, to the per-window
+  /// impute() loop) and fills a Table1Row.
   Table1Row evaluate(impute::Imputer& imputer) const;
 
   double burst_threshold() const { return burst_threshold_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "impute/batching.h"
 #include "nn/losses.h"
 #include "nn/optim.h"
 #include "tensor/ops.h"
@@ -13,33 +14,6 @@ namespace fmnet::impute {
 using tensor::Tensor;
 
 namespace {
-
-Tensor batch_features(const std::vector<ImputationExample>& examples,
-                      const std::vector<std::size_t>& indices) {
-  const auto b = static_cast<std::int64_t>(indices.size());
-  const auto t = static_cast<std::int64_t>(examples[indices[0]].window);
-  const auto c = static_cast<std::int64_t>(telemetry::kNumInputChannels);
-  std::vector<float> data;
-  data.reserve(static_cast<std::size_t>(b * t * c));
-  for (const std::size_t i : indices) {
-    data.insert(data.end(), examples[i].features.begin(),
-                examples[i].features.end());
-  }
-  return Tensor::from_vector(std::move(data), {b, t, c});
-}
-
-Tensor batch_targets(const std::vector<ImputationExample>& examples,
-                     const std::vector<std::size_t>& indices) {
-  const auto b = static_cast<std::int64_t>(indices.size());
-  const auto t = static_cast<std::int64_t>(examples[indices[0]].window);
-  std::vector<float> data;
-  data.reserve(static_cast<std::size_t>(b * t));
-  for (const std::size_t i : indices) {
-    data.insert(data.end(), examples[i].target.begin(),
-                examples[i].target.end());
-  }
-  return Tensor::from_vector(std::move(data), {b, t});
-}
 
 // Shared EMD training loop over a forward functor.
 template <class Forward>
@@ -62,8 +36,8 @@ void train_with_emd(const std::vector<ImputationExample>& examples,
           std::min(n, begin + static_cast<std::size_t>(cfg.batch_size));
       const std::vector<std::size_t> batch(order.begin() + begin,
                                            order.begin() + end);
-      const Tensor x = batch_features(examples, batch);
-      const Tensor y = batch_targets(examples, batch);
+      const Tensor x = stack_features(examples, batch);
+      const Tensor y = stack_targets(examples, batch);
       for (Tensor p : params) p.zero_grad();
       Tensor loss = nn::emd_loss(forward(x), y);
       loss.backward();

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <numeric>
 
+#include "impute/batching.h"
 #include "nn/kal.h"
 #include "nn/losses.h"
 #include "nn/optim.h"
@@ -14,39 +15,6 @@
 namespace fmnet::impute {
 
 using tensor::Tensor;
-
-namespace {
-
-Tensor batch_features(const std::vector<ImputationExample>& examples,
-                      const std::vector<std::size_t>& indices) {
-  const auto b = static_cast<std::int64_t>(indices.size());
-  const auto t = static_cast<std::int64_t>(examples[indices[0]].window);
-  const auto c = static_cast<std::int64_t>(telemetry::kNumInputChannels);
-  std::vector<float> data;
-  data.reserve(static_cast<std::size_t>(b * t * c));
-  for (const std::size_t i : indices) {
-    FMNET_CHECK_EQ(examples[i].features.size(),
-                   static_cast<std::size_t>(t * c));
-    data.insert(data.end(), examples[i].features.begin(),
-                examples[i].features.end());
-  }
-  return Tensor::from_vector(std::move(data), {b, t, c});
-}
-
-Tensor batch_targets(const std::vector<ImputationExample>& examples,
-                     const std::vector<std::size_t>& indices) {
-  const auto b = static_cast<std::int64_t>(indices.size());
-  const auto t = static_cast<std::int64_t>(examples[indices[0]].window);
-  std::vector<float> data;
-  data.reserve(static_cast<std::size_t>(b * t));
-  for (const std::size_t i : indices) {
-    data.insert(data.end(), examples[i].target.begin(),
-                examples[i].target.end());
-  }
-  return Tensor::from_vector(std::move(data), {b, t});
-}
-
-}  // namespace
 
 AutoencoderNet::AutoencoderNet(const AutoencoderConfig& config,
                                std::int64_t channels, fmnet::Rng& rng)
@@ -96,8 +64,12 @@ void AutoencoderNet::set_precision(nn::Precision precision) {
 }
 
 AutoencoderImputer::AutoencoderImputer(AutoencoderConfig config,
-                                       TrainConfig train_config)
-    : config_(config), train_config_(train_config), rng_(train_config.seed) {
+                                       TrainConfig train_config,
+                                       util::ThreadPool* pool)
+    : config_(config),
+      train_config_(train_config),
+      pool_(pool),
+      rng_(train_config.seed) {
   net_ = std::make_unique<AutoencoderNet>(
       config_, static_cast<std::int64_t>(telemetry::kNumInputChannels), rng_);
   // Checkpoint contract: warm engine runs load weights without fit(), so
@@ -144,8 +116,8 @@ void AutoencoderImputer::fit(const std::vector<ImputationExample>& examples,
                                   train_config_.batch_size));
       const std::vector<std::size_t> batch(order.begin() + begin,
                                            order.begin() + end);
-      const Tensor x = batch_features(examples, batch);
-      const Tensor y = batch_targets(examples, batch);
+      const Tensor x = stack_features(examples, batch);
+      const Tensor y = stack_targets(examples, batch);
       net_->zero_grad();
       const Tensor pred = net_->forward(x);
       Tensor loss = train_config_.loss == TrainConfig::Loss::kEmd
@@ -186,57 +158,18 @@ void AutoencoderImputer::fit(const std::vector<ImputationExample>& examples,
 }
 
 std::vector<double> AutoencoderImputer::impute(const ImputationExample& ex) {
-  FMNET_CHECK_EQ(static_cast<std::int64_t>(ex.window), config_.window);
-  net_->set_training(false);
-  const auto t = static_cast<std::int64_t>(ex.window);
-  const Tensor x = Tensor::from_vector(
-      ex.features,
-      {1, t, static_cast<std::int64_t>(telemetry::kNumInputChannels)});
-  const tensor::InferenceGuard guard;
-  const Tensor pred = net_->forward(x);
-  std::vector<double> out(ex.window);
-  for (std::size_t i = 0; i < ex.window; ++i) {
-    // Denormalise to packets and clamp at zero.
-    out[i] = std::max(
-        0.0, static_cast<double>(pred.data()[i]) * ex.qlen_scale);
-  }
-  return out;
+  return impute_batch({ex}).front();
 }
 
 std::vector<std::vector<double>> AutoencoderImputer::impute_batch(
     const std::vector<ImputationExample>& batch) {
-  if (batch.empty()) return {};
-  const std::size_t window = batch.front().window;
-  for (const ImputationExample& ex : batch) {
-    // Mixed window lengths cannot stack; fall back to the loop.
-    if (ex.window != window) return Imputer::impute_batch(batch);
-  }
-  FMNET_CHECK_EQ(static_cast<std::int64_t>(window), config_.window);
-  net_->set_training(false);
-  const auto b = static_cast<std::int64_t>(batch.size());
-  const auto t = static_cast<std::int64_t>(window);
-  const auto c = static_cast<std::int64_t>(telemetry::kNumInputChannels);
-  std::vector<float> data;
-  data.reserve(static_cast<std::size_t>(b * t * c));
-  for (const ImputationExample& ex : batch) {
-    FMNET_CHECK_EQ(ex.features.size(), static_cast<std::size_t>(t * c));
-    data.insert(data.end(), ex.features.begin(), ex.features.end());
-  }
-  const Tensor x = Tensor::from_vector(std::move(data), {b, t, c});
-  // Every batch row flattens to its own GEMM row, so the batched forward
-  // matches the per-window loop bit-for-bit.
-  const tensor::InferenceGuard guard;
-  const Tensor pred = net_->forward(x);  // [B, T]
-  const float* pv = pred.data().data();
-  std::vector<std::vector<double>> out(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    out[i].resize(window);
-    for (std::size_t j = 0; j < window; ++j) {
-      out[i][j] = std::max(
-          0.0, static_cast<double>(pv[i * window + j]) * batch[i].qlen_scale);
-    }
-  }
-  return out;
+  // Written only on a transition, so overlapping calls never race on it.
+  if (net_->training()) net_->set_training(false);
+  // Every batch row flattens to its own GEMM row, so shards match the
+  // per-window loop bit-for-bit; a window of the wrong length fails the
+  // net's shape check.
+  return impute_sharded(batch, pool_,
+                        [this](const Tensor& x) { return net_->forward(x); });
 }
 
 }  // namespace fmnet::impute

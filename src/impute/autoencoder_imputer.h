@@ -63,14 +63,18 @@ class AutoencoderNet : public nn::Module {
 /// bit-identical at every lane count.
 class AutoencoderImputer : public CheckpointableImputer {
  public:
-  AutoencoderImputer(AutoencoderConfig config, TrainConfig train_config);
+  /// Inference fans out on `pool` (null = global pool), which must outlive
+  /// the imputer.
+  AutoencoderImputer(AutoencoderConfig config, TrainConfig train_config,
+                     util::ThreadPool* pool = nullptr);
 
   std::string name() const override { return "Autoencoder"; }
   void fit(const std::vector<ImputationExample>& examples,
            util::ThreadPool* pool = nullptr) override;
+  /// impute_batch({ex}).front().
   std::vector<double> impute(const ImputationExample& ex) override;
-  /// Stacks same-length windows into one [B, T, C] forward; bit-identical
-  /// to the loop (independent GEMM rows). Mixed lengths fall back.
+  /// Lane-parallel sharded forward (impute_sharded); bit-identical to the
+  /// loop (independent GEMM rows).
   std::vector<std::vector<double>> impute_batch(
       const std::vector<ImputationExample>& batch) override;
 
@@ -80,6 +84,7 @@ class AutoencoderImputer : public CheckpointableImputer {
  private:
   AutoencoderConfig config_;
   TrainConfig train_config_;
+  util::ThreadPool* pool_ = nullptr;
   fmnet::Rng rng_;
   std::unique_ptr<AutoencoderNet> net_;
 };

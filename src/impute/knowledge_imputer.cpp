@@ -15,30 +15,37 @@ KnowledgeAugmentedImputer::KnowledgeAugmentedImputer(
 std::vector<double> KnowledgeAugmentedImputer::impute(
     const ImputationExample& ex) {
   obs::ScopedSpan span("impute");
-  const std::vector<double> raw = base_->impute(ex);
-  const CemConstraints c =
-      to_packet_constraints(ex.constraints, ex.qlen_scale);
-  const CemResult r = cem_.correct(raw, c, pool_);
-  total_cem_seconds_ += r.seconds;
-  ++cem_calls_;
-  if (!r.feasible) ++infeasible_;
-  return r.corrected;
+  return tally(cem_.correct(
+      base_->impute(ex), to_packet_constraints(ex.constraints, ex.qlen_scale),
+      pool_));
 }
 
 std::vector<std::vector<double>> KnowledgeAugmentedImputer::impute_batch(
     const std::vector<ImputationExample>& batch) {
   obs::ScopedSpan span("impute_batch");
   std::vector<std::vector<double>> out = base_->impute_batch(batch);
+  // Windows repair concurrently; each correct() still fans its intervals
+  // out on the same pool, recruiting only idle lanes.
+  std::vector<CemResult> results = util::parallel_map<CemResult>(
+      util::ThreadPool::resolve(pool_),
+      static_cast<std::int64_t>(batch.size()), [&](std::int64_t i) {
+        const ImputationExample& ex = batch[static_cast<std::size_t>(i)];
+        return cem_.correct(
+            out[static_cast<std::size_t>(i)],
+            to_packet_constraints(ex.constraints, ex.qlen_scale), pool_);
+      });
+  // Counters reduce in window order, exactly as the per-window loop adds.
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const CemConstraints c =
-        to_packet_constraints(batch[i].constraints, batch[i].qlen_scale);
-    const CemResult r = cem_.correct(out[i], c, pool_);
-    total_cem_seconds_ += r.seconds;
-    ++cem_calls_;
-    if (!r.feasible) ++infeasible_;
-    out[i] = r.corrected;
+    out[i] = tally(std::move(results[i]));
   }
   return out;
+}
+
+std::vector<double> KnowledgeAugmentedImputer::tally(CemResult r) {
+  total_cem_seconds_ += r.seconds;
+  ++cem_calls_;
+  if (!r.feasible) ++infeasible_;
+  return std::move(r.corrected);
 }
 
 }  // namespace fmnet::impute

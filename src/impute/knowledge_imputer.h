@@ -30,13 +30,15 @@ class KnowledgeAugmentedImputer : public Imputer {
     base_->fit(examples, pool);
   }
   std::vector<double> impute(const ImputationExample& ex) override;
-  /// Batches the base model's forward pass (one stacked call when the base
-  /// supports it), then CEM-corrects each window independently.
+  /// Batches the base model's forward pass (one lane-parallel call when
+  /// the base supports it), then CEM-corrects the windows concurrently on
+  /// the pool. Outputs and counters equal the per-window impute() loop's.
   std::vector<std::vector<double>> impute_batch(
       const std::vector<ImputationExample>& batch) override;
 
-  /// Wall-clock seconds spent inside CEM across all impute() calls, and
-  /// the call count — used by bench/cem_runtime.
+  /// Wall-clock seconds spent inside CEM across all impute() and
+  /// impute_batch() windows, and the window count — used by
+  /// bench/cem_runtime.
   double total_cem_seconds() const { return total_cem_seconds_; }
   std::int64_t cem_calls() const { return cem_calls_; }
   /// Number of windows whose constraint system was infeasible (should stay
@@ -44,6 +46,9 @@ class KnowledgeAugmentedImputer : public Imputer {
   std::int64_t infeasible_windows() const { return infeasible_; }
 
  private:
+  /// Adds one repaired window to the counters; returns its output.
+  std::vector<double> tally(CemResult r);
+
   std::shared_ptr<Imputer> base_;
   ConstraintEnforcementModule cem_;
   util::ThreadPool* pool_ = nullptr;

@@ -92,13 +92,14 @@ std::shared_ptr<Imputer> build_base(const std::string& base,
   if (base == "transformer" || base == "transformer+kal") {
     TrainConfig cfg = params.train;
     cfg.use_kal = base == "transformer+kal";
-    auto t = std::make_shared<TransformerImputer>(params.model, cfg);
+    auto t = std::make_shared<TransformerImputer>(params.model, cfg,
+                                                  InferConfig{}, params.pool);
     *trainable = t;
     return t;
   }
   if (base == "autoencoder") {
-    auto a =
-        std::make_shared<AutoencoderImputer>(params.autoencoder, params.train);
+    auto a = std::make_shared<AutoencoderImputer>(params.autoencoder,
+                                                  params.train, params.pool);
     *trainable = a;
     return a;
   }

@@ -47,7 +47,8 @@ struct MethodParams {
   /// length (the engine sets it from the scenario's data.window-ms).
   AutoencoderConfig autoencoder;
   CemConfig cem;
-  /// Forwarded to CEM wrappers so windows are corrected concurrently; must
+  /// Forwarded to the model-backed imputers' batched inference and to CEM
+  /// wrappers, so windows are imputed and corrected concurrently; must
   /// outlive the imputer. null = global pool.
   util::ThreadPool* pool = nullptr;
 };

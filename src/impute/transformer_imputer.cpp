@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <numeric>
 
+#include "impute/batching.h"
 #include "nn/losses.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -18,46 +19,16 @@ using tensor::Tensor;
 
 TransformerImputer::TransformerImputer(nn::TransformerConfig model_config,
                                        TrainConfig train_config,
-                                       InferConfig infer_config)
+                                       InferConfig infer_config,
+                                       util::ThreadPool* pool)
     : model_config_(model_config),
       train_config_(train_config),
       infer_config_(infer_config),
+      pool_(pool),
       rng_(train_config.seed) {
   FMNET_CHECK_EQ(model_config_.input_channels,
                  static_cast<std::int64_t>(telemetry::kNumInputChannels));
   model_ = std::make_unique<nn::ImputationTransformer>(model_config_, rng_);
-}
-
-Tensor TransformerImputer::batch_features(
-    const std::vector<ImputationExample>& examples,
-    const std::vector<std::size_t>& indices) const {
-  const auto b = static_cast<std::int64_t>(indices.size());
-  const auto t = static_cast<std::int64_t>(examples[indices[0]].window);
-  const auto c =
-      static_cast<std::int64_t>(telemetry::kNumInputChannels);
-  std::vector<float> data;
-  data.reserve(static_cast<std::size_t>(b * t * c));
-  for (const std::size_t i : indices) {
-    FMNET_CHECK_EQ(examples[i].features.size(),
-                   static_cast<std::size_t>(t * c));
-    data.insert(data.end(), examples[i].features.begin(),
-                examples[i].features.end());
-  }
-  return Tensor::from_vector(std::move(data), {b, t, c});
-}
-
-Tensor TransformerImputer::batch_targets(
-    const std::vector<ImputationExample>& examples,
-    const std::vector<std::size_t>& indices) const {
-  const auto b = static_cast<std::int64_t>(indices.size());
-  const auto t = static_cast<std::int64_t>(examples[indices[0]].window);
-  std::vector<float> data;
-  data.reserve(static_cast<std::size_t>(b * t));
-  for (const std::size_t i : indices) {
-    data.insert(data.end(), examples[i].target.begin(),
-                examples[i].target.end());
-  }
-  return Tensor::from_vector(std::move(data), {b, t});
 }
 
 TrainStats TransformerImputer::train(
@@ -171,8 +142,8 @@ TrainStats TransformerImputer::train(
         const std::vector<std::size_t>& shard = shards[s];
         nn::ImputationTransformer& m =
             lane == 0 ? *model_ : *replicas[lane - 1];
-        const Tensor x = batch_features(examples, shard);
-        const Tensor y = batch_targets(examples, shard);
+        const Tensor x = stack_features(examples, shard);
+        const Tensor y = stack_targets(examples, shard);
 
         fmnet::Rng shard_rng(shard_seeds[s]);
         const Tensor pred = m.forward(x, shard_rng);
@@ -258,7 +229,9 @@ void TransformerImputer::set_infer_config(const InferConfig& infer_config) {
 }
 
 void TransformerImputer::apply_infer_precision() {
-  model_->set_training(false);
+  // Module state is written only on a transition, so overlapping inference
+  // calls (which only read it) never race.
+  if (model_->training()) model_->set_training(false);
   const nn::Precision want = infer_config_.quantize_int8
                                  ? nn::Precision::kInt8
                                  : nn::Precision::kFp32;
@@ -269,63 +242,16 @@ void TransformerImputer::apply_infer_precision() {
 }
 
 std::vector<double> TransformerImputer::impute(const ImputationExample& ex) {
-  apply_infer_precision();
-  const auto t = static_cast<std::int64_t>(ex.window);
-  const Tensor x = Tensor::from_vector(
-      ex.features,
-      {1, t, static_cast<std::int64_t>(telemetry::kNumInputChannels)});
-  fmnet::Rng eval_rng(0);  // dropout disabled at eval; rng unused
-  // Serving path: no autograd graph, intermediates recycled via the pool.
-  // Forward values are bit-identical to the graph-building path.
-  const tensor::InferenceGuard guard;
-  const Tensor pred = model_->forward(x, eval_rng);
-  std::vector<double> out(static_cast<std::size_t>(t));
-  for (std::int64_t i = 0; i < t; ++i) {
-    // Denormalise to packets and clamp at zero (queue lengths are
-    // non-negative).
-    out[static_cast<std::size_t>(i)] =
-        std::max(0.0, static_cast<double>(pred.data()[static_cast<
-                          std::size_t>(i)]) *
-                          ex.qlen_scale);
-  }
-  return out;
+  return impute_batch({ex}).front();
 }
 
 std::vector<std::vector<double>> TransformerImputer::impute_batch(
     const std::vector<ImputationExample>& batch) {
-  if (batch.empty()) return {};
-  const std::size_t window = batch.front().window;
-  for (const ImputationExample& ex : batch) {
-    // Mixed window lengths cannot stack; fall back to the loop.
-    if (ex.window != window) return Imputer::impute_batch(batch);
-  }
   apply_infer_precision();
-  const auto b = static_cast<std::int64_t>(batch.size());
-  const auto t = static_cast<std::int64_t>(window);
-  const auto c = static_cast<std::int64_t>(telemetry::kNumInputChannels);
-  std::vector<float> data;
-  data.reserve(static_cast<std::size_t>(b * t * c));
-  for (const ImputationExample& ex : batch) {
-    FMNET_CHECK_EQ(ex.features.size(), static_cast<std::size_t>(t * c));
-    data.insert(data.end(), ex.features.begin(), ex.features.end());
-  }
-  const Tensor x = Tensor::from_vector(std::move(data), {b, t, c});
-  fmnet::Rng eval_rng(0);  // dropout disabled at eval; rng unused
-  // One [B*T, d] pass through every linear; attention stays block-diagonal
-  // per batch entry, so windows never attend across batch boundaries and
-  // the result matches the per-window loop bit-for-bit (fp32 path).
-  const tensor::InferenceGuard guard;
-  const Tensor pred = model_->forward(x, eval_rng);  // [B, T]
-  const float* pv = pred.data().data();
-  std::vector<std::vector<double>> out(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    out[i].resize(window);
-    for (std::size_t j = 0; j < window; ++j) {
-      out[i][j] = std::max(
-          0.0, static_cast<double>(pv[i * window + j]) * batch[i].qlen_scale);
-    }
-  }
-  return out;
+  return impute_sharded(batch, pool_, [this](const Tensor& x) {
+    fmnet::Rng eval_rng(0);  // dropout disabled at eval; rng unused
+    return model_->forward(x, eval_rng);
+  });
 }
 
 }  // namespace fmnet::impute

@@ -60,9 +60,12 @@ struct InferConfig {
 /// TrainConfig::use_kal. Checkpointable: model() is the full learned state.
 class TransformerImputer : public CheckpointableImputer {
  public:
+  /// Inference fans out on `pool` (null = global pool), which must outlive
+  /// the imputer; train()/fit() take their pool per call.
   TransformerImputer(nn::TransformerConfig model_config,
                      TrainConfig train_config,
-                     InferConfig infer_config = {});
+                     InferConfig infer_config = {},
+                     util::ThreadPool* pool = nullptr);
 
   /// Trains on the given examples (each example keeps a stable index for
   /// its per-example Lagrange multipliers). Micro-shards of each batch run
@@ -82,16 +85,17 @@ class TransformerImputer : public CheckpointableImputer {
   std::string name() const override {
     return train_config_.use_kal ? "Transformer+KAL" : "Transformer";
   }
-  /// Single-window inference. Runs under a tensor::InferenceGuard — no
-  /// autograd graph, pooled activations recycled across calls — and under
-  /// the int8 path when InferConfig::quantize_int8 is set.
+  /// impute_batch({ex}).front().
   std::vector<double> impute(const ImputationExample& ex) override;
 
-  /// Batched inference: stacks B same-length windows into one [B, T, C]
-  /// forward. Attention is computed per batch entry (tensor::attention
-  /// loops the score product over the batch axis), so windows can never
-  /// attend across batch boundaries and the fp32 result is bit-identical
-  /// to the per-window loop. Mixed window lengths fall back to the loop.
+  /// Lane-parallel batched inference (impute_sharded): shards of
+  /// same-length windows, each one stacked [b, T, C] forward under a
+  /// tensor::InferenceGuard — no autograd graph, pooled activations
+  /// recycled across calls — and under the int8 path when
+  /// InferConfig::quantize_int8 is set. Attention is computed per batch
+  /// entry (tensor::attention loops the score product over the batch
+  /// axis), so windows can never attend across batch boundaries and the
+  /// result is bit-identical to the per-window loop.
   std::vector<std::vector<double>> impute_batch(
       const std::vector<ImputationExample>& batch) override;
 
@@ -109,16 +113,10 @@ class TransformerImputer : public CheckpointableImputer {
   /// Eval mode + precision matching infer_config_.
   void apply_infer_precision();
 
-  tensor::Tensor batch_features(
-      const std::vector<ImputationExample>& examples,
-      const std::vector<std::size_t>& indices) const;
-  tensor::Tensor batch_targets(
-      const std::vector<ImputationExample>& examples,
-      const std::vector<std::size_t>& indices) const;
-
   nn::TransformerConfig model_config_;
   TrainConfig train_config_;
   InferConfig infer_config_;
+  util::ThreadPool* pool_ = nullptr;
   std::unique_ptr<nn::ImputationTransformer> model_;
   fmnet::Rng rng_;
 };

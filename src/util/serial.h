@@ -8,6 +8,7 @@
 // store's content checksum, so readers here only check stream health.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -61,15 +62,24 @@ class BinReader {
     return v;
   }
 
+  /// The length prefix is untrusted, so elements are read in chunks of at
+  /// most kChunkBytes: a forged length fails on the first short read, with
+  /// at most one chunk allocated — never the 2^32 elements it claims.
   template <class T>
   std::vector<T> vec(std::uint64_t max_elems = (1ULL << 32)) {
     static_assert(std::is_trivially_copyable_v<T>);
     const auto n = pod<std::uint64_t>();
     FMNET_CHECK_LE(n, max_elems);
-    std::vector<T> v(static_cast<std::size_t>(n));
-    in_.read(reinterpret_cast<char*>(v.data()),
-             static_cast<std::streamsize>(v.size() * sizeof(T)));
-    FMNET_CHECK(in_.good() || n == 0, "truncated artifact stream");
+    constexpr std::uint64_t kChunk =
+        std::max<std::uint64_t>(1, kChunkBytes / sizeof(T));
+    std::vector<T> v;
+    while (v.size() < n) {
+      const std::size_t have = v.size();
+      v.resize(have + static_cast<std::size_t>(std::min(n - have, kChunk)));
+      in_.read(reinterpret_cast<char*>(v.data() + have),
+               static_cast<std::streamsize>((v.size() - have) * sizeof(T)));
+      FMNET_CHECK(in_.good(), "truncated artifact stream");
+    }
     return v;
   }
 
@@ -83,6 +93,8 @@ class BinReader {
   }
 
  private:
+  static constexpr std::uint64_t kChunkBytes = 1ULL << 20;
+
   std::istream& in_;
 };
 

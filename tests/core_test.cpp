@@ -12,6 +12,7 @@
 #include "impute/linear_interp.h"
 #include "impute/transformer_imputer.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace fmnet::core {
 namespace {
@@ -126,6 +127,54 @@ TEST(Evaluation, CemNullifiesConsistencyRows) {
   EXPECT_GT(naive_row.max_constraint + naive_row.periodic_constraint +
                 naive_row.sent_constraint,
             0.01);
+}
+
+TEST(Evaluation, BatchedEvaluationMatchesPerWindowPath) {
+  // evaluate() imputes the test split in one impute_batch call. A decorator
+  // overriding only impute() takes Imputer's default per-window loop
+  // instead; both paths must give the same rows, bit for bit, for the
+  // lane-parallel model and for the CEM wrapper around it.
+  class PerWindowOnly : public impute::Imputer {
+   public:
+    explicit PerWindowOnly(impute::Imputer& inner) : inner_(inner) {}
+    std::string name() const override { return inner_.name(); }
+    std::vector<double> impute(
+        const telemetry::ImputationExample& ex) override {
+      return inner_.impute(ex);
+    }
+
+   private:
+    impute::Imputer& inner_;
+  };
+  const auto values = [](const Table1Row& r) {
+    return std::vector<double>{
+        r.max_constraint,     r.periodic_constraint, r.sent_constraint,
+        r.burst_detection,    r.burst_height,        r.burst_frequency,
+        r.burst_interarrival, r.empty_queue_freq,    r.concurrent_bursts,
+        r.c4_backlog};
+  };
+
+  CampaignConfig busy = small_campaign_config(5);
+  busy.total_ms = 3'000;  // 40 test windows: several inference shards
+  const Campaign c = run_campaign(busy);
+  const PreparedData data = prepare_data(c, 300, 50);
+  Table1Evaluator eval(c, data);
+  util::ThreadPool pool(4);
+  impute::TrainConfig train;
+  train.epochs = 0;  // the deterministic initial weights are enough
+  auto model = std::make_shared<impute::TransformerImputer>(
+      nn::TransformerConfig{}, train, impute::InferConfig{}, &pool);
+  impute::KnowledgeAugmentedImputer corrected(model, impute::CemConfig{},
+                                              &pool);
+  for (impute::Imputer* imputer :
+       {static_cast<impute::Imputer*>(model.get()),
+        static_cast<impute::Imputer*>(&corrected)}) {
+    PerWindowOnly per_window(*imputer);
+    const Table1Row batched = eval.evaluate(*imputer);
+    const Table1Row looped = eval.evaluate(per_window);
+    EXPECT_EQ(batched.method, looped.method);
+    EXPECT_EQ(values(batched), values(looped)) << batched.method;
+  }
 }
 
 TEST(Evaluation, PrintTable1Layout) {

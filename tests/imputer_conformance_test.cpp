@@ -3,7 +3,9 @@
 // must satisfy to be a pipeline citizen:
 //
 //   * training is bit-identical at 1 vs 8 pool lanes;
-//   * impute_batch equals the per-window impute loop bit-for-bit;
+//   * impute_batch equals the per-window impute loop bit-for-bit, also
+//     lane-parallel on 8 lanes against the 1-lane loop, with and without
+//     the +cem wrapper (whose counters must match too);
 //   * the streaming shim (WindowBuffer + StreamingImputer) equals offline
 //     imputation of the same trailing window;
 //   * checkpointable methods round-trip through nn/serialize exactly;
@@ -26,6 +28,7 @@
 
 #include "core/engine.h"
 #include "core/scenario.h"
+#include "impute/knowledge_imputer.h"
 #include "impute/registry.h"
 #include "impute/streaming.h"
 #include "nn/kal.h"
@@ -173,6 +176,42 @@ TEST_P(ImputerConformance, BatchMatchesPerWindowLoop) {
     EXPECT_EQ(batched[i], built.imputer->impute(batch[i]))
         << "method " << GetParam() << ", batch entry " << i;
   }
+}
+
+TEST_P(ImputerConformance, ParallelBatchMatchesLoopAcrossLanes) {
+  // The whole test split (32 windows: two inference shards) through the
+  // lane-parallel batch path on 8 lanes — sharded forwards, concurrent CEM
+  // repair — against the plain per-window loop on 1 lane.
+  const std::string& base = GetParam();
+  const auto& test = split().test;
+  std::vector<std::shared_ptr<impute::Imputer>> parallel = {
+      fitted(base, 8).imputer};
+  std::vector<std::shared_ptr<impute::Imputer>> serial = {
+      fitted(base, 1).imputer};
+  if (base != "fm") {  // fm has no +cem form (see cem_corrected)
+    parallel.push_back(
+        impute::Registry::with_cem(fitted(base, 8), tiny_params(&pool_with(8)))
+            .imputer);
+    serial.push_back(
+        impute::Registry::with_cem(fitted(base, 1), tiny_params(&pool_with(1)))
+            .imputer);
+  }
+  for (std::size_t k = 0; k < parallel.size(); ++k) {
+    const auto batched = parallel[k]->impute_batch(test);
+    ASSERT_EQ(batched.size(), test.size());
+    for (std::size_t i = 0; i < test.size(); ++i) {
+      EXPECT_EQ(batched[i], serial[k]->impute(test[i]))
+          << parallel[k]->name() << ", test window " << i;
+    }
+  }
+  if (parallel.size() < 2) return;
+  const auto& par =
+      dynamic_cast<const impute::KnowledgeAugmentedImputer&>(*parallel[1]);
+  const auto& loop =
+      dynamic_cast<const impute::KnowledgeAugmentedImputer&>(*serial[1]);
+  EXPECT_EQ(par.cem_calls(), static_cast<std::int64_t>(test.size()));
+  EXPECT_EQ(par.cem_calls(), loop.cem_calls());
+  EXPECT_EQ(par.infeasible_windows(), loop.infeasible_windows());
 }
 
 TEST_P(ImputerConformance, StreamingMatchesOffline) {

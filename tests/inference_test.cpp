@@ -19,6 +19,7 @@
 #include "tensor/tensor.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace fmnet {
 namespace {
@@ -312,6 +313,30 @@ TEST(QuantizedInference, BatchedInt8MatchesPerWindowInt8) {
   ASSERT_EQ(batched.size(), windows.size());
   for (std::size_t i = 0; i < windows.size(); ++i) {
     EXPECT_EQ(batched[i], loop_out[i]) << "window " << i;
+  }
+}
+
+TEST(QuantizedInference, ParallelBatchMatchesLoopAcrossLanes) {
+  // The int8 path through the lane-parallel sharded forward: 40 windows of
+  // T = 90 make three shards on 8 lanes, against the 1-lane per-window
+  // loop of an identically initialised imputer.
+  util::ThreadPool one(1);
+  util::ThreadPool eight(8);
+  nn::TransformerConfig model;
+  impute::TrainConfig train;
+  train.epochs = 0;
+  impute::TransformerImputer serial(model, train, {/*quantize_int8=*/true},
+                                    &one);
+  impute::TransformerImputer parallel(model, train, {/*quantize_int8=*/true},
+                                      &eight);
+  std::vector<telemetry::ImputationExample> windows;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    windows.push_back(make_example(400 + i));
+  }
+  const auto batched = parallel.impute_batch(windows);
+  ASSERT_EQ(batched.size(), windows.size());
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    EXPECT_EQ(batched[i], serial.impute(windows[i])) << "window " << i;
   }
 }
 

@@ -20,6 +20,7 @@
 #include "util/csv.h"
 #include "util/mpsc_queue.h"
 #include "util/rng.h"
+#include "util/serial.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -37,6 +38,39 @@ TEST(Check, ThrowsWithMessage) {
     FAIL() << "expected throw";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("lhs=1"), std::string::npos);
+  }
+}
+
+TEST(BinReader, ForgedLengthPrefixThrowsBeforeAllocatingIt) {
+  // A 16-byte stream whose u64 length prefix claims 2^32 - 1 doubles
+  // (32 GiB). The reader must fail on the missing bytes, having allocated
+  // at most one bounded chunk, not the claimed length.
+  std::stringstream buf;
+  util::BinWriter w(buf);
+  w.pod(static_cast<std::uint64_t>((1ULL << 32) - 1));
+  w.pod(1.5);
+  ASSERT_EQ(buf.str().size(), 16u);
+  util::BinReader r(buf);
+  try {
+    (void)r.vec<double>();
+    FAIL() << "expected throw";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated artifact stream"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BinReader, VectorsRoundTripAcrossChunkBoundaries) {
+  // 300k doubles span three read chunks; lengths 0 and 1 none or one.
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{300'000}}) {
+    std::vector<double> v(n);
+    std::iota(v.begin(), v.end(), 0.25);
+    std::stringstream buf;
+    util::BinWriter(buf).vec(v);
+    util::BinReader r(buf);
+    EXPECT_EQ(r.vec<double>(), v) << "n = " << n;
   }
 }
 
