@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 
 #include "impute/cem.h"
 #include "impute/fm_model.h"
@@ -36,6 +37,20 @@ struct BroadcastCase {
   Shape a;
   Shape b;
 };
+
+// Prints a case as e.g. "a2x3_b1x3" ("scalar" for a rank-0 shape). CTest
+// names each discovered case after this text, so it must not depend on
+// where the shapes happen to live in memory.
+void PrintTo(const BroadcastCase& c, std::ostream* os) {
+  const auto dims = [os](const Shape& s) {
+    if (s.empty()) *os << "scalar";
+    for (std::size_t i = 0; i < s.size(); ++i) *os << (i ? "x" : "") << s[i];
+  };
+  *os << 'a';
+  dims(c.a);
+  *os << "_b";
+  dims(c.b);
+}
 
 class BroadcastSweep : public ::testing::TestWithParam<BroadcastCase> {};
 
