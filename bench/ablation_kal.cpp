@@ -49,9 +49,7 @@ int main() {
     auto built = engine.fit_method(
         sv, v.use_kal ? "transformer+kal" : "transformer", data);
     if (v.with_cem) {
-      impute::MethodParams params;
-      params.cem = sv.cem;
-      built = impute::Registry::with_cem(built, params);
+      built = impute::Registry::with_cem(built, core::method_params(sv));
     }
     const core::Table1Row row = evaluator.evaluate(*built.imputer);
     table.add_row({v.label, Table::fmt(row.max_constraint),

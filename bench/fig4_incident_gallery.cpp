@@ -27,9 +27,7 @@ int main() {
   const auto iter = engine.fit_method(s, "iterative", data);
   const auto plain = engine.fit_method(s, "transformer", data);
   const auto kal = engine.fit_method(s, "transformer+kal", data);
-  impute::MethodParams params;
-  params.cem = s.cem;
-  const auto full = impute::Registry::with_cem(kal, params);
+  const auto full = impute::Registry::with_cem(kal, core::method_params(s));
 
   // Pick the most bursty *test* window: largest max/mean contrast.
   const telemetry::ImputationExample* incident = nullptr;

@@ -38,9 +38,7 @@ int main() {
     const auto naive_row = evaluator.evaluate(*naive.imputer);
 
     const auto kal = engine.fit_method(sv, "transformer+kal", data);
-    impute::MethodParams params;
-    params.cem = sv.cem;
-    const auto full = impute::Registry::with_cem(kal, params);
+    const auto full = impute::Registry::with_cem(kal, core::method_params(sv));
     const auto full_row = evaluator.evaluate(*full.imputer);
 
     for (const auto* row : {&naive_row, &full_row}) {

@@ -60,42 +60,9 @@ int main() {
     if (out.ready) latencies_ms.push_back(out.latency_seconds * 1e3);
   }
 
-  // Batched mode: every queue of the switch streams concurrently and each
-  // tick's ready windows go through one stacked forward
-  // (impute::BatchedStreamingImputer). Per-window latency is the amortised
-  // batch cost, recorded in the same streaming.latency_ms histogram, so
-  // the percentiles below and the exported fmnet.metrics.v1 document stay
-  // per-window in both modes.
-  const std::size_t num_queues = data.coarse.max_qlen.size();
-  const auto queues_per_port =
-      static_cast<std::size_t>(campaign.switch_config.queues_per_port);
-  impute::BatchedStreamingImputer batched_stream(
-      full.imputer, num_queues, /*window_intervals=*/6,
-      data.dataset_config.factor, data.dataset_config.qlen_scale,
-      data.dataset_config.count_scale, &clk);
-  std::vector<double> batched_ms;
-  const double batched_t0 = clk.now();
-  for (std::size_t k = 0; k < data.coarse.num_intervals(); ++k) {
-    std::vector<impute::CoarseIntervalUpdate> updates(num_queues);
-    for (std::size_t q = 0; q < num_queues; ++q) {
-      updates[q].periodic_qlen = data.coarse.periodic_qlen[q][k];
-      updates[q].max_qlen = data.coarse.max_qlen[q][k];
-      updates[q].port_sent = data.coarse.snmp_sent[q / queues_per_port][k];
-      updates[q].port_dropped =
-          data.coarse.snmp_dropped[q / queues_per_port][k];
-    }
-    for (const auto& out : batched_stream.push(updates)) {
-      if (out.ready) batched_ms.push_back(out.latency_seconds * 1e3);
-    }
-  }
-  const double batched_win_per_s =
-      static_cast<double>(batched_ms.size()) / (clk.now() - batched_t0);
-
   auto& reg = obs::Registry::global();
   reg.gauge("bench.streaming.single.p99_ms")
       .set(percentile(latencies_ms, 99));
-  reg.gauge("bench.streaming.batched.p99_ms").set(percentile(batched_ms, 99));
-  reg.gauge("bench.streaming.batched.win_per_s").set_max(batched_win_per_s);
 
   const double budget_ms =
       static_cast<double>(data.dataset_config.factor);  // 50 ms of telemetry
@@ -104,25 +71,14 @@ int main() {
   table.add_row({"p50 latency", Table::fmt(percentile(latencies_ms, 50))});
   table.add_row({"p99 latency", Table::fmt(percentile(latencies_ms, 99))});
   table.add_row({"max latency", Table::fmt(percentile(latencies_ms, 100))});
-  table.add_row({"batched sessions", std::to_string(num_queues)});
-  table.add_row({"batched windows", std::to_string(batched_ms.size())});
-  table.add_row(
-      {"batched p50 latency/window", Table::fmt(percentile(batched_ms, 50))});
-  table.add_row(
-      {"batched p99 latency/window", Table::fmt(percentile(batched_ms, 99))});
   table.add_row({"real-time budget", Table::fmt(budget_ms)});
   table.print(std::cout);
 
   const bool realtime = percentile(latencies_ms, 99) < budget_ms;
-  const bool batched_realtime = percentile(batched_ms, 99) < budget_ms;
   std::printf(
       "\nshape check — p99 per-interval imputation latency fits inside one "
       "coarse interval (real-time capable): %s\n",
       realtime ? "PASS" : "FAIL");
-  std::printf(
-      "shape check — batched mode p99 per-window latency fits the budget "
-      "(%zu sessions per tick): %s\n",
-      num_queues, batched_realtime ? "PASS" : "FAIL");
   std::printf(
       "(the paper's Z3-based CEM at 1.47 s per 50 ms would miss this "
       "budget by ~30x; the specialised exact repair makes the §5 real-time "

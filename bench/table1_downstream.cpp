@@ -73,11 +73,8 @@ int main() {
   auto kal = fit_timed("transformer+kal");
   rows.push_back(evaluator.evaluate(*kal.imputer));
 
-  impute::MethodParams params;
-  params.model = s.model;
-  params.train = s.train;
-  params.cem = s.cem;
-  const auto full_built = impute::Registry::with_cem(kal, params);
+  const auto full_built =
+      impute::Registry::with_cem(kal, core::method_params(s));
   auto& full =
       dynamic_cast<impute::KnowledgeAugmentedImputer&>(*full_built.imputer);
   rows.push_back(evaluator.evaluate(full));

@@ -296,17 +296,13 @@ impute::BuiltImputer Engine::fit_method_with_key(const Scenario& s,
                                                  const PreparedData& data,
                                                  const std::string& key) {
   obs::ScopedSpan span("engine.train");
-  impute::MethodParams params;
-  params.model = s.model;
-  params.train = s.train;
-  params.autoencoder = s.autoencoder;
-  params.autoencoder.window = static_cast<std::int64_t>(s.window_ms);
-  params.cem = s.cem;
-  params.pool = pool_;
-  impute::BuiltImputer built = impute::Registry::build(method, params);
+  impute::BuiltImputer built =
+      impute::Registry::build(method, method_params(s, pool_));
 
-  const bool checkpointable = built.trainable != nullptr && store_.enabled();
-  if (checkpointable) {
+  // Every learned method checkpoints; the analytical ones have nothing to
+  // store (find/put are no-ops on a disabled store).
+  const bool learned = built.trainable != nullptr;
+  if (learned) {
     if (const auto path = store_.find("checkpoint", key)) {
       std::ifstream in(*path, std::ios::binary);
       bool loaded = false;
@@ -321,14 +317,13 @@ impute::BuiltImputer Engine::fit_method_with_key(const Scenario& s,
       }
       if (loaded) return built;
     }
-    built.imputer->fit(data.split.train, pool_);
+  }
+  built.imputer->fit(data.split.train, pool_);
+  if (learned) {
     store_.put("checkpoint", key, [&](std::ostream& out) {
       nn::save_parameters(built.trainable->model(), out);
     });
-    return built;
   }
-
-  built.imputer->fit(data.split.train, pool_);
   return built;
 }
 
@@ -336,14 +331,7 @@ std::vector<Table1Row> Engine::run(const Scenario& s) {
   const Campaign c = campaign(s.campaign);
   const PreparedData data = prepare(s, c);
   const Table1Evaluator evaluator(c, data, s.burst_threshold_fraction, s.c4);
-
-  impute::MethodParams params;
-  params.model = s.model;
-  params.train = s.train;
-  params.autoencoder = s.autoencoder;
-  params.autoencoder.window = static_cast<std::int64_t>(s.window_ms);
-  params.cem = s.cem;
-  params.pool = pool_;
+  const impute::MethodParams params = method_params(s, pool_);
 
   // Fit each *base* method at most once: "x" and "x+cem" share the fitted
   // base, with CEM wrapped around the same instance.
@@ -501,14 +489,7 @@ std::vector<FabricSwitchResult> Engine::run_fabric_switches(
     const Table1Evaluator evaluator(campaigns[static_cast<std::size_t>(i)],
                                     data, sw_s.burst_threshold_fraction,
                                     sw_s.c4);
-
-    impute::MethodParams params;
-    params.model = sw_s.model;
-    params.train = sw_s.train;
-    params.autoencoder = sw_s.autoencoder;
-    params.autoencoder.window = static_cast<std::int64_t>(sw_s.window_ms);
-    params.cem = sw_s.cem;
-    params.pool = pool_;
+    const impute::MethodParams params = method_params(sw_s, pool_);
 
     std::map<std::string, impute::BuiltImputer> fitted;
     FabricSwitchResult res;

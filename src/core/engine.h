@@ -9,8 +9,8 @@
 // upstream config change invalidates exactly the downstream artifacts.
 //
 // With FMNET_ARTIFACT_DIR set, a warm re-run of the same scenario loads
-// the campaign, the prepared dataset and the transformer checkpoints from
-// disk — skipping simulation and training entirely (observable as
+// the campaign, the prepared dataset and every learned method's checkpoint
+// from disk — skipping simulation and training entirely (observable as
 // engine.artifact.hit counters, zero sim.shards / train.epochs, and the
 // absence of the inner "simulate"/"train" spans) — and produces the exact
 // evaluation tables of the cold run, because artifacts round-trip
@@ -54,9 +54,8 @@ class Engine {
   PreparedData prepare(const Scenario& s, const Campaign& campaign);
 
   /// train: builds `method` from the registry and fits it on the training
-  /// split. Transformer-family methods checkpoint through the store, so a
-  /// warm run restores weights instead of training; other trainable
-  /// methods (mlp/gru/rate) refit every run.
+  /// split. Every learned method checkpoints through the store, so a warm
+  /// run restores its weights instead of training.
   impute::BuiltImputer fit_method(const Scenario& s,
                                   const std::string& method,
                                   const PreparedData& data);

@@ -57,14 +57,7 @@ RobustnessCurves run_robustness_sweep(
   curves.methods = s.methods;
 
   const Campaign campaign = engine.campaign(s.campaign);
-
-  impute::MethodParams params;
-  params.model = s.model;
-  params.train = s.train;
-  params.autoencoder = s.autoencoder;
-  params.autoencoder.window = static_cast<std::int64_t>(s.window_ms);
-  params.cem = s.cem;
-  params.pool = engine.pool();
+  const impute::MethodParams params = method_params(s, engine.pool());
 
   for (const double severity : severities) {
     Scenario sv = s;

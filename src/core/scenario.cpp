@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -38,8 +39,18 @@ double parse_real(const std::string& key, const std::string& value) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(value.c_str(), &end);
-  FMNET_CHECK(errno == 0 && end != value.c_str() && *end == '\0',
-              "option " + key + ": not a number: '" + value + "'");
+  FMNET_CHECK(errno == 0 && end != value.c_str() && *end == '\0' &&
+                  std::isfinite(v),
+              "option " + key + ": not a finite number: '" + value + "'");
+  return v;
+}
+
+/// parse_real narrowed to float: a value beyond float's range is rejected,
+/// not rounded to infinity.
+float parse_float(const std::string& key, const std::string& value) {
+  const auto v = static_cast<float>(parse_real(key, value));
+  FMNET_CHECK(std::isfinite(v),
+              "option " + key + ": out of float range: '" + value + "'");
   return v;
 }
 
@@ -244,13 +255,19 @@ const std::vector<OptionDef>& option_defs() {
             return fmt_int(static_cast<std::int64_t>(s.train.*m));
           }};
     };
-    auto train_float = [](const char* key, float impute::TrainConfig::*m) {
+    // `positive`: 0 is rejected too (a zero learning rate trains nothing;
+    // a zero clip norm zeroes every gradient).
+    auto train_float = [](const char* key, float impute::TrainConfig::*m,
+                          bool positive = false) {
       return OptionDef{
           key,
-          [m](Scenario& s, const std::string& k, const std::string& v) {
-            const double parsed = parse_real(k, v);
-            FMNET_CHECK_GE(parsed, 0.0);
-            s.train.*m = static_cast<float>(parsed);
+          [m, positive](Scenario& s, const std::string& k,
+                        const std::string& v) {
+            const float parsed = parse_float(k, v);
+            FMNET_CHECK(positive ? parsed > 0.0f : parsed >= 0.0f,
+                        "option " + k + (positive ? ": must be > 0"
+                                                  : ": must be >= 0"));
+            s.train.*m = parsed;
           },
           [m](const Scenario& s) { return fmt_float(s.train.*m); }};
     };
@@ -259,11 +276,13 @@ const std::vector<OptionDef>& option_defs() {
         train_int("train.batch", &impute::TrainConfig::batch_size));
     defs.push_back(
         train_int("train.micro-batch", &impute::TrainConfig::micro_batch));
-    defs.push_back(train_float("train.lr", &impute::TrainConfig::lr));
+    defs.push_back(
+        train_float("train.lr", &impute::TrainConfig::lr, /*positive=*/true));
     defs.push_back(train_float("train.lr-final-fraction",
                                &impute::TrainConfig::lr_final_fraction));
-    defs.push_back(
-        train_float("train.grad-clip", &impute::TrainConfig::grad_clip));
+    defs.push_back(train_float("train.grad-clip",
+                               &impute::TrainConfig::grad_clip,
+                               /*positive=*/true));
     defs.push_back(
         train_float("train.kal-mu", &impute::TrainConfig::kal_mu));
     defs.push_back(
@@ -528,9 +547,9 @@ const std::vector<OptionDef>& option_defs() {
     defs.push_back({"impute.autoencoder.penalty-weight",
                     [](Scenario& s, const std::string& k,
                        const std::string& v) {
-                      const double w = parse_real(k, v);
-                      FMNET_CHECK_GE(w, 0.0);
-                      s.autoencoder.penalty_weight = static_cast<float>(w);
+                      const float w = parse_float(k, v);
+                      FMNET_CHECK_GE(w, 0.0f);
+                      s.autoencoder.penalty_weight = w;
                     },
                     [](const Scenario& s) {
                       return fmt_float(s.autoencoder.penalty_weight);
@@ -678,6 +697,18 @@ Scenario load_scenario_file(const std::string& path) {
   std::ifstream in(path);
   FMNET_CHECK(in.good(), "cannot open scenario file " + path);
   return parse_scenario(in, path);
+}
+
+impute::MethodParams method_params(const Scenario& s,
+                                   util::ThreadPool* pool) {
+  impute::MethodParams params;
+  params.model = s.model;
+  params.train = s.train;
+  params.autoencoder = s.autoencoder;
+  params.autoencoder.window = static_cast<std::int64_t>(s.window_ms);
+  params.cem = s.cem;
+  params.pool = pool;
+  return params;
 }
 
 std::string canonical_scenario(const Scenario& s) {

@@ -38,7 +38,8 @@
 #include "faults/faults.h"
 #include "impute/autoencoder_imputer.h"
 #include "impute/cem.h"
-#include "impute/transformer_imputer.h"
+#include "impute/registry.h"
+#include "impute/training.h"
 #include "nn/transformer.h"
 #include "serve/config.h"
 #include "tasks/netcalc.h"
@@ -111,6 +112,12 @@ const std::vector<std::string>& scenario_option_keys();
 /// in fixed order, numeric formatting stable across runs. Parsing it back
 /// reproduces the scenario exactly.
 std::string canonical_scenario(const Scenario& s);
+
+/// The registry's construction parameters for `s`: its model, training,
+/// CEM and autoencoder slices, the autoencoder window set to the dataset
+/// window, and `pool` (null = global pool) for every method's fan-out.
+impute::MethodParams method_params(const Scenario& s,
+                                   util::ThreadPool* pool = nullptr);
 
 /// Canonical serialisations of the per-stage config slices, used by the
 /// engine as cache-key material. Each stage string covers exactly the

@@ -1,67 +1,70 @@
 // Architecture baselines for the "why a transformer?" question (§2.2
 // claims transformers are particularly suitable): a bidirectional GRU and
-// a pointwise MLP (no temporal mixing at all), trained with the same EMD
-// objective. Compared in bench/ablation_architecture.
+// a pointwise MLP (no temporal mixing at all), trained through the same
+// train_model loop and objective. Compared in bench/ablation_architecture.
 #pragma once
 
 #include <memory>
 
 #include "impute/imputer.h"
+#include "impute/training.h"
 #include "nn/gru.h"
 #include "nn/layers.h"
 
 namespace fmnet::impute {
 
-struct AltTrainConfig {
-  int epochs = 20;
-  int batch_size = 8;
-  float lr = 3e-3f;
-  float grad_clip = 1.0f;
-  std::uint64_t seed = 1;
-};
-
 /// Bidirectional-GRU imputer (recurrent baseline).
-class BiGruImputer : public Imputer {
+class BiGruImputer : public CheckpointableImputer {
  public:
-  BiGruImputer(std::int64_t hidden_size, AltTrainConfig config);
+  BiGruImputer(std::int64_t hidden_size, TrainConfig config);
 
   std::string name() const override { return "BiGRU"; }
-  void train(const std::vector<ImputationExample>& examples);
   void fit(const std::vector<ImputationExample>& examples,
-           util::ThreadPool* pool = nullptr) override {
-    (void)pool;
-    train(examples);
-  }
+           util::ThreadPool* pool = nullptr) override;
   std::vector<double> impute(const ImputationExample& ex) override;
 
+  nn::BiGruImputerNet& model() override { return *net_; }
+
  private:
-  AltTrainConfig config_;
+  std::int64_t hidden_size_;
+  TrainConfig config_;
   fmnet::Rng rng_;
   std::unique_ptr<nn::BiGruImputerNet> net_;
 };
 
-/// Per-step MLP imputer: sees each time step's coarse features in
-/// isolation — an ablation of temporal context.
-class PointwiseMlpImputer : public Imputer {
+/// Per-step MLP: [B, T, C] -> GELU(hidden) -> GELU(hidden) -> [B, T], each
+/// step's coarse features seen in isolation.
+class PointwiseMlpNet : public nn::Module {
  public:
-  PointwiseMlpImputer(std::int64_t hidden_size, AltTrainConfig config);
+  PointwiseMlpNet(std::int64_t channels, std::int64_t hidden_size,
+                  fmnet::Rng& rng);
 
-  std::string name() const override { return "PointwiseMLP"; }
-  void train(const std::vector<ImputationExample>& examples);
-  void fit(const std::vector<ImputationExample>& examples,
-           util::ThreadPool* pool = nullptr) override {
-    (void)pool;
-    train(examples);
-  }
-  std::vector<double> impute(const ImputationExample& ex) override;
+  tensor::Tensor forward(const tensor::Tensor& x) const;
+  std::vector<tensor::Tensor> parameters() const override;
 
  private:
-  AltTrainConfig config_;
+  nn::Linear l1_;
+  nn::Linear l2_;
+  nn::Linear l3_;
+};
+
+/// Per-step MLP imputer — an ablation of temporal context.
+class PointwiseMlpImputer : public CheckpointableImputer {
+ public:
+  PointwiseMlpImputer(std::int64_t hidden_size, TrainConfig config);
+
+  std::string name() const override { return "PointwiseMLP"; }
+  void fit(const std::vector<ImputationExample>& examples,
+           util::ThreadPool* pool = nullptr) override;
+  std::vector<double> impute(const ImputationExample& ex) override;
+
+  PointwiseMlpNet& model() override { return *net_; }
+
+ private:
+  std::int64_t hidden_size_;
+  TrainConfig config_;
   fmnet::Rng rng_;
-  std::unique_ptr<nn::Linear> l1_;
-  std::unique_ptr<nn::Linear> l2_;
-  std::unique_ptr<nn::Linear> l3_;
-  tensor::Tensor forward(const tensor::Tensor& x) const;  // [B,T,C]->[B,T]
+  std::unique_ptr<PointwiseMlpNet> net_;
 };
 
 }  // namespace fmnet::impute

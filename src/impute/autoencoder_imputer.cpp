@@ -1,14 +1,7 @@
 #include "impute/autoencoder_imputer.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <numeric>
-
 #include "impute/batching.h"
 #include "nn/kal.h"
-#include "nn/losses.h"
-#include "nn/optim.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 
@@ -79,82 +72,33 @@ AutoencoderImputer::AutoencoderImputer(AutoencoderConfig config,
 
 void AutoencoderImputer::fit(const std::vector<ImputationExample>& examples,
                              util::ThreadPool* pool) {
-  // Serial on purpose: the whole batch is one forward, so there is no
-  // micro-shard structure to fan out, and ignoring the pool makes trained
-  // weights trivially bit-identical at every lane count.
-  (void)pool;
-  FMNET_CHECK(!examples.empty(), "empty training set");
-  const std::size_t n = examples.size();
   for (const ImputationExample& ex : examples) {
     FMNET_CHECK_EQ(static_cast<std::int64_t>(ex.window), config_.window);
   }
-  net_->set_training(true);
-  nn::Adam opt(net_->parameters(), train_config_.lr);
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  for (int epoch = 0; epoch < train_config_.epochs; ++epoch) {
-    // Cosine learning-rate decay, matching the transformer schedule.
-    if (train_config_.epochs > 1 && train_config_.lr_final_fraction < 1.0f) {
-      const float progress = static_cast<float>(epoch) /
-                             static_cast<float>(train_config_.epochs - 1);
-      const float floor = train_config_.lr * train_config_.lr_final_fraction;
-      opt.set_lr(floor + 0.5f * (train_config_.lr - floor) *
-                             (1.0f + std::cos(progress *
-                                              3.14159265358979f)));
-    }
-    // Fisher-Yates shuffle with our deterministic RNG.
-    for (std::size_t i = n; i-- > 1;) {
-      std::swap(order[i],
-                order[rng_.uniform_int(0, static_cast<std::int64_t>(i))]);
-    }
-    double epoch_loss = 0.0;
-    std::size_t batches = 0;
-    for (std::size_t begin = 0; begin < n;
-         begin += static_cast<std::size_t>(train_config_.batch_size)) {
-      const std::size_t end =
-          std::min(n, begin + static_cast<std::size_t>(
-                                  train_config_.batch_size));
-      const std::vector<std::size_t> batch(order.begin() + begin,
-                                           order.begin() + end);
-      const Tensor x = stack_features(examples, batch);
-      const Tensor y = stack_targets(examples, batch);
-      net_->zero_grad();
-      const Tensor pred = net_->forward(x);
-      Tensor loss = train_config_.loss == TrainConfig::Loss::kEmd
-                        ? nn::emd_loss(pred, y)
-                        : nn::mse_loss(pred, y);
-      if (config_.penalty_weight > 0.0f) {
-        // Fixed-weight domain-knowledge penalty: kal_penalty with zero
-        // multipliers, i.e. the pure quadratic μΦ²/μΨ² terms — no
-        // augmented-Lagrangian multiplier schedule (DESIGN.md §13).
-        Tensor penalty = Tensor::scalar(0.0f);
-        for (std::size_t b = 0; b < batch.size(); ++b) {
-          const std::size_t ex_idx = batch[b];
-          const Tensor row = tensor::reshape(
-              tensor::slice(pred, 0, static_cast<std::int64_t>(b),
-                            static_cast<std::int64_t>(b) + 1),
-              {static_cast<std::int64_t>(examples[ex_idx].window)});
-          const nn::KalTerms terms =
-              nn::kal_penalty(row, examples[ex_idx].constraints, 0.0f, 0.0f,
-                              train_config_.kal_mu);
-          penalty = penalty + terms.penalty;
-        }
-        loss = loss + tensor::mul_scalar(
-                          penalty, config_.penalty_weight /
-                                       static_cast<float>(batch.size()));
-      }
-      epoch_loss += static_cast<double>(loss.item());
-      loss.backward();
-      opt.clip_grad_norm(train_config_.grad_clip);
-      opt.step();
-      ++batches;
-    }
-    if (train_config_.verbose) {
-      std::printf("[%s] epoch %3d loss %.5f\n", name().c_str(), epoch,
-                  epoch_loss / static_cast<double>(batches));
-    }
+  // One micro-shard per batch: the whole batch is one forward, so training
+  // runs inline on the calling lane (finer shards would regroup the loss
+  // sums and move every trained weight).
+  TrainConfig cfg = train_config_;
+  cfg.micro_batch = cfg.batch_size;
+  TrainHooks hooks;
+  hooks.make_replica = replicas_of<AutoencoderNet>(
+      config_, static_cast<std::int64_t>(telemetry::kNumInputChannels));
+  hooks.forward = [](nn::Module& m, const Tensor& x,
+                     const std::vector<std::size_t>&, fmnet::Rng&) {
+    return static_cast<AutoencoderNet&>(m).forward(x);
+  };
+  if (config_.penalty_weight > 0.0f) {
+    // Fixed-weight domain-knowledge penalty: kal_penalty with zero
+    // multipliers, i.e. the pure quadratic μΦ²/μΨ² terms — no
+    // augmented-Lagrangian multiplier schedule (DESIGN.md §13).
+    hooks.penalty = [&](const Tensor& row, std::size_t i) {
+      return nn::kal_penalty(row, examples[i].constraints, 0.0f, 0.0f,
+                             train_config_.kal_mu)
+          .penalty;
+    };
+    hooks.penalty_weight = config_.penalty_weight;
   }
-  net_->set_training(false);
+  train_model(*net_, examples, cfg, hooks, rng_, pool, name());
 }
 
 std::vector<double> AutoencoderImputer::impute(const ImputationExample& ex) {

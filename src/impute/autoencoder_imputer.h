@@ -15,7 +15,7 @@
 
 #include <memory>
 
-#include "impute/transformer_imputer.h"  // TrainConfig
+#include "impute/training.h"
 #include "nn/layers.h"
 
 namespace fmnet::impute {
@@ -58,9 +58,9 @@ class AutoencoderNet : public nn::Module {
 };
 
 /// The "Autoencoder" registry family ("autoencoder", "autoencoder+cem").
-/// Training is a deliberately serial deterministic loop (shuffle, Adam,
-/// clip, step) — it ignores the pool, so trained weights are trivially
-/// bit-identical at every lane count.
+/// Trains through train_model with one micro-shard per batch (the batch is
+/// a single forward, whatever train.micro-batch says), so training runs on
+/// the calling lane and is bit-identical at every lane count.
 class AutoencoderImputer : public CheckpointableImputer {
  public:
   /// Inference fans out on `pool` (null = global pool), which must outlive

@@ -15,42 +15,40 @@
 #include <memory>
 
 #include "impute/imputer.h"
+#include "impute/training.h"
 #include "nn/transformer.h"
 
 namespace fmnet::impute {
 
 struct RateImputerConfig {
   nn::TransformerConfig model;
-  int epochs = 20;
-  int batch_size = 8;
-  float lr = 3e-3f;
-  float grad_clip = 1.0f;
   /// Maximum |net inflow| per fine step, in normalised queue units —
   /// encodes the port-rate physical bound.
   float max_step_delta = 0.5f;
-  std::uint64_t seed = 1;
 };
 
-class PhysicsRateImputer : public Imputer {
+class PhysicsRateImputer : public CheckpointableImputer {
  public:
-  explicit PhysicsRateImputer(RateImputerConfig config);
+  PhysicsRateImputer(RateImputerConfig config, TrainConfig train_config);
 
   std::string name() const override { return "RateTransformer"; }
-  void train(const std::vector<ImputationExample>& examples);
   void fit(const std::vector<ImputationExample>& examples,
-           util::ThreadPool* pool = nullptr) override {
-    (void)pool;  // single-replica training; examples batch on one lane
-    train(examples);
-  }
+           util::ThreadPool* pool = nullptr) override;
   std::vector<double> impute(const ImputationExample& ex) override;
 
+  nn::ImputationTransformer& model() override { return *rate_net_; }
+
  private:
-  /// Derives [B, T] queue lengths from features via rate prediction +
-  /// Lindley recursion. `q0`: [B] initial lengths (normalised).
-  tensor::Tensor derive_queues(const tensor::Tensor& x,
-                               const std::vector<float>& q0) const;
+  /// Derives [B, T] queue lengths from features via `net`'s rate
+  /// prediction + Lindley recursion. `q0`: [B] initial lengths
+  /// (normalised); `dropout` feeds the net's dropout in training mode.
+  tensor::Tensor derive_queues(const nn::ImputationTransformer& net,
+                               const tensor::Tensor& x,
+                               const std::vector<float>& q0,
+                               fmnet::Rng& dropout) const;
 
   RateImputerConfig config_;
+  TrainConfig train_config_;
   fmnet::Rng rng_;
   std::unique_ptr<nn::ImputationTransformer> rate_net_;
 };

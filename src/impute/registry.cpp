@@ -60,6 +60,30 @@ ParsedName parse_name(const std::string& name) {
   return p;
 }
 
+/// The learned bases, each checkpointable; null for any other name.
+std::shared_ptr<CheckpointableImputer> build_learned(
+    const std::string& base, const MethodParams& params) {
+  if (base == "mlp") {
+    return std::make_shared<PointwiseMlpImputer>(32, params.train);
+  }
+  if (base == "gru") return std::make_shared<BiGruImputer>(16, params.train);
+  if (base == "rate") {
+    return std::make_shared<PhysicsRateImputer>(
+        RateImputerConfig{params.model}, params.train);
+  }
+  if (base == "transformer" || base == "transformer+kal") {
+    TrainConfig cfg = params.train;
+    cfg.use_kal = base == "transformer+kal";
+    return std::make_shared<TransformerImputer>(params.model, cfg,
+                                                InferConfig{}, params.pool);
+  }
+  if (base == "autoencoder") {
+    return std::make_shared<AutoencoderImputer>(params.autoencoder,
+                                                params.train, params.pool);
+  }
+  return nullptr;
+}
+
 std::shared_ptr<Imputer> build_base(const std::string& base,
                                     const MethodParams& params,
                                     std::shared_ptr<CheckpointableImputer>*
@@ -69,41 +93,9 @@ std::shared_ptr<Imputer> build_base(const std::string& base,
   if (base == "fm") {
     return std::make_shared<FmOnlyImputer>(params.cem, params.pool);
   }
-  if (base == "mlp" || base == "gru") {
-    AltTrainConfig cfg;
-    cfg.epochs = params.train.epochs;
-    cfg.batch_size = params.train.batch_size;
-    cfg.lr = params.train.lr;
-    cfg.grad_clip = params.train.grad_clip;
-    cfg.seed = params.train.seed;
-    if (base == "mlp") return std::make_shared<PointwiseMlpImputer>(32, cfg);
-    return std::make_shared<BiGruImputer>(16, cfg);
-  }
-  if (base == "rate") {
-    RateImputerConfig cfg;
-    cfg.model = params.model;
-    cfg.epochs = params.train.epochs;
-    cfg.batch_size = params.train.batch_size;
-    cfg.lr = params.train.lr;
-    cfg.grad_clip = params.train.grad_clip;
-    cfg.seed = params.train.seed;
-    return std::make_shared<PhysicsRateImputer>(cfg);
-  }
-  if (base == "transformer" || base == "transformer+kal") {
-    TrainConfig cfg = params.train;
-    cfg.use_kal = base == "transformer+kal";
-    auto t = std::make_shared<TransformerImputer>(params.model, cfg,
-                                                  InferConfig{}, params.pool);
-    *trainable = t;
-    return t;
-  }
-  if (base == "autoencoder") {
-    auto a = std::make_shared<AutoencoderImputer>(params.autoencoder,
-                                                  params.train, params.pool);
-    *trainable = a;
-    return a;
-  }
-  FMNET_CHECK(false, "unknown imputation method: " + base);
+  *trainable = build_learned(base, params);
+  FMNET_CHECK(*trainable != nullptr, "unknown imputation method: " + base);
+  return *trainable;
 }
 
 }  // namespace

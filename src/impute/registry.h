@@ -40,8 +40,8 @@ namespace fmnet::impute {
 /// whole scenario grid.
 struct MethodParams {
   nn::TransformerConfig model;
-  /// Transformer-family training; `use_kal` is overridden by the method
-  /// name (transformer vs transformer+kal), never read from here.
+  /// Training of every learned method; `use_kal` is overridden by the
+  /// method name (transformer vs transformer+kal), never read from here.
   TrainConfig train;
   /// Autoencoder architecture; its `window` must match the dataset window
   /// length (the engine sets it from the scenario's data.window-ms).
@@ -53,10 +53,10 @@ struct MethodParams {
   util::ThreadPool* pool = nullptr;
 };
 
-/// A constructed method. `trainable` is non-null for the model-backed
-/// methods whose weights can be checkpointed via nn::serialize — it aliases
-/// the innermost checkpointable imputer of `imputer` (through any CEM
-/// wrapper).
+/// A constructed method. `trainable` is non-null for every learned method
+/// (mlp, gru, rate, transformer, transformer+kal, autoencoder), whose
+/// weights checkpoint via nn::serialize — it aliases the innermost
+/// checkpointable imputer of `imputer` (through any CEM wrapper).
 struct BuiltImputer {
   std::shared_ptr<Imputer> imputer;
   std::shared_ptr<CheckpointableImputer> trainable;

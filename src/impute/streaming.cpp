@@ -7,30 +7,6 @@
 
 namespace fmnet::impute {
 
-namespace {
-
-// Shared instrument handles: the batched path records the same
-// streaming.latency_ms histogram as the single-session path (once per
-// window, amortised), so dashboards and the fmnet.metrics.v1 schema are
-// identical in both modes.
-struct StreamObs {
-  obs::Counter& intervals;
-  obs::Histogram& latency;
-
-  static StreamObs& instance() {
-    auto& reg = obs::Registry::global();
-    // The real-time budget is one coarse interval (50 ms at paper scale)
-    // — the histogram's bucket edges bracket it.
-    static StreamObs o{
-        reg.counter("streaming.intervals"),
-        reg.histogram("streaming.latency_ms",
-                      {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000})};
-    return o;
-  }
-};
-
-}  // namespace
-
 WindowBuffer::WindowBuffer(std::size_t window_intervals, std::size_t factor,
                            double qlen_scale, double count_scale)
     : window_intervals_(window_intervals),
@@ -109,61 +85,14 @@ StreamingOutput StreamingImputer::push(const CoarseIntervalUpdate& update) {
       full.end() - static_cast<std::ptrdiff_t>(buffer_.factor()),
       full.end());
   out.latency_seconds = clk.now() - t0;
-  StreamObs::instance().intervals.add(1);
-  StreamObs::instance().latency.record(out.latency_seconds * 1e3);
-  return out;
-}
-
-BatchedStreamingImputer::BatchedStreamingImputer(std::shared_ptr<Imputer> base,
-                                                 std::size_t num_sessions,
-                                                 std::size_t window_intervals,
-                                                 std::size_t factor,
-                                                 double qlen_scale,
-                                                 double count_scale,
-                                                 const util::Clock* clock)
-    : base_(std::move(base)), clock_(clock) {
-  FMNET_CHECK(base_ != nullptr, "null base imputer");
-  FMNET_CHECK_GT(num_sessions, 0u);
-  sessions_.reserve(num_sessions);
-  for (std::size_t i = 0; i < num_sessions; ++i) {
-    sessions_.emplace_back(window_intervals, factor, qlen_scale,
-                           count_scale);
-  }
-}
-
-std::vector<StreamingOutput> BatchedStreamingImputer::push(
-    const std::vector<CoarseIntervalUpdate>& updates) {
-  FMNET_CHECK_EQ(updates.size(), sessions_.size());
-  ++ticks_seen_;
-  std::vector<StreamingOutput> out(sessions_.size());
-  std::vector<std::size_t> ready;
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    if (sessions_[i].push(updates[i])) ready.push_back(i);
-  }
-  if (ready.empty()) return out;
-
-  const util::Clock& clk = util::Clock::resolve(clock_);
-  const double t0 = clk.now();
-  std::vector<ImputationExample> batch;
-  batch.reserve(ready.size());
-  for (const std::size_t i : ready) {
-    batch.push_back(sessions_[i].make_example());
-  }
-  const std::vector<std::vector<double>> full = base_->impute_batch(batch);
-  FMNET_CHECK_EQ(full.size(), ready.size());
-  const double per_window =
-      (clk.now() - t0) / static_cast<double>(ready.size());
-  const auto factor =
-      static_cast<std::ptrdiff_t>(sessions_.front().factor());
-  for (std::size_t r = 0; r < ready.size(); ++r) {
-    FMNET_CHECK_EQ(full[r].size(), batch[r].window);
-    StreamingOutput& o = out[ready[r]];
-    o.ready = true;
-    o.fine.assign(full[r].end() - factor, full[r].end());
-    o.latency_seconds = per_window;
-    StreamObs::instance().intervals.add(1);
-    StreamObs::instance().latency.record(per_window * 1e3);
-  }
+  auto& reg = obs::Registry::global();
+  static obs::Counter& intervals = reg.counter("streaming.intervals");
+  // The real-time budget is one coarse interval (50 ms at paper scale) —
+  // the histogram's bucket edges bracket it.
+  static obs::Histogram& latency = reg.histogram(
+      "streaming.latency_ms", {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
+  intervals.add(1);
+  latency.record(out.latency_seconds * 1e3);
   return out;
 }
 

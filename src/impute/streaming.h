@@ -12,8 +12,10 @@
 //
 // The window-buffering/example-construction state lives in WindowBuffer so
 // the serving core (src/serve) can hold one buffer per session while
-// sharing a single imputer model across all of them; StreamingImputer and
-// BatchedStreamingImputer are thin model-owning wrappers over it.
+// sharing a single imputer model across all of them — serve::ServeCore
+// also owns cross-session batching. StreamingImputer is the thin
+// single-session wrapper over it that owns a model; the conformance suite
+// pins streaming ≡ offline through it.
 #pragma once
 
 #include <deque>
@@ -101,42 +103,6 @@ class StreamingImputer {
   std::shared_ptr<Imputer> base_;
   WindowBuffer buffer_;
   const util::Clock* clock_;
-};
-
-/// Many concurrent single-queue sessions (e.g. every queue of a switch)
-/// advancing in lockstep: each tick feeds one coarse interval per session
-/// and imputes all ready sessions through a single Imputer::impute_batch
-/// call — the batched inference path — instead of one model call per
-/// session. Outputs are bit-identical to running per-session
-/// StreamingImputers (fp32 path); only the wall-clock changes.
-class BatchedStreamingImputer {
- public:
-  BatchedStreamingImputer(std::shared_ptr<Imputer> base,
-                          std::size_t num_sessions,
-                          std::size_t window_intervals, std::size_t factor,
-                          double qlen_scale, double count_scale,
-                          const util::Clock* clock = nullptr);
-
-  /// Feeds the next interval of every session (updates[i] -> session i;
-  /// size must equal num_sessions()) and returns per-session outputs.
-  /// latency_seconds of each ready output is the batch wall-clock divided
-  /// by the number of ready windows — the amortised per-window cost, which
-  /// is what lands (once per window) in the streaming.latency_ms
-  /// histogram, keeping per-window p50/p99 comparable with the
-  /// single-session path.
-  std::vector<StreamingOutput> push(
-      const std::vector<CoarseIntervalUpdate>& updates);
-
-  std::size_t num_sessions() const { return sessions_.size(); }
-  /// Number of ticks consumed so far (each tick is one interval per
-  /// session).
-  std::size_t ticks_seen() const { return ticks_seen_; }
-
- private:
-  std::shared_ptr<Imputer> base_;
-  std::vector<WindowBuffer> sessions_;
-  const util::Clock* clock_;
-  std::size_t ticks_seen_ = 0;
 };
 
 }  // namespace fmnet::impute

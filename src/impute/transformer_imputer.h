@@ -7,37 +7,11 @@
 #include <memory>
 
 #include "impute/imputer.h"
-#include "nn/kal.h"
-#include "nn/optim.h"
+#include "impute/training.h"
 #include "nn/transformer.h"
 #include "util/thread_pool.h"
 
 namespace fmnet::impute {
-
-struct TrainConfig {
-  int epochs = 30;
-  int batch_size = 8;
-  float lr = 3e-3f;
-  /// Cosine-decay floor: the learning rate anneals from `lr` to
-  /// `lr * lr_final_fraction` across the epochs (1.0 = constant).
-  float lr_final_fraction = 0.1f;
-  float grad_clip = 1.0f;
-  enum class Loss { kEmd, kMse } loss = Loss::kEmd;
-  /// Knowledge-Augmented Loss: augmented-Lagrangian constraint penalties.
-  bool use_kal = false;
-  float kal_mu = 0.5f;
-  /// Global weight multiplying the KAL penalty in the loss.
-  float kal_weight = 1.0f;
-  std::uint64_t seed = 1;
-  bool verbose = false;
-  /// Data-parallel gradient accumulation: each batch is cut into fixed
-  /// micro-shards of at most this many examples, which are forwarded and
-  /// backpropagated independently (concurrently when a pool has spare
-  /// lanes) and reduced in shard order. The decomposition — and therefore
-  /// every trained weight — depends only on this value and the seed, never
-  /// on the thread count.
-  int micro_batch = 1;
-};
 
 struct TrainStats {
   std::vector<float> epoch_loss;
@@ -67,12 +41,10 @@ class TransformerImputer : public CheckpointableImputer {
                      InferConfig infer_config = {},
                      util::ThreadPool* pool = nullptr);
 
-  /// Trains on the given examples (each example keeps a stable index for
-  /// its per-example Lagrange multipliers). Micro-shards of each batch run
-  /// concurrently on `pool` (null = global pool) over per-lane model
-  /// replicas; gradients are reduced in shard order and dropout draws from
-  /// per-shard derived Rng streams, so the trained weights are bit-for-bit
-  /// identical at every thread count.
+  /// Trains on the given examples through train_model (each example keeps
+  /// a stable index for its per-example Lagrange multipliers), with
+  /// micro-shards spread over `pool` (null = global pool); the trained
+  /// weights are bit-for-bit identical at every thread count.
   TrainStats train(const std::vector<ImputationExample>& examples,
                    util::ThreadPool* pool = nullptr);
 

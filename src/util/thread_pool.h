@@ -76,11 +76,12 @@ class ThreadPool {
                     const std::function<void(std::int64_t)>& body);
 
   /// As parallel_for, but the body also receives a lane id in
-  /// [0, size()) that is exclusive for the duration of each call — use it
-  /// to index per-lane scratch state (e.g. model replicas). Exclusivity is
-  /// per region: two concurrently-running nested regions may each hand out
-  /// the same lane id, so lane-indexed scratch must belong to the region
-  /// (allocated per call), never to the pool. Lane->index assignment is
+  /// [0, min(size(), end - begin)) that is exclusive for the duration of
+  /// each call — use it to index per-lane scratch state (e.g. model
+  /// replicas), sized by that bound. Exclusivity is per region: two
+  /// concurrently-running nested regions may each hand out the same lane
+  /// id, so lane-indexed scratch must belong to the region (allocated per
+  /// call), never to the pool. Lane->index assignment is
   /// nondeterministic; determinism must come from per-index results, not
   /// from which lane computed them.
   void parallel_for_lane(

@@ -136,10 +136,10 @@ telemetry::DatasetSplit small_split(std::uint64_t seed) {
 
 TEST(AltModels, BiGruTrainsAndImputes) {
   const auto split = small_split(41);
-  impute::AltTrainConfig cfg;
+  impute::TrainConfig cfg;
   cfg.epochs = 3;
   impute::BiGruImputer imp(8, cfg);
-  imp.train(split.train);
+  imp.fit(split.train);
   const auto out = imp.impute(split.test.front());
   ASSERT_EQ(out.size(), split.test.front().window);
   for (const double v : out) ASSERT_GE(v, 0.0);
@@ -147,10 +147,10 @@ TEST(AltModels, BiGruTrainsAndImputes) {
 
 TEST(AltModels, PointwiseMlpTrainsAndImputes) {
   const auto split = small_split(43);
-  impute::AltTrainConfig cfg;
+  impute::TrainConfig cfg;
   cfg.epochs = 5;
   impute::PointwiseMlpImputer imp(16, cfg);
-  imp.train(split.train);
+  imp.fit(split.train);
   const auto out = imp.impute(split.test.front());
   ASSERT_EQ(out.size(), split.test.front().window);
   for (const double v : out) ASSERT_GE(v, 0.0);
@@ -161,10 +161,10 @@ TEST(AltModels, PointwiseOutputConstantWithinInterval) {
   // output must be constant within each interval — the structural reason
   // temporal models are needed.
   const auto split = small_split(47);
-  impute::AltTrainConfig cfg;
+  impute::TrainConfig cfg;
   cfg.epochs = 2;
   impute::PointwiseMlpImputer imp(8, cfg);
-  imp.train(split.train);
+  imp.fit(split.train);
   const auto& ex = split.test.front();
   const auto out = imp.impute(ex);
   const auto factor = static_cast<std::size_t>(ex.constraints.coarse_factor);
@@ -187,14 +187,19 @@ impute::RateImputerConfig small_rate_config() {
   cfg.model.num_layers = 1;
   cfg.model.d_ff = 16;
   cfg.model.max_seq_len = 128;
-  cfg.epochs = 3;
+  return cfg;
+}
+
+impute::TrainConfig rate_training(int epochs) {
+  impute::TrainConfig cfg;
+  cfg.epochs = epochs;
   return cfg;
 }
 
 TEST(RateImputer, OutputsObeyPhysicsByConstruction) {
   const auto split = small_split(53);
-  impute::PhysicsRateImputer imp(small_rate_config());
-  imp.train(split.train);
+  impute::PhysicsRateImputer imp(small_rate_config(), rate_training(3));
+  imp.fit(split.train);
   for (const auto& ex : split.test) {
     const auto out = imp.impute(ex);
     ASSERT_EQ(out.size(), ex.window);
@@ -216,9 +221,7 @@ TEST(RateImputer, OutputsObeyPhysicsByConstruction) {
 
 TEST(RateImputer, TrainingReducesEmd) {
   const auto split = small_split(59);
-  auto cfg = small_rate_config();
-  cfg.epochs = 6;
-  impute::PhysicsRateImputer imp(cfg);
+  impute::PhysicsRateImputer imp(small_rate_config(), rate_training(6));
   // Compare EMD to ground truth before/after training on the train set.
   auto emd_to_truth = [&](impute::Imputer& m) {
     double acc = 0.0;
@@ -237,7 +240,7 @@ TEST(RateImputer, TrainingReducesEmd) {
     return acc;
   };
   const double before = emd_to_truth(imp);
-  imp.train(split.train);
+  imp.fit(split.train);
   const double after = emd_to_truth(imp);
   EXPECT_LT(after, before);
 }
@@ -245,8 +248,8 @@ TEST(RateImputer, TrainingReducesEmd) {
 TEST(RateImputer, ComposesWithCem) {
   const auto split = small_split(61);
   auto base = std::make_shared<impute::PhysicsRateImputer>(
-      small_rate_config());
-  base->train(split.train);
+      small_rate_config(), rate_training(3));
+  base->fit(split.train);
   impute::KnowledgeAugmentedImputer full(base);
   const auto& ex = split.test.front();
   auto out = full.impute(ex);

@@ -151,10 +151,27 @@ TEST(ScenarioFuzz, StructuredEdgeCasesRejectCleanly) {
       "impute.autoencoder.penalty-weight = -1",
       "metrics.c4.arrival-burst = -2",
       "metrics.c4.latency-ms = nan",
+      // Non-finite reals are rejected for every key, not only where a
+      // range check happens to catch them.
+      "train.lr = inf",
+      "train.lr-final-fraction = infinity",
+      "train.kal-weight = 1e39",  // finite double, infinite float
+      "faults.noise = inf",
+      "metrics.c4.arrival-rate = inf",
+      // A zero learning rate trains nothing; a zero clip norm zeroes
+      // every gradient.
+      "train.lr = 0",
+      "train.grad-clip = 0",
   };
   for (const auto& text : cases) {
-    EXPECT_THROW(core::parse_scenario_string(text), CheckError)
-        << "input was not rejected: " << text;
+    try {
+      core::parse_scenario_string(text);
+      ADD_FAILURE() << "input was not rejected: " << text;
+    } catch (const CheckError& e) {
+      // Every rejection says where.
+      EXPECT_NE(std::string(e.what()).find("<string>:1:"), std::string::npos)
+          << text << " -> " << e.what();
+    }
   }
 }
 

@@ -333,6 +333,14 @@ TEST(ThreadPool, LaneIdsAreExclusiveAndInRange) {
     if (occupancy[lane].fetch_add(1) != 0) ok = false;  // exclusive
     occupancy[lane].fetch_sub(1);
   });
+  // A region of fewer indices than lanes only hands out lanes below its
+  // index count, so per-lane scratch can be sized by it.
+  util::ThreadPool wide(8);
+  for (int rep = 0; rep < 50; ++rep) {
+    wide.parallel_for_lane(0, 2, [&](std::size_t lane, std::int64_t) {
+      if (lane >= 2) ok = false;
+    });
+  }
   EXPECT_TRUE(ok);
 }
 
