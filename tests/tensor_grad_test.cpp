@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 #include <string>
 
 #include "tensor/ops.h"
@@ -243,6 +244,11 @@ struct UnaryCase {
   std::function<float(fmnet::Rng&)> sample;
 };
 
+// Prints a case as its op name. CTest names each discovered case after this
+// text (e.g. .../exp), so it must not depend on where the case's string and
+// functions happen to live in memory.
+void PrintTo(const UnaryCase& c, std::ostream* os) { *os << c.name; }
+
 class UnaryGradTest : public ::testing::TestWithParam<UnaryCase> {};
 
 TEST_P(UnaryGradTest, MatchesNumericGradient) {
@@ -296,10 +302,7 @@ INSTANTIATE_TEST_SUITE_P(
         UnaryCase{"square", [](const Tensor& x) { return square(x); },
                   [](fmnet::Rng& r) {
                     return static_cast<float>(r.uniform(-2.0, 2.0));
-                  }}),
-    [](const ::testing::TestParamInfo<UnaryCase>& pinfo) {
-      return pinfo.param.name;
-    });
+                  }}));
 
 }  // namespace
 }  // namespace fmnet::tensor
