@@ -69,9 +69,9 @@ int main() {
     std::vector<double> coarse(ex.window);
     for (std::size_t t = 0; t < ex.window; ++t) {
       truth[t] = campaign.gt.queue_len[ex.queue][ex.start_ms + t];
-      const std::size_t s = t / static_cast<std::size_t>(
-                                    ex.constraints.coarse_factor);
-      coarse[t] = static_cast<double>(ex.constraints.sample_val[s]) *
+      const std::size_t sample = t / static_cast<std::size_t>(
+                                         ex.constraints.coarse_factor);
+      coarse[t] = static_cast<double>(ex.constraints.sample_val[sample]) *
                   ex.qlen_scale;
     }
     const auto imputed = imputer.impute(ex);

@@ -101,10 +101,8 @@ Tensor linear_act(const Tensor& x, const Tensor& w, const Tensor& b,
         const float* dz = go;
         if (act == Act::kGelu) {
           dz_buf = pool::acquire(total);
-          const float* zv = z->v.data();
-          for (std::size_t i = 0; i < total; ++i) {
-            dz_buf[i] = go[i] * detail::gelu_grad(zv[i]);
-          }
+          kernels::gelu_grad_mul(go, z->v.data(), dz_buf.data(),
+                                 static_cast<std::int64_t>(total));
           dz = dz_buf.data();
         } else if (act == Act::kRelu) {
           dz_buf = pool::acquire(total);
@@ -180,48 +178,15 @@ Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   return make_op_result(
       x.shape(), std::move(out), {x, gamma, beta},
       [xn, gn, bn, st, rows, f, inv_f](Node& o) {
-        const bool need_x = xn->requires_grad;
-        const bool need_g = gn->requires_grad;
-        const bool need_b = bn->requires_grad;
-        if (need_x) xn->ensure_grad();
-        if (need_g) gn->ensure_grad();
-        if (need_b) bn->ensure_grad();
-        const float* go = o.grad.data();
-        const float* xv2 = xn->cdata().data();
-        const float* gv2 = gn->cdata().data();
-        for (std::int64_t r = 0; r < rows; ++r) {
-          const float mu = st->v[static_cast<std::size_t>(2 * r)];
-          const float inv_std = st->v[static_cast<std::size_t>(2 * r + 1)];
-          const float* grow = go + r * f;
-          const float* xrow = xv2 + r * f;
-          if (need_g || need_b) {
-            for (std::int64_t j = 0; j < f; ++j) {
-              const float xhat = (xrow[j] - mu) * inv_std;
-              if (need_g) gn->grad[static_cast<std::size_t>(j)] +=
-                  grow[j] * xhat;
-              if (need_b) bn->grad[static_cast<std::size_t>(j)] += grow[j];
-            }
-          }
-          if (need_x) {
-            // dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat*xhat))
-            float s1 = 0.0f;
-            float s2 = 0.0f;
-            for (std::int64_t j = 0; j < f; ++j) {
-              const float dxhat = grow[j] * gv2[j];
-              const float xhat = (xrow[j] - mu) * inv_std;
-              s1 += dxhat;
-              s2 += dxhat * xhat;
-            }
-            s1 *= inv_f;
-            s2 *= inv_f;
-            float* gxrow = xn->grad.data() + r * f;
-            for (std::int64_t j = 0; j < f; ++j) {
-              const float dxhat = grow[j] * gv2[j];
-              const float xhat = (xrow[j] - mu) * inv_std;
-              gxrow[j] += inv_std * (dxhat - s1 - xhat * s2);
-            }
-          }
-        }
+        if (xn->requires_grad) xn->ensure_grad();
+        if (gn->requires_grad) gn->ensure_grad();
+        if (bn->requires_grad) bn->ensure_grad();
+        kernels::layer_norm_grad_rows(
+            o.grad.data(), xn->cdata().data(), st->v.data(),
+            gn->cdata().data(), rows, f, inv_f,
+            xn->requires_grad ? xn->grad.data() : nullptr,
+            gn->requires_grad ? gn->grad.data() : nullptr,
+            bn->requires_grad ? bn->grad.data() : nullptr);
       });
 }
 
@@ -355,20 +320,29 @@ Tensor scaled_matmul_bt(const Tensor& a, const Tensor& b, float scale) {
 }
 
 Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
-                 float scale) {
+                 std::int64_t heads, float scale) {
   FMNET_CHECK_EQ(q.ndim(), 3u);
   FMNET_CHECK_EQ(k.ndim(), 3u);
   FMNET_CHECK_EQ(v.ndim(), 3u);
+  FMNET_CHECK_GT(heads, 0);
   FMNET_CHECK_GT(scale, 0.0f);
   const std::int64_t batch = q.dim(0);
   const std::int64_t t = q.dim(1);
-  const std::int64_t d = q.dim(2);
+  const std::int64_t dm = q.dim(2);
   const std::int64_t s = k.dim(1);
+  FMNET_CHECK_EQ(dm % heads, 0);
   FMNET_CHECK_EQ(k.dim(0), batch);
-  FMNET_CHECK_EQ(k.dim(2), d);
+  FMNET_CHECK_EQ(k.dim(2), dm);
   FMNET_CHECK_EQ(v.dim(0), batch);
   FMNET_CHECK_EQ(v.dim(1), s);
-  FMNET_CHECK_EQ(v.dim(2), d);
+  FMNET_CHECK_EQ(v.dim(2), dm);
+  const std::int64_t hd = dm / heads;
+  // Head h of entry e is the column block [h*hd, (h+1)*hd) of each
+  // [t, dm] slab: the GEMMs address it in place through row strides of dm,
+  // so the heads are never split out into (or merged back from) a
+  // [B*H, T, hd] copy.
+  const kernels::RowStrides scores_ld{dm, dm, s};  // [t,hd] x [s,hd]^T
+  const kernels::RowStrides probs_ld{s, dm, dm};    // [t,s] x [s,hd]
 
   // The whole block is one node, so the [T, S] score matrix never becomes
   // graph state: no score/attn gradient buffers to zero-fill and accumulate
@@ -376,78 +350,85 @@ Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
   // softmax rows are computed in place on the score buffer and kept for
   // backward, which needs them for both dV and the softmax Jacobian.
   // Backward is also the ONLY consumer of the whole-batch slab: inference
-  // reuses a single [T, S] scratch across entries instead — at B=16 the
-  // batch*T*S slab (1 MB at the bench sizes) evicts the L2-resident Q/K/V
-  // streams. Buffer addresses never enter the arithmetic, so batched
-  // results stay bit-identical either way.
+  // reuses a single [T, S] scratch across (entry, head) pairs instead — at
+  // B=16 the batch*H*T*S slab (1 MB at the bench sizes) evicts the
+  // L2-resident Q/K/V streams. Buffer addresses never enter the
+  // arithmetic, so batched results stay bit-identical either way.
   const bool infer = inference_mode();
   auto attn = std::make_shared<PooledBuf>(pool::acquire(
-      static_cast<std::size_t>((infer ? 1 : batch) * t * s)));
+      static_cast<std::size_t>((infer ? 1 : batch * heads) * t * s)));
   std::vector<float> out =
-      pool::acquire(static_cast<std::size_t>(batch * t * d));
+      pool::acquire(static_cast<std::size_t>(batch * t * dm));
   const float* qp = q.data().data();
   const float* kp = k.data().data();
   const float* vp = v.data().data();
   for (std::int64_t e = 0; e < batch; ++e) {
-    float* ae = attn->v.data() + (infer ? 0 : e * t * s);
-    kernels::gemm_bt(qp + e * t * d, kp + e * s * d, ae, t, d, s,
-                     /*pool=*/nullptr, /*accumulate=*/false);
-    // softmax(scale * x) == exp(scale * (x - max)) / sum: the score scale
-    // folds into the exp argument inside the ISA-dispatched row kernel
-    // instead of a separate scaling pass.
-    kernels::softmax_rows(ae, t, s, scale);
-    kernels::gemm(ae, vp + e * s * d, out.data() + e * t * d, t, s, d,
-                  /*pool=*/nullptr, /*accumulate=*/false);
+    for (std::int64_t h = 0; h < heads; ++h) {
+      float* ae = attn->v.data() + (infer ? 0 : (e * heads + h) * t * s);
+      kernels::gemm_bt(qp + e * t * dm + h * hd, kp + e * s * dm + h * hd,
+                       ae, t, hd, s, /*pool=*/nullptr, /*accumulate=*/false,
+                       scores_ld);
+      // softmax(scale * x) == exp(scale * (x - max)) / sum: the score scale
+      // folds into the exp argument inside the ISA-dispatched row kernel
+      // instead of a separate scaling pass.
+      kernels::softmax_rows(ae, t, s, scale);
+      kernels::gemm(ae, vp + e * s * dm + h * hd, out.data() + e * t * dm +
+                    h * hd, t, s, hd, /*pool=*/nullptr, /*accumulate=*/false,
+                    probs_ld);
+    }
   }
 
   auto qn = q.node();
   auto kn = k.node();
   auto vn = v.node();
   return make_op_result(
-      Shape{batch, t, d}, std::move(out), {q, k, v},
-      [qn, kn, vn, attn, batch, t, d, s, scale](Node& o) {
+      Shape{batch, t, dm}, std::move(out), {q, k, v},
+      [qn, kn, vn, attn, batch, heads, t, hd, dm, s, scale, scores_ld,
+       probs_ld](Node& o) {
         const bool need_q = qn->requires_grad;
         const bool need_k = kn->requires_grad;
         const bool need_v = vn->requires_grad;
         if (need_q) qn->ensure_grad();
         if (need_k) kn->ensure_grad();
         if (need_v) vn->ensure_grad();
-        const float* go = o.grad.data();
-        // One [T, S] scratch reused across batch entries instead of a
+        // One [T, S] scratch reused across (entry, head) pairs instead of a
         // whole-batch gradient tensor.
         std::vector<float> dattn =
             pool::acquire(static_cast<std::size_t>(t * s));
         for (std::int64_t e = 0; e < batch; ++e) {
-          const float* ae = attn->v.data() + e * t * s;
-          const float* ge = go + e * t * d;
-          if (need_v) {
-            // dV = attn^T @ dY
-            kernels::gemm_at(ae, ge, vn->grad.data() + e * s * d, s, t, d);
-          }
-          if (!(need_q || need_k)) continue;
-          // dAttn = dY @ V^T (overwrite: dattn scratch is recycled dirty)
-          kernels::gemm_bt(ge, vn->cdata().data() + e * s * d, dattn.data(),
-                           t, d, s, /*pool=*/nullptr, /*accumulate=*/false);
-          // Softmax Jacobian and the score scale in one in-place pass:
-          // dZ = scale * y * (dAttn - sum_j dAttn * y).
-          for (std::int64_t r = 0; r < t; ++r) {
-            float* drow = dattn.data() + r * s;
-            const float* yrow = ae + r * s;
-            float dot = 0.0f;
-            for (std::int64_t j = 0; j < s; ++j) dot += drow[j] * yrow[j];
-            for (std::int64_t j = 0; j < s; ++j) {
-              drow[j] = scale * yrow[j] * (drow[j] - dot);
+          for (std::int64_t h = 0; h < heads; ++h) {
+            const float* ae = attn->v.data() + (e * heads + h) * t * s;
+            const std::int64_t q0 = e * t * dm + h * hd;
+            const std::int64_t k0 = e * s * dm + h * hd;
+            const float* ge = o.grad.data() + q0;
+            if (need_v) {
+              // dV = attn^T @ dY
+              kernels::gemm_at(ae, ge, vn->grad.data() + k0, s, t, hd,
+                               /*pool=*/nullptr, /*accumulate=*/true,
+                               probs_ld);
             }
-          }
-          if (need_q) {
-            // dQ = dZ @ K
-            kernels::gemm(dattn.data(), kn->cdata().data() + e * s * d,
-                          qn->grad.data() + e * t * d, t, s, d);
-          }
-          if (need_k) {
-            // dK = dZ^T @ Q
-            kernels::gemm_at(dattn.data(), qn->cdata().data() + e * t * d,
-                             kn->grad.data() + e * s * d, s, t, d);
+            if (!(need_q || need_k)) continue;
+            // dAttn = dY @ V^T (overwrite: dattn scratch is recycled dirty)
+            kernels::gemm_bt(ge, vn->cdata().data() + k0, dattn.data(), t,
+                             hd, s, /*pool=*/nullptr, /*accumulate=*/false,
+                             scores_ld);
+            // Softmax Jacobian and the score scale in one in-place pass:
+            // dZ = scale * y * (dAttn - sum_j dAttn * y).
+            kernels::softmax_jacobian_rows(dattn.data(), ae, t, s, scale);
+            if (need_q) {
+              // dQ = dZ @ K
+              kernels::gemm(dattn.data(), kn->cdata().data() + k0,
+                            qn->grad.data() + q0, t, s, hd,
+                            /*pool=*/nullptr, /*accumulate=*/true,
+                            probs_ld);
+            }
+            if (need_k) {
+              // dK = dZ^T @ Q
+              kernels::gemm_at(dattn.data(), qn->cdata().data() + q0,
+                               kn->grad.data() + k0, s, t, hd,
+                               /*pool=*/nullptr, /*accumulate=*/true,
+                               probs_ld);
+            }
           }
         }
         pool::release(std::move(dattn));

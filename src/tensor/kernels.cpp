@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -12,6 +13,7 @@
 #endif
 
 #include "tensor/activations.h"
+#include "tensor/kernels_clones.h"
 #include "tensor/pool.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -42,9 +44,7 @@ namespace baseline {
 #include "tensor/kernels_skinny.inc"
 }  // namespace baseline
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !(defined(__AVX2__) && defined(__FMA__))
-#define FMNET_GEMM_AVX2_CLONE 1
+#ifdef FMNET_GEMM_AVX2_CLONE
 #pragma GCC push_options
 #pragma GCC target("avx2,fma")
 namespace avx2 {
@@ -56,17 +56,21 @@ namespace avx2 {
 #pragma GCC pop_options
 #endif
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__AVX512F__)
-#define FMNET_GEMM_AVX512_CLONE 1
+#ifdef FMNET_GEMM_AVX512_CLONE
 #pragma GCC push_options
 #pragma GCC target("avx512f,avx512vl,avx512bw,avx512dq,avx2,fma")
+// _mm512_undefined_ps inside _mm512_max_ps trips GCC's
+// -Wmaybe-uninitialized (the intrinsics header's deliberate `__Y = __Y`).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 namespace avx512 {
 #include "tensor/kernels_elementwise.inc"
 #include "tensor/kernels_panel.inc"
 #include "tensor/kernels_quant.inc"
 #include "tensor/kernels_skinny.inc"
+#include "tensor/kernels_avx512.inc"
 }  // namespace avx512
+#pragma GCC diagnostic pop
 #pragma GCC pop_options
 #endif
 
@@ -74,13 +78,11 @@ namespace avx512 {
 // (kernels_quant_vnni.inc); the float kernels are the same source compiled
 // with VNNI merely enabled. Requires the intrinsics, hence GCC-only like
 // the other clones.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__AVX512VNNI__)
-#define FMNET_GEMM_AVX512VNNI_CLONE 1
+#ifdef FMNET_GEMM_AVX512VNNI_CLONE
 #pragma GCC push_options
 #pragma GCC target("avx512f,avx512vl,avx512bw,avx512dq,avx512vnni,avx2,fma")
-// _mm512_undefined_ps inside _mm512_cvtepi32_ps trips GCC's
-// -Wmaybe-uninitialized (the intrinsics header's deliberate `__Y = __Y`).
+// _mm512_undefined_ps inside _mm512_cvtepi32_ps and _mm512_max_ps trips
+// GCC's -Wmaybe-uninitialized (the header's deliberate `__Y = __Y`).
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 namespace avx512vnni {
@@ -89,17 +91,18 @@ namespace avx512vnni {
 #include "tensor/kernels_quant.inc"
 #include "tensor/kernels_quant_vnni.inc"
 #include "tensor/kernels_skinny.inc"
+#include "tensor/kernels_avx512.inc"
 }  // namespace avx512vnni
 #pragma GCC diagnostic pop
 #pragma GCC pop_options
 #endif
 
 using PanelFn = void (*)(const float*, std::int64_t, std::int64_t,
-                         const float*, float*, std::int64_t, std::int64_t,
-                         std::int64_t, bool);
+                         const float*, std::int64_t, float*, std::int64_t,
+                         std::int64_t, std::int64_t, std::int64_t, bool);
 using SkinnyFn = void (*)(const float*, std::int64_t, std::int64_t,
                           const float*, float*, std::int64_t, std::int64_t,
-                          std::int64_t, bool);
+                          std::int64_t, std::int64_t, bool);
 using QuantLinearFn = void (*)(const float*, std::int64_t, std::int64_t,
                                std::int64_t, const std::int8_t*,
                                const float*, const float*, float*, float*,
@@ -134,11 +137,11 @@ SkinnyFn skinny_fn_for(Isa isa) {
 #endif
 #ifdef FMNET_GEMM_AVX512_CLONE
     case Isa::kAvx512:
-      return avx512::skinny_run;
+      return avx512::skinny_run_avx512;
 #endif
 #ifdef FMNET_GEMM_AVX512VNNI_CLONE
     case Isa::kAvx512Vnni:
-      return avx512vnni::skinny_run;
+      return avx512vnni::skinny_run_avx512;
 #endif
     default:
       return baseline::skinny_run;
@@ -172,11 +175,11 @@ SoftmaxFn softmax_fn_for(Isa isa) {
 #endif
 #ifdef FMNET_GEMM_AVX512_CLONE
     case Isa::kAvx512:
-      return avx512::softmax_rows_impl;
+      return avx512::softmax_rows_avx512;
 #endif
 #ifdef FMNET_GEMM_AVX512VNNI_CLONE
     case Isa::kAvx512Vnni:
-      return avx512vnni::softmax_rows_impl;
+      return avx512vnni::softmax_rows_avx512;
 #endif
     default:
       return baseline::softmax_rows_impl;
@@ -272,10 +275,18 @@ Isa active_isa_slow() {
 
 PanelFn panel_fn() { return fn_for(active_isa_slow()); }
 
+// Zeroes an [m, n] block whose rows are rs apart.
+void zero_rows(float* c, std::int64_t rs, std::int64_t m, std::int64_t n) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    std::memset(c + i * rs, 0, static_cast<std::size_t>(n) * sizeof(float));
+  }
+}
+
 // ---- driver ---------------------------------------------------------------
 
 // Shared driver: A addressed through strides (a_rs/a_cs); B delivered one
-// k-panel at a time by `panel_of(p0, kc)` as a row-major [kc][n] slab.
+// k-panel at a time by `panel_of(p0, kc)` as a row-major [kc][n] slab
+// whose rows are b_rs apart; C rows are c_rs apart.
 // Output row blocks of kRowBlock rows are the parallel work items: every
 // output element is computed start-to-finish by whichever lane owns its row
 // block, and the k/j iteration order inside a block is a pure function of
@@ -292,13 +303,14 @@ PanelFn panel_fn() { return fn_for(active_isa_slow()); }
 // itself.
 template <class PanelProvider>
 void gemm_driver(const float* a, std::int64_t a_rs, std::int64_t a_cs,
-                 float* c, std::int64_t m, std::int64_t k, std::int64_t n,
+                 std::int64_t b_rs, float* c, std::int64_t c_rs,
+                 std::int64_t m, std::int64_t k, std::int64_t n,
                  util::ThreadPool* pool, bool accumulate,
                  PanelProvider&& panel_of) {
   if (m == 0 || n == 0) return;
   if (k == 0) {
     // An empty sum: overwrite mode still owes the caller zeros.
-    if (!accumulate) std::memset(c, 0, static_cast<std::size_t>(m * n) * 4);
+    if (!accumulate) zero_rows(c, c_rs, m, n);
     return;
   }
   const PanelFn panel = panel_fn();
@@ -315,8 +327,8 @@ void gemm_driver(const float* a, std::int64_t a_rs, std::int64_t a_cs,
     const auto run_block = [&](std::int64_t blk) {
       const std::int64_t i0 = blk * kRowBlock;
       const std::int64_t rows = std::min(kRowBlock, m - i0);
-      panel(a + i0 * a_rs + p0 * a_cs, a_rs, a_cs, bp, c + i0 * n, rows, kc,
-            n, overwrite);
+      panel(a + i0 * a_rs + p0 * a_cs, a_rs, a_cs, bp, b_rs, c + i0 * c_rs,
+            c_rs, rows, kc, n, overwrite);
     };
     if (parallel) {
       tp.parallel_for(0, row_blocks, run_block);
@@ -329,18 +341,31 @@ void gemm_driver(const float* a, std::int64_t a_rs, std::int64_t a_cs,
 // Skinny-N fast path (kernels_skinny.inc): for n <= kSkinnyMaxN each C row
 // rides in registers across the full k extent — no k-panelling, no C
 // re-reads. Serves gemm and gemm_at (B streamed in place); gemm_bt keeps
-// the panel path since its B needs repacking per k-panel anyway. Same
-// row-block partitioning and inline threshold as gemm_driver, so the
-// lane-count determinism contract carries over unchanged.
+// the panel path since its B needs repacking per k-panel anyway. The
+// kernel wants B dense, so a strided B (one head's columns of a wider
+// buffer) is first copied into a [k, n] block — k*n floats against the
+// kernel's m*k*n multiply-adds, on the calling thread before lanes fan
+// out. Same row-block partitioning and inline threshold as gemm_driver, so
+// the lane-count determinism contract carries over unchanged.
 bool skinny_gemm(const float* a, std::int64_t a_rs, std::int64_t a_cs,
-                 const float* b, float* c, std::int64_t m, std::int64_t k,
+                 const float* b, std::int64_t b_rs, float* c,
+                 std::int64_t c_rs, std::int64_t m, std::int64_t k,
                  std::int64_t n, util::ThreadPool* pool, bool accumulate) {
   if (n <= 0 || n > kSkinnyMaxN) return false;
   if (m == 0) return true;
   if (k == 0) {
     // An empty sum: overwrite mode still owes the caller zeros.
-    if (!accumulate) std::memset(c, 0, static_cast<std::size_t>(m * n) * 4);
+    if (!accumulate) zero_rows(c, c_rs, m, n);
     return true;
+  }
+  std::vector<float> packed;
+  if (b_rs != n) {
+    packed = pool::acquire(static_cast<std::size_t>(k * n));
+    for (std::int64_t p = 0; p < k; ++p) {
+      std::memcpy(packed.data() + p * n, b + p * b_rs,
+                  static_cast<std::size_t>(n) * sizeof(float));
+    }
+    b = packed.data();
   }
   const SkinnyFn fn = skinny_fn_for(active_isa_slow());
   const std::int64_t row_blocks = (m + kRowBlock - 1) / kRowBlock;
@@ -350,13 +375,15 @@ bool skinny_gemm(const float* a, std::int64_t a_rs, std::int64_t a_cs,
   const auto run_block = [&](std::int64_t blk) {
     const std::int64_t i0 = blk * kRowBlock;
     const std::int64_t rows = std::min(kRowBlock, m - i0);
-    fn(a + i0 * a_rs, a_rs, a_cs, b, c + i0 * n, rows, k, n, accumulate);
+    fn(a + i0 * a_rs, a_rs, a_cs, b, c + i0 * c_rs, c_rs, rows, k, n,
+       accumulate);
   };
   if (parallel) {
     tp.parallel_for(0, row_blocks, run_block);
   } else {
     for (std::int64_t blk = 0; blk < row_blocks; ++blk) run_block(blk);
   }
+  pool::release(std::move(packed));
   return true;
 }
 
@@ -430,43 +457,57 @@ void quant_linear_rows(const float* x, std::int64_t rows, std::int64_t k,
 
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n, util::ThreadPool* pool,
-          bool accumulate) {
-  // B is already row-major [k, n]: each k-panel is a contiguous slab, no
-  // packing copy needed.
-  if (skinny_gemm(a, /*a_rs=*/k, /*a_cs=*/1, b, c, m, k, n, pool,
-                  accumulate)) {
+          bool accumulate, RowStrides ld) {
+  const std::int64_t lda = ld.a != 0 ? ld.a : k;
+  const std::int64_t ldb = ld.b != 0 ? ld.b : n;
+  const std::int64_t ldc = ld.c != 0 ? ld.c : n;
+  // B is already row-major [k, n]: each k-panel is a slab of it in place,
+  // no packing copy needed.
+  if (skinny_gemm(a, /*a_rs=*/lda, /*a_cs=*/1, b, ldb, c, ldc, m, k, n,
+                  pool, accumulate)) {
     return;
   }
-  gemm_driver(a, /*a_rs=*/k, /*a_cs=*/1, c, m, k, n, pool, accumulate,
-              [b, n](std::int64_t p0, std::int64_t) { return b + p0 * n; });
+  gemm_driver(a, /*a_rs=*/lda, /*a_cs=*/1, ldb, c, ldc, m, k, n, pool,
+              accumulate, [b, ldb](std::int64_t p0, std::int64_t) {
+                return b + p0 * ldb;
+              });
 }
 
 void gemm_at(const float* at, const float* b, float* c, std::int64_t m,
              std::int64_t k, std::int64_t n, util::ThreadPool* pool,
-             bool accumulate) {
-  // a(i, p) = at[p*m + i]: unit row stride, m-column stride. The panel
+             bool accumulate, RowStrides ld) {
+  const std::int64_t lda = ld.a != 0 ? ld.a : m;
+  const std::int64_t ldb = ld.b != 0 ? ld.b : n;
+  const std::int64_t ldc = ld.c != 0 ? ld.c : n;
+  // a(i, p) = at[p*lda + i]: unit row stride, lda column stride. The panel
   // kernel hoists A loads out of its inner loop, so the stride is free.
-  if (skinny_gemm(at, /*a_rs=*/1, /*a_cs=*/m, b, c, m, k, n, pool,
-                  accumulate)) {
+  if (skinny_gemm(at, /*a_rs=*/1, /*a_cs=*/lda, b, ldb, c, ldc, m, k, n,
+                  pool, accumulate)) {
     return;
   }
-  gemm_driver(at, /*a_rs=*/1, /*a_cs=*/m, c, m, k, n, pool, accumulate,
-              [b, n](std::int64_t p0, std::int64_t) { return b + p0 * n; });
+  gemm_driver(at, /*a_rs=*/1, /*a_cs=*/lda, ldb, c, ldc, m, k, n, pool,
+              accumulate, [b, ldb](std::int64_t p0, std::int64_t) {
+                return b + p0 * ldb;
+              });
 }
 
 void gemm_bt(const float* a, const float* bt, float* c, std::int64_t m,
              std::int64_t k, std::int64_t n, util::ThreadPool* pool,
-             bool accumulate) {
+             bool accumulate, RowStrides ld) {
+  const std::int64_t lda = ld.a != 0 ? ld.a : k;
+  const std::int64_t ldb = ld.b != 0 ? ld.b : k;
+  const std::int64_t ldc = ld.c != 0 ? ld.c : n;
   // B arrives transposed ([n, k]); repack each k-panel into a row-major
   // [kc, n] slab once — O(kc*n) copies amortised over m output rows — so
   // the panel kernel keeps unit-stride B streams. The pack runs on the
   // calling thread before lanes fan out, so it is partition-independent.
   std::vector<float> packed =
       pool::acquire(static_cast<std::size_t>(std::min(kKC, k) * n));
-  gemm_driver(a, /*a_rs=*/k, /*a_cs=*/1, c, m, k, n, pool, accumulate,
-              [bt, k, n, &packed](std::int64_t p0, std::int64_t kc) {
+  gemm_driver(a, /*a_rs=*/lda, /*a_cs=*/1, /*b_rs=*/n, c, ldc, m, k, n, pool,
+              accumulate,
+              [bt, ldb, n, &packed](std::int64_t p0, std::int64_t kc) {
                 for (std::int64_t j = 0; j < n; ++j) {
-                  const float* src = bt + j * k + p0;
+                  const float* src = bt + j * ldb + p0;
                   for (std::int64_t p = 0; p < kc; ++p) {
                     packed[static_cast<std::size_t>(p * n + j)] = src[p];
                   }

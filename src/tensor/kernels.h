@@ -27,8 +27,10 @@
 // still needs its repack), a register-accumulating kernel keeps each C row
 // local across the full k extent and touches C once, dispatched over
 // fixed-width instantiations so the inner loops have compile-time trip
-// counts. Every row runs the ONE row body (no kMR quads), so an output
-// element is independent of the row's position within the call — the
+// counts. Every row of a call computes its sum with the same operations —
+// the one row body, or on the AVX-512 clones for n = 8 an intrinsic body
+// that advances four rows per pass (kernels_avx512.inc) — so an output
+// element is independent of the row's position within the call: the
 // property batched inference leans on when it stacks windows whose start
 // offsets are not multiples of kMR (see kernels_skinny.inc).
 //
@@ -105,21 +107,37 @@ inline constexpr std::int64_t kRowBlock = 64;
 /// Minimum 2*m*k*n FLOPs before a gemm fans out across pool lanes.
 inline constexpr std::int64_t kParallelFlops = 4ll << 20;
 
+/// Row strides of a GEMM's operands as stored, in floats: consecutive
+/// rows of A (the [k,m] buffer for gemm_at, the [n,k] one for gemm_bt's
+/// B) lie `a` (`b`, `c`) floats apart. 0 means dense — the stored row
+/// width. A strided operand is a column block of a wider buffer: the
+/// attention block reads and writes each head's columns of a [T, H*dh]
+/// activation in place. Strides move addresses only, never the
+/// arithmetic, so a strided call is bit-identical to the dense call on a
+/// copied-out block.
+struct RowStrides {
+  std::int64_t a = 0;
+  std::int64_t b = 0;
+  std::int64_t c = 0;
+};
+
 /// C[m,n] (+)= A[m,k] @ B[k,n]. `pool` nullptr = the global pool;
 /// `accumulate` false overwrites C instead of adding into it.
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n, util::ThreadPool* pool = nullptr,
-          bool accumulate = true);
+          bool accumulate = true, RowStrides ld = {});
 
 /// C[m,n] (+)= A[k,m]^T @ B[k,n] (at points at the [k,m] buffer).
 void gemm_at(const float* at, const float* b, float* c, std::int64_t m,
              std::int64_t k, std::int64_t n,
-             util::ThreadPool* pool = nullptr, bool accumulate = true);
+             util::ThreadPool* pool = nullptr, bool accumulate = true,
+             RowStrides ld = {});
 
 /// C[m,n] (+)= A[m,k] @ B[n,k]^T (bt points at the [n,k] buffer).
 void gemm_bt(const float* a, const float* bt, float* c, std::int64_t m,
              std::int64_t k, std::int64_t n,
-             util::ThreadPool* pool = nullptr, bool accumulate = true);
+             util::ThreadPool* pool = nullptr, bool accumulate = true,
+             RowStrides ld = {});
 
 // Elementwise row kernels, ISA-dispatched like the GEMMs (the scalar
 // activation helpers contain clamp selects the SSE2 baseline cannot
@@ -135,6 +153,36 @@ void softmax_rows(float* v, std::int64_t rows, std::int64_t len,
 
 /// In-place tanh-approximation GELU over `rows` contiguous rows of `len`.
 void gelu_rows(float* v, std::int64_t rows, std::int64_t len);
+
+// Backward elementwise kernels (kernels_backward.cpp), ISA-dispatched
+// like the rest. Their translation unit is compiled without FMA
+// contraction, so every variant returns exactly the bits of the plain
+// scalar loops (two roundings per multiply-add) that the SSE2 baseline
+// ran before they were vectorised: trained weights do not depend on the
+// ISA through these kernels. Serial dots keep their left-to-right order
+// within a row and gain speed by interleaving rows.
+
+/// dz[i] = dy[i] * gelu'(z[i]) over n elements (GELU's backward; z is the
+/// pre-activation).
+void gelu_grad_mul(const float* dy, const float* z, float* dz,
+                   std::int64_t n);
+
+/// Softmax backward with a score scale, in place over `rows` contiguous
+/// rows of `len`: d = scale * y * (d - sum_j d[j] * y[j]), where y is the
+/// softmax output and d arrives as its gradient.
+void softmax_jacobian_rows(float* d, const float* y, std::int64_t rows,
+                           std::int64_t len, float scale);
+
+/// LayerNorm backward over `rows` contiguous rows of `f`. stats holds
+/// (mean, 1/std) per row; inv_f = 1/f. Accumulates
+///   dgamma[j] += sum_r dy * xhat,   dbeta[j] += sum_r dy,
+///   dx += inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+/// with xhat = (x - mean) * inv_std and dxhat = dy * gamma. A null dx,
+/// dgamma or dbeta skips that gradient.
+void layer_norm_grad_rows(const float* dy, const float* x,
+                          const float* stats, const float* gamma,
+                          std::int64_t rows, std::int64_t f, float inv_f,
+                          float* dx, float* dgamma, float* dbeta);
 
 /// Fused int8 linear row kernel: per-row dynamic quantisation of x onto
 /// the int8 grid, MAC against the int8 weights, fp32 dequant with

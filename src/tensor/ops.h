@@ -82,14 +82,20 @@ Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 /// no separate scaling node.
 Tensor scaled_matmul_bt(const Tensor& a, const Tensor& b, float scale = 1.0f);
 
-/// Whole scaled-dot-product attention block in one node:
-///   softmax(scale * q @ k^T, last axis) @ v
-/// q: [b,t,d], k: [b,s,d], v: [b,s,d] -> [b,t,d]; scale must be positive.
-/// Equivalent to matmul(softmax(scaled_matmul_bt(q, k, scale), 2), v), but
-/// the [t,s] score matrix stays internal scratch — it never becomes graph
-/// state, so no score-sized gradient buffers are zeroed or accumulated.
+/// Whole multi-head scaled-dot-product attention block in one node. Head
+/// h reads and writes the column block [h*dh, (h+1)*dh) of the model
+/// dimension, dh = d / heads:
+///   out[.., h] = softmax(scale * q[.., h] @ k[.., h]^T, last axis) @ v[.., h]
+/// q: [b,t,d], k: [b,s,d], v: [b,s,d] -> [b,t,d]; d % heads == 0 and scale
+/// must be positive. Equivalent to splitting the heads into a [b*heads,
+/// t, dh] batch, computing matmul(softmax(scaled_matmul_bt(q, k, scale),
+/// 2), v) and merging the heads back — bit for bit — but the heads are
+/// addressed in place by GEMM row strides, so no split or merge copy
+/// exists, and the [t,s] score matrix stays internal scratch: it never
+/// becomes graph state, so no score-sized gradient buffers are zeroed or
+/// accumulated.
 Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
-                 float scale);
+                 std::int64_t heads, float scale);
 
 // ---- reductions ------------------------------------------------------------
 

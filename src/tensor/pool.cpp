@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -19,17 +20,13 @@ constexpr std::size_t kMaxBuffersPerBucket = 128;
 constexpr std::int64_t kMaxCachedBytes = 256ll << 20;
 constexpr std::size_t kNumBuckets = 48;
 
-// Bucket index = position of the highest set bit (floor log2). A released
-// buffer of capacity c lands in bucket floor_log2(c); acquire(n) probes
-// bucket ceil_log2(n) and up, so any hit has capacity >= n.
+// Bucket index = position of the highest set bit (floor log2): a released
+// buffer of capacity c lands in bucket floor_log2(c), so bucket b holds
+// capacities in [2^b, 2^(b+1)).
 std::size_t floor_log2(std::size_t v) {
   std::size_t b = 0;
   while (v >>= 1) ++b;
   return b;
-}
-std::size_t ceil_log2(std::size_t v) {
-  const std::size_t f = floor_log2(v);
-  return (std::size_t{1} << f) == v ? f : f + 1;
 }
 
 struct Pool {
@@ -71,18 +68,24 @@ struct ObsCounters {
   }
 };
 
-// Pops a recycled buffer with capacity >= n, or returns false. Probes the
-// exact capacity class first, then the next two classes up — beyond that a
-// hit would waste >4x the memory of the request.
+// Pops a recycled buffer with capacity >= n, or returns false. Bucket
+// floor_log2(n) is where a released buffer of exactly n floats lives —
+// the [300, 16] activations of a training step are 4800 floats, no power
+// of two — but it also holds smaller capacities, so it is searched for a
+// fit. The next two buckets hold only capacities > n; beyond them a hit
+// would waste >4x the memory of the request.
 bool try_pop(std::size_t n, std::vector<float>& out) {
   Pool& p = Pool::instance();
-  const std::size_t first = ceil_log2(n);
+  const std::size_t first = floor_log2(n);
   std::lock_guard<std::mutex> lock(p.mu);
   const std::size_t last = std::min(first + 2, kNumBuckets - 1);
   for (std::size_t b = first; b <= last; ++b) {
-    if (!p.buckets[b].empty()) {
-      out = std::move(p.buckets[b].back());
-      p.buckets[b].pop_back();
+    auto& bucket = p.buckets[b];
+    for (std::size_t i = bucket.size(); i-- > 0;) {
+      if (bucket[i].capacity() < n) continue;
+      std::swap(bucket[i], bucket.back());
+      out = std::move(bucket.back());
+      bucket.pop_back();
       ++p.st.hits;
       p.st.reused_bytes += static_cast<std::int64_t>(n * sizeof(float));
       --p.st.cached_buffers;

@@ -8,9 +8,15 @@
 // steady-state training reuses the same handful of buffers every step.
 //
 // Rules:
-//  * Buffers are bucketed by capacity class (power of two). acquire(n)
-//    returns a vector of size exactly n whose *contents are unspecified* —
-//    callers must write every element. acquire_zero(n) zero-fills.
+//  * acquire(n) returns a vector of size exactly n whose *contents are
+//    unspecified* — callers must write every element. acquire_zero(n)
+//    zero-fills. A miss allocates exactly n floats.
+//  * Buffers are bucketed by capacity class: class b holds capacities in
+//    [2^b, 2^(b+1)). acquire(n) first searches n's own class for a buffer
+//    of capacity >= n, so a buffer released at any size serves the next
+//    acquire of that size (exact-fit reuse: a step's [300, 16] activations
+//    are 4800 floats, no power of two), then takes any buffer of the next
+//    two classes; larger buffers would waste over 4x the request.
 //  * Allocations below kMinPooledFloats bypass the pool entirely (tiny
 //    scalar nodes would otherwise serialize on the pool mutex for no win).
 //  * The pool is bounded (per-bucket buffer cap + global byte cap); release

@@ -1,13 +1,17 @@
 // Kernel-layer correctness: the blocked/register-tiled GEMM family against
-// the naive references over an exhaustive shape sweep, lane-count
-// bit-identity of the parallel path, fused ops (linear_act, layer_norm,
-// softmax, scaled_matmul_bt) against their primitive compositions and
-// central-difference gradients, and buffer-pool recycling behaviour.
+// the naive references over an exhaustive shape sweep, lane-count and
+// row-position bit-identity, strided operands, the backward kernels
+// against the scalar loops they replaced, fused ops (linear_act,
+// layer_norm, softmax, scaled_matmul_bt, head-strided attention) against
+// their primitive compositions and central-difference gradients, and
+// buffer-pool recycling behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <ostream>
+#include <utility>
 #include <vector>
 
 #include "tensor/activations.h"
@@ -202,32 +206,132 @@ TEST(GemmKernels, AllIsaVariantsMatchReference) {
 // row is independent of its position within the call, on every ISA. This
 // is the regression test for the batched-inference bug where a kMR-row
 // quad body contracted FMAs asymmetrically and windows starting at
-// different quad phases diverged from the per-window loop.
+// different quad phases diverged from the per-window loop. On the AVX-512
+// clones n == 8 runs four rows per pass (kernels_avx512.inc), so the
+// offsets 1-3 move every row through every phase of that pass and between
+// the passes and the row tail; k covers full 16-step groups, leftover
+// kKU-groups and single k-steps (which take the single-row body). gemm_at
+// reaches the same kernels with the unit stride on the other side.
 TEST(GemmKernels, SkinnyRowsIndependentOfRowPosition) {
   const kernels::Isa startup = kernels::active_isa();
   fmnet::Rng rng(116);
   const std::int64_t m = 90;  // 90 % kMR != 0: rows cover every quad phase
-  const std::int64_t k = 16;
-  for (const std::int64_t n : {std::int64_t{1}, std::int64_t{8},
-                               std::int64_t{16}}) {
-    const auto a = random_buffer(static_cast<std::size_t>(m * k), rng);
-    const auto b = random_buffer(static_cast<std::size_t>(k * n), rng);
-    for (const kernels::Isa isa : kernels::compiled_isas()) {
-      if (!kernels::isa_supported(isa)) continue;
-      kernels::set_isa(isa);
-      std::vector<float> full(static_cast<std::size_t>(m * n), 0.0f);
-      kernels::gemm(a.data(), b.data(), full.data(), m, k, n);
-      for (const std::int64_t i0 : {std::int64_t{1}, std::int64_t{2},
-                                    std::int64_t{3}, std::int64_t{17}}) {
-        std::vector<float> part(static_cast<std::size_t>((m - i0) * n),
-                                0.0f);
-        kernels::gemm(a.data() + i0 * k, b.data(), part.data(), m - i0, k,
-                      n);
-        for (std::size_t i = 0; i < part.size(); ++i) {
-          EXPECT_EQ(part[i],
-                    full[static_cast<std::size_t>(i0 * n) + i])
-              << kernels::isa_name(isa) << " n=" << n << " offset " << i0
-              << " element " << i;
+  for (const std::int64_t k :
+       {std::int64_t{4}, std::int64_t{16}, std::int64_t{19}, std::int64_t{28},
+        std::int64_t{100}, std::int64_t{300}, std::int64_t{301}}) {
+    for (const std::int64_t n : {std::int64_t{1}, std::int64_t{8},
+                                 std::int64_t{16}}) {
+      const auto a = random_buffer(static_cast<std::size_t>(m * k), rng);
+      const auto b = random_buffer(static_cast<std::size_t>(k * n), rng);
+      for (const kernels::Isa isa : kernels::compiled_isas()) {
+        if (!kernels::isa_supported(isa)) continue;
+        kernels::set_isa(isa);
+        std::vector<float> full(static_cast<std::size_t>(m * n), 0.0f);
+        std::vector<float> full_at = full;
+        kernels::gemm(a.data(), b.data(), full.data(), m, k, n);
+        // `a` read as the [k, m] buffer of gemm_at.
+        kernels::gemm_at(a.data(), b.data(), full_at.data(), m, k, n);
+        for (const std::int64_t i0 : {std::int64_t{1}, std::int64_t{2},
+                                      std::int64_t{3}, std::int64_t{17}}) {
+          std::vector<float> part(static_cast<std::size_t>((m - i0) * n),
+                                  0.0f);
+          std::vector<float> part_at = part;
+          kernels::gemm(a.data() + i0 * k, b.data(), part.data(), m - i0, k,
+                        n);
+          kernels::gemm_at(a.data() + i0, b.data(), part_at.data(), m - i0,
+                           k, n, nullptr, true, {m, 0, 0});
+          for (std::size_t i = 0; i < part.size(); ++i) {
+            const std::size_t f = static_cast<std::size_t>(i0 * n) + i;
+            ASSERT_EQ(part[i], full[f])
+                << kernels::isa_name(isa) << " gemm k=" << k << " n=" << n
+                << " offset " << i0 << " element " << i;
+            ASSERT_EQ(part_at[i], full_at[f])
+                << kernels::isa_name(isa) << " gemm_at k=" << k
+                << " n=" << n << " offset " << i0 << " element " << i;
+          }
+        }
+      }
+    }
+  }
+  kernels::set_isa(startup);
+}
+
+// Row strides only move addresses (kernels.h RowStrides): a GEMM over
+// column blocks of wider buffers equals, bit for bit, the dense GEMM over
+// copies of those blocks — for all three layouts, skinny and panel widths,
+// both accumulate modes, on every ISA.
+TEST(GemmKernels, RowStridesMatchDenseBlocks) {
+  const kernels::Isa startup = kernels::active_isa();
+  fmnet::Rng rng(118);
+  const std::int64_t m = 37;
+  const std::int64_t k = 29;
+  const std::int64_t pad = 5;  // every strided row carries 5 foreign floats
+  // Copies rows x cols starting at column `col` of a buffer whose rows are
+  // `ld` floats apart.
+  const auto block = [](const std::vector<float>& src, std::int64_t rows,
+                        std::int64_t cols, std::int64_t ld, std::int64_t col) {
+    std::vector<float> out(static_cast<std::size_t>(rows * cols));
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t c = 0; c < cols; ++c) {
+        out[static_cast<std::size_t>(r * cols + c)] =
+            src[static_cast<std::size_t>(r * ld + col + c)];
+      }
+    }
+    return out;
+  };
+  for (const std::int64_t n : {std::int64_t{8}, std::int64_t{16},
+                               std::int64_t{21}}) {
+    for (const bool acc : {true, false}) {
+      for (const kernels::Isa isa : kernels::compiled_isas()) {
+        if (!kernels::isa_supported(isa)) continue;
+        kernels::set_isa(isa);
+        // gemm: A [m,k] in ld k+pad, B [k,n] in ld n+pad, C in ld n+pad.
+        const std::int64_t lda = k + pad, ldb = n + pad, ldc = n + pad;
+        const auto a = random_buffer(static_cast<std::size_t>(m * lda), rng);
+        const auto b = random_buffer(static_cast<std::size_t>(k * ldb), rng);
+        const auto c0 = random_buffer(static_cast<std::size_t>(m * ldc), rng);
+        std::vector<float> c = c0;
+        kernels::gemm(a.data() + 2, b.data() + 3, c.data() + 1, m, k, n,
+                      nullptr, acc, {lda, ldb, ldc});
+        const auto ad = block(a, m, k, lda, 2);
+        const auto bd = block(b, k, n, ldb, 3);
+        auto cd = block(c0, m, n, ldc, 1);
+        kernels::gemm(ad.data(), bd.data(), cd.data(), m, k, n, nullptr, acc);
+        ASSERT_EQ(block(c, m, n, ldc, 1), cd)
+            << kernels::isa_name(isa) << " gemm n=" << n << " acc=" << acc;
+
+        // gemm_at: A^T [k,m] in ld m+pad.
+        const std::int64_t ldat = m + pad;
+        const auto at = random_buffer(static_cast<std::size_t>(k * ldat), rng);
+        c = c0;
+        kernels::gemm_at(at.data() + 4, b.data() + 3, c.data() + 1, m, k, n,
+                         nullptr, acc, {ldat, ldb, ldc});
+        const auto atd = block(at, k, m, ldat, 4);
+        cd = block(c0, m, n, ldc, 1);
+        kernels::gemm_at(atd.data(), bd.data(), cd.data(), m, k, n, nullptr,
+                         acc);
+        ASSERT_EQ(block(c, m, n, ldc, 1), cd)
+            << kernels::isa_name(isa) << " gemm_at n=" << n << " acc=" << acc;
+
+        // gemm_bt: B^T [n,k] in ld k+pad.
+        const std::int64_t ldbt = k + pad;
+        const auto bt = random_buffer(static_cast<std::size_t>(n * ldbt), rng);
+        c = c0;
+        kernels::gemm_bt(a.data() + 2, bt.data() + 1, c.data() + 1, m, k, n,
+                         nullptr, acc, {lda, ldbt, ldc});
+        const auto btd = block(bt, n, k, ldbt, 1);
+        cd = block(c0, m, n, ldc, 1);
+        kernels::gemm_bt(ad.data(), btd.data(), cd.data(), m, k, n, nullptr,
+                         acc);
+        ASSERT_EQ(block(c, m, n, ldc, 1), cd)
+            << kernels::isa_name(isa) << " gemm_bt n=" << n << " acc=" << acc;
+        // Columns outside the block are untouched.
+        for (std::int64_t r = 0; r < m; ++r) {
+          for (std::int64_t col = 0; col < ldc; ++col) {
+            if (col >= 1 && col < 1 + n) continue;
+            const auto e = static_cast<std::size_t>(r * ldc + col);
+            ASSERT_EQ(c[e], c0[e]) << "row " << r << " col " << col;
+          }
         }
       }
     }
@@ -507,7 +611,7 @@ TEST(FusedOps, AttentionMatchesPrimitives) {
   const Tensor k = rand_input({2, 4, 5}, rng);
   const Tensor v = rand_input({2, 4, 5}, rng);
   const float scale = 0.61f;
-  const Tensor fused = attention(q, k, v, scale);
+  const Tensor fused = attention(q, k, v, /*heads=*/1, scale);
   const Tensor prim = matmul(softmax(scaled_matmul_bt(q, k, scale), 2), v);
   ASSERT_EQ(fused.shape(), prim.shape());
   for (std::size_t i = 0; i < fused.data().size(); ++i) {
@@ -521,16 +625,252 @@ TEST(FusedOps, AttentionGradients) {
                    rand_input({2, 3, 4}, rng)},
                   [](const auto& in) {
                     return sum(square(
-                        attention(in[0], in[1], in[2], 0.5f)));
+                        attention(in[0], in[1], in[2], 1, 0.5f)));
                   });
   // Cross-attention shape: queries and keys of different lengths.
   check_gradients({rand_input({1, 2, 3}, rng), rand_input({1, 4, 3}, rng),
                    rand_input({1, 4, 3}, rng)},
                   [](const auto& in) {
                     return sum(square(
-                        attention(in[0], in[1], in[2], 1.0f)));
+                        attention(in[0], in[1], in[2], 1, 1.0f)));
                   });
 }
+
+// ---- backward kernels vs the scalar loops they replaced ---------------------
+
+// kernels_backward.cpp is compiled without FMA contraction, so on every ISA
+// each kernel must return exactly what the plain scalar loop below returns
+// when it, too, rounds every multiply and add: the SSE2 baseline build has
+// no FMA to contract into. A baseline that has FMA (an FMNET_NATIVE build)
+// may fuse the reference loops, which then stop being that reference.
+#if defined(__FMA__)
+#define FMNET_SKIP_IF_REFERENCE_CONTRACTS() \
+  GTEST_SKIP() << "baseline has FMA: the scalar reference may contract"
+#else
+#define FMNET_SKIP_IF_REFERENCE_CONTRACTS() (void)0
+#endif
+
+const std::int64_t kBackwardLengths[] = {17, 300, 301};
+
+TEST(BackwardKernels, GeluGradMulMatchesScalarLoop) {
+  FMNET_SKIP_IF_REFERENCE_CONTRACTS();
+  const kernels::Isa startup = kernels::active_isa();
+  fmnet::Rng rng(119);
+  for (const std::int64_t n : kBackwardLengths) {
+    auto z = random_buffer(static_cast<std::size_t>(n), rng);
+    z[0] = 12.0f;  // past fast_tanhf's clamp
+    z[1] = -12.0f;
+    const auto dy = random_buffer(static_cast<std::size_t>(n), rng);
+    std::vector<float> ref(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ref[i] = dy[i] * detail::gelu_grad(z[i]);
+    }
+    for (const kernels::Isa isa : kernels::compiled_isas()) {
+      if (!kernels::isa_supported(isa)) continue;
+      kernels::set_isa(isa);
+      std::vector<float> got(static_cast<std::size_t>(n));
+      kernels::gelu_grad_mul(dy.data(), z.data(), got.data(), n);
+      ASSERT_EQ(got, ref) << kernels::isa_name(isa) << " n=" << n;
+    }
+  }
+  kernels::set_isa(startup);
+}
+
+TEST(BackwardKernels, SoftmaxJacobianMatchesScalarLoop) {
+  FMNET_SKIP_IF_REFERENCE_CONTRACTS();
+  const kernels::Isa startup = kernels::active_isa();
+  fmnet::Rng rng(120);
+  const std::int64_t rows = 11;  // two four-row blocks and a tail of three
+  const float scale = 0.35355339f;
+  for (const std::int64_t len : kBackwardLengths) {
+    const auto numel = static_cast<std::size_t>(rows * len);
+    const auto y = random_buffer(numel, rng);
+    const auto d0 = random_buffer(numel, rng);
+    std::vector<float> ref = d0;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      float* drow = ref.data() + r * len;
+      const float* yrow = y.data() + r * len;
+      float dot = 0.0f;
+      for (std::int64_t j = 0; j < len; ++j) dot += drow[j] * yrow[j];
+      for (std::int64_t j = 0; j < len; ++j) {
+        drow[j] = scale * yrow[j] * (drow[j] - dot);
+      }
+    }
+    for (const kernels::Isa isa : kernels::compiled_isas()) {
+      if (!kernels::isa_supported(isa)) continue;
+      kernels::set_isa(isa);
+      std::vector<float> got = d0;
+      kernels::softmax_jacobian_rows(got.data(), y.data(), rows, len, scale);
+      ASSERT_EQ(got, ref) << kernels::isa_name(isa) << " len=" << len;
+    }
+  }
+  kernels::set_isa(startup);
+}
+
+TEST(BackwardKernels, LayerNormGradMatchesScalarLoop) {
+  FMNET_SKIP_IF_REFERENCE_CONTRACTS();
+  const kernels::Isa startup = kernels::active_isa();
+  fmnet::Rng rng(121);
+  // Each length both as the feature width (11 rows) and as the row count
+  // (the model's 16 features).
+  for (const std::int64_t len : kBackwardLengths) {
+    for (const auto& [rows, f] : {std::pair{std::int64_t{11}, len},
+                                  std::pair{len, std::int64_t{16}}}) {
+      const auto numel = static_cast<std::size_t>(rows * f);
+      const auto x = random_buffer(numel, rng);
+      const auto dy = random_buffer(numel, rng);
+      const auto gamma = random_buffer(static_cast<std::size_t>(f), rng);
+      std::vector<float> stats(static_cast<std::size_t>(2 * rows));
+      for (std::size_t r = 0; r < stats.size() / 2; ++r) {
+        stats[2 * r] = static_cast<float>(rng.normal(0.0, 0.3));
+        stats[2 * r + 1] = static_cast<float>(rng.uniform(0.5, 2.0));
+      }
+      const float inv_f = 1.0f / static_cast<float>(f);
+      const auto dx0 = random_buffer(numel, rng);
+      const auto dg0 = random_buffer(static_cast<std::size_t>(f), rng);
+      const auto db0 = random_buffer(static_cast<std::size_t>(f), rng);
+      std::vector<float> dx = dx0, dg = dg0, db = db0;
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const float mu = stats[static_cast<std::size_t>(2 * r)];
+        const float inv_std = stats[static_cast<std::size_t>(2 * r + 1)];
+        const float* grow = dy.data() + r * f;
+        const float* xrow = x.data() + r * f;
+        for (std::int64_t j = 0; j < f; ++j) {
+          const float xhat = (xrow[j] - mu) * inv_std;
+          dg[static_cast<std::size_t>(j)] += grow[j] * xhat;
+          db[static_cast<std::size_t>(j)] += grow[j];
+        }
+        float s1 = 0.0f;
+        float s2 = 0.0f;
+        for (std::int64_t j = 0; j < f; ++j) {
+          const float dxhat = grow[j] * gamma[static_cast<std::size_t>(j)];
+          const float xhat = (xrow[j] - mu) * inv_std;
+          s1 += dxhat;
+          s2 += dxhat * xhat;
+        }
+        s1 *= inv_f;
+        s2 *= inv_f;
+        for (std::int64_t j = 0; j < f; ++j) {
+          const float dxhat = grow[j] * gamma[static_cast<std::size_t>(j)];
+          const float xhat = (xrow[j] - mu) * inv_std;
+          dx[static_cast<std::size_t>(r * f + j)] +=
+              inv_std * (dxhat - s1 - xhat * s2);
+        }
+      }
+      for (const kernels::Isa isa : kernels::compiled_isas()) {
+        if (!kernels::isa_supported(isa)) continue;
+        kernels::set_isa(isa);
+        std::vector<float> gx = dx0, gg = dg0, gb = db0;
+        kernels::layer_norm_grad_rows(dy.data(), x.data(), stats.data(),
+                                      gamma.data(), rows, f, inv_f,
+                                      gx.data(), gg.data(), gb.data());
+        ASSERT_EQ(gx, dx) << kernels::isa_name(isa) << " rows=" << rows
+                          << " f=" << f;
+        ASSERT_EQ(gg, dg) << kernels::isa_name(isa) << " rows=" << rows;
+        ASSERT_EQ(gb, db) << kernels::isa_name(isa) << " rows=" << rows;
+        // A null gradient is skipped and the others are unchanged by that.
+        std::vector<float> only_x = dx0;
+        kernels::layer_norm_grad_rows(dy.data(), x.data(), stats.data(),
+                                      gamma.data(), rows, f, inv_f,
+                                      only_x.data(), nullptr, nullptr);
+        ASSERT_EQ(only_x, dx) << kernels::isa_name(isa);
+        std::vector<float> only_g = dg0;
+        kernels::layer_norm_grad_rows(dy.data(), x.data(), stats.data(),
+                                      gamma.data(), rows, f, inv_f, nullptr,
+                                      only_g.data(), nullptr);
+        ASSERT_EQ(only_g, dg) << kernels::isa_name(isa);
+      }
+    }
+  }
+  kernels::set_isa(startup);
+}
+
+// ---- head-strided attention vs the split/merge composition ------------------
+
+struct AttnCase {
+  std::int64_t heads;
+  std::int64_t t;  // query length
+  std::int64_t s;  // key/value length
+  std::int64_t dh;
+};
+
+void PrintTo(const AttnCase& c, std::ostream* os) {
+  *os << "h" << c.heads << "_t" << c.t << "_s" << c.s << "_dh" << c.dh;
+}
+
+class HeadStridedAttention : public ::testing::TestWithParam<AttnCase> {};
+
+// [B, T, H*dh] -> [B*H, T, dh] and back, from the reshape/transpose ops:
+// how multi-head attention split and merged heads before the attention
+// op addressed them in place.
+Tensor split_heads_copy(const Tensor& x, std::int64_t heads) {
+  const std::int64_t b = x.dim(0);
+  const std::int64_t t = x.dim(1);
+  const std::int64_t dh = x.dim(2) / heads;
+  return reshape(transpose(reshape(x, {b, t, heads, dh}), 1, 2),
+                 {b * heads, t, dh});
+}
+
+Tensor merge_heads_copy(const Tensor& x, std::int64_t b,
+                        std::int64_t heads) {
+  const std::int64_t t = x.dim(1);
+  const std::int64_t dh = x.dim(2);
+  return reshape(transpose(reshape(x, {b, heads, t, dh}), 1, 2),
+                 {b, t, heads * dh});
+}
+
+// Bit-for-bit, on every ISA: output and the three input gradients, in
+// training and (output only) under InferenceGuard.
+TEST_P(HeadStridedAttention, MatchesSplitPerHeadMerge) {
+  const AttnCase c = GetParam();
+  const kernels::Isa startup = kernels::active_isa();
+  fmnet::Rng rng(122);
+  const std::int64_t b = 2;
+  const std::int64_t d = c.heads * c.dh;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(c.dh));
+  const Tensor q = rand_input({b, c.t, d}, rng);
+  const Tensor k = rand_input({b, c.s, d}, rng);
+  const Tensor v = rand_input({b, c.s, d}, rng);
+  // Weighting the output makes every upstream gradient element distinct.
+  const Tensor w = Tensor::randn({b, c.t, d}, rng);
+  const std::vector<Tensor> inputs{q, k, v};
+  for (const kernels::Isa isa : kernels::compiled_isas()) {
+    if (!kernels::isa_supported(isa)) continue;
+    kernels::set_isa(isa);
+    for (Tensor in : inputs) in.zero_grad();
+    const Tensor strided = attention(q, k, v, c.heads, scale);
+    sum(strided * w).backward();
+    std::vector<std::vector<float>> strided_grads;
+    for (const Tensor& in : inputs) strided_grads.push_back(in.grad());
+
+    for (Tensor in : inputs) in.zero_grad();
+    const Tensor merged = merge_heads_copy(
+        attention(split_heads_copy(q, c.heads), split_heads_copy(k, c.heads),
+                  split_heads_copy(v, c.heads), 1, scale),
+        b, c.heads);
+    sum(merged * w).backward();
+
+    ASSERT_EQ(strided.shape(), merged.shape());
+    ASSERT_EQ(strided.data(), merged.data()) << kernels::isa_name(isa);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      ASSERT_EQ(strided_grads[i], inputs[i].grad())
+          << kernels::isa_name(isa) << " grad of input " << i;
+    }
+
+    InferenceGuard guard;
+    const Tensor infer = attention(q, k, v, c.heads, scale);
+    ASSERT_EQ(infer.data(), strided.data()) << kernels::isa_name(isa);
+  }
+  kernels::set_isa(startup);
+}
+
+// T not a multiple of 16 (or of the four-row pass); a cross-attention
+// shape; the model's head width 8 and a panel-path width 20. PrintTo names
+// each case (h2_t19_s19_dh8), so its ctest name is stable.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, HeadStridedAttention,
+    ::testing::Values(AttnCase{1, 19, 19, 8}, AttnCase{2, 19, 19, 8},
+                      AttnCase{2, 37, 21, 8}, AttnCase{2, 19, 23, 20}));
 
 // ---- buffer pool -----------------------------------------------------------
 
@@ -551,6 +891,43 @@ TEST(BufferPool, RecyclesLargeBuffers) {
   EXPECT_GE(after.releases, before.releases + 1);
   EXPECT_GE(after.hits, before.hits + 1);
   pool::release(std::move(again));
+}
+
+// A release files a buffer under its capacity's class, which for a size
+// that is not a power of two lies below the class the old lookup probed
+// first; the model's [300, 16] activations (4800 floats) then missed every
+// time. The next acquire of a released size must get that buffer back.
+TEST(BufferPool, ReusesNonPowerOfTwoSizes) {
+  if (!pool::enabled()) GTEST_SKIP() << "pool disabled via env";
+  pool::clear();
+  const std::size_t n = 4800;
+  std::vector<float> buf = pool::acquire(n);
+  const float* storage = buf.data();
+  pool::release(std::move(buf));
+  auto before = pool::stats();
+  std::vector<float> again = pool::acquire(n);
+  auto after = pool::stats();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(again.data(), storage);
+  EXPECT_EQ(again.size(), n);
+
+  // A smaller buffer of the same class never serves a larger request.
+  std::vector<float> small = pool::acquire(n - 300);
+  pool::clear();
+  pool::release(std::move(small));
+  before = pool::stats();
+  std::vector<float> larger = pool::acquire(n);
+  after = pool::stats();
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_GE(larger.capacity(), n);
+  // ...while a larger one of the same class serves a smaller request.
+  pool::release(std::move(larger));
+  before = pool::stats();
+  std::vector<float> fits = pool::acquire(n - 300);
+  after = pool::stats();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  pool::release(std::move(again));
+  pool::release(std::move(fits));
 }
 
 TEST(BufferPool, TinyBuffersBypass) {
