@@ -38,9 +38,7 @@ namespace {
 // One overlapping window of the serving workload.
 struct Window {
   std::vector<double> imputed;
-  std::vector<std::int64_t> sample_at;  // -1 = not sampled
-  std::int64_t m_max = 0;
-  std::int64_t m_out = 0;
+  impute::PacketInterval interval;
   bool series_start = false;  // first window of an example (no overlap)
 };
 
@@ -93,9 +91,7 @@ int main() {
     for (const auto& ex : data.split.test) {
       if (windows >= max_windows) break;
       const auto imputed = base.impute(ex);
-      const auto c =
-          impute::to_packet_constraints(ex.constraints, ex.qlen_scale);
-      const auto r = cem.correct(imputed, c);
+      const auto r = cem.correct(imputed, ex.constraints, ex.qlen_scale);
       total_seconds += r.seconds;
       total_objective += r.objective;
       windows += ex.window / factor;
@@ -122,14 +118,14 @@ int main() {
   for (const auto& ex : data.split.test) {
     if (workload.size() >= target_windows) break;
     const auto imputed = base.impute(ex);
-    const auto c =
-        impute::to_packet_constraints(ex.constraints, ex.qlen_scale);
     const auto t_len = static_cast<std::int64_t>(imputed.size());
-    std::vector<std::int64_t> sample_at(static_cast<std::size_t>(t_len),
-                                        -1);
-    for (std::size_t k = 0; k < c.sample_idx.size(); ++k) {
-      sample_at[static_cast<std::size_t>(c.sample_idx[k])] =
-          c.sample_val[k];
+    std::vector<impute::PacketInterval> intervals;
+    std::vector<std::int64_t> sample_at;  // the whole window's samples
+    for (std::int64_t i = 0; i < t_len / factor; ++i) {
+      intervals.push_back(
+          impute::packet_interval(ex.constraints, ex.qlen_scale, i));
+      sample_at.insert(sample_at.end(), intervals.back().sample_at.begin(),
+                       intervals.back().sample_at.end());
     }
     for (std::int64_t begin = 0; begin + factor <= t_len;
          begin += stride) {
@@ -138,19 +134,21 @@ int main() {
       w.series_start = begin == 0;
       w.imputed.assign(imputed.begin() + begin,
                        imputed.begin() + begin + factor);
-      w.sample_at.assign(sample_at.begin() + begin,
-                         sample_at.begin() + begin + factor);
+      w.interval.sample_at.assign(sample_at.begin() + begin,
+                                  sample_at.begin() + begin + factor);
+      std::int64_t m_max = 0;
       const std::int64_t i1 = begin / factor;
       const std::int64_t i2 = (begin + factor - 1) / factor;
       for (std::int64_t i = i1; i <= i2; ++i) {
-        w.m_max = std::max(w.m_max,
-                           c.window_max[static_cast<std::size_t>(i)]);
-        w.m_out += c.port_sent[static_cast<std::size_t>(i)];
+        const impute::PacketInterval& spanned =
+            intervals[static_cast<std::size_t>(i)];
+        m_max = std::max(m_max, spanned.m_max.value_or(0));
+        w.interval.m_out += spanned.m_out;
       }
-      for (std::int64_t t = 0; t < factor; ++t) {
-        const std::int64_t v = w.sample_at[static_cast<std::size_t>(t)];
-        if (v > w.m_max) w.m_max = v;
+      for (const std::int64_t v : w.interval.sample_at) {
+        m_max = std::max(m_max, v);
       }
+      w.interval.m_max = m_max;
       workload.push_back(std::move(w));
     }
   }
@@ -185,8 +183,7 @@ int main() {
       for (std::size_t i = 0; i < n; ++i) {
         const Window& w = workload[i];
         fmnet::Stopwatch clock;
-        auto r = cem.correct_window(w.imputed, w.m_max, w.m_out,
-                                    w.sample_at);
+        auto r = cem.correct_window(w.imputed, w.interval);
         ms.push_back(clock.elapsed_ms());
         repaired[i] = std::move(r.corrected);
       }
@@ -207,7 +204,7 @@ int main() {
         const Window& w = workload[i];
         if (w.series_start) streaming.reset();
         fmnet::Stopwatch clock;
-        auto r = streaming.repair(w.imputed, w.m_max, w.m_out, w.sample_at);
+        auto r = streaming.repair(w.imputed, w.interval);
         ms.push_back(clock.elapsed_ms());
         repaired[i] = std::move(r.corrected);
       }
@@ -225,7 +222,7 @@ int main() {
   {
     const impute::ConstraintEnforcementModule cem(cache_cfg);
     for (const Window& w : workload) {
-      cem.correct_window(w.imputed, w.m_max, w.m_out, w.sample_at);
+      cem.correct_window(w.imputed, w.interval);
     }
   }
   run_cold_like(cache_cfg, cache);

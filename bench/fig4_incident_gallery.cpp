@@ -9,7 +9,7 @@
 
 #include "bench_common.h"
 #include "impute/registry.h"
-#include "nn/kal.h"
+#include "constraints/constraints.h"
 #include "util/csv.h"
 
 using namespace fmnet;
@@ -80,9 +80,10 @@ int main() {
     for (std::size_t t = 0; t < series.size(); ++t) {
       norm[t] = series[t] / incident->qlen_scale;
     }
-    const auto v = nn::evaluate_constraints(norm, incident->constraints);
-    std::printf("%-18s %12.4f %12.4f %12.4f\n", label, v.max_violation,
-                v.periodic_violation, v.sent_violation);
+    constraints::Checker v;
+    v.add(norm, incident->constraints);
+    std::printf("%-18s %12.4f %12.4f %12.4f\n", label, v.c1.violation,
+                v.c2.violation, v.c3.violation);
   };
   report("IterImputer", a);
   report("Transformer", b);

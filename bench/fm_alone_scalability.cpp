@@ -63,19 +63,20 @@ int main() {
 
     // CEM on the "same" amount of telemetry: a window with the same number
     // of intervals and fine steps, from the measured trace.
-    impute::CemConstraints cc;
+    // Packet units throughout: qlen_scale 1.
+    constraints::ExampleConstraints cc;
     cc.coarse_factor = cfg.slots_per_interval;
     for (std::size_t k = 0; k < m.num_intervals(); ++k) {
-      cc.window_max.push_back(m.queue_max[0][k]);
-      cc.port_sent.push_back(
-          std::min<std::int64_t>(cfg.slots_per_interval, m.sent[k]));
+      cc.window_max.push_back(static_cast<float>(m.queue_max[0][k]));
+      cc.port_sent.push_back(static_cast<float>(
+          std::min<std::int64_t>(cfg.slots_per_interval, m.sent[k])));
       cc.sample_idx.push_back(static_cast<std::int64_t>(k) *
                               cfg.slots_per_interval);
-      cc.sample_val.push_back(m.queue_sample[0][k]);
+      cc.sample_val.push_back(static_cast<float>(m.queue_sample[0][k]));
     }
     std::vector<double> rough(static_cast<std::size_t>(horizon), 1.0);
     impute::ConstraintEnforcementModule cem;
-    const auto cem_r = cem.correct(rough, cc);
+    const auto cem_r = cem.correct(rough, cc, 1.0);
 
     table.add_row({std::to_string(horizon), status,
                    Table::fmt(r.seconds, 3), std::to_string(r.decisions),

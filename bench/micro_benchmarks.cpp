@@ -130,17 +130,17 @@ BENCHMARK(BM_SmtPigeonholeSat)->Arg(8)->Arg(16);
 void BM_CemFastRepairInterval(benchmark::State& state) {
   Rng rng(3);
   const std::int64_t factor = state.range(0);
-  impute::CemConstraints c;
+  constraints::ExampleConstraints c;  // packet units: qlen_scale 1
   c.coarse_factor = factor;
-  c.window_max = {40};
-  c.port_sent = {factor / 2};
+  c.window_max = {40.0f};
+  c.port_sent = {static_cast<float>(factor / 2)};
   c.sample_idx = {0};
-  c.sample_val = {10};
+  c.sample_val = {10.0f};
   std::vector<double> imputed(static_cast<std::size_t>(factor));
   for (auto& v : imputed) v = rng.uniform(0.0, 50.0);
   impute::ConstraintEnforcementModule cem;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cem.correct(imputed, c).objective);
+    benchmark::DoNotOptimize(cem.correct(imputed, c, 1.0).objective);
   }
 }
 BENCHMARK(BM_CemFastRepairInterval)->Arg(50)->Arg(200);
@@ -171,14 +171,14 @@ void BM_CemCorrectThreads(benchmark::State& state) {
   Rng rng(5);
   const std::int64_t factor = 15;
   const std::int64_t windows = 8;
-  impute::CemConstraints c;
+  constraints::ExampleConstraints c;  // packet units: qlen_scale 1
   c.coarse_factor = factor;
   std::vector<double> imputed;
   for (std::int64_t w = 0; w < windows; ++w) {
-    c.window_max.push_back(40);
-    c.port_sent.push_back(factor / 2);
+    c.window_max.push_back(40.0f);
+    c.port_sent.push_back(static_cast<float>(factor / 2));
     c.sample_idx.push_back(w * factor);
-    c.sample_val.push_back(10);
+    c.sample_val.push_back(10.0f);
     for (std::int64_t t = 0; t < factor; ++t) {
       imputed.push_back(rng.uniform(0.0, 50.0));
     }
@@ -187,7 +187,7 @@ void BM_CemCorrectThreads(benchmark::State& state) {
   cem_cfg.engine = impute::CemEngine::kSmtBranchAndBound;
   impute::ConstraintEnforcementModule cem(cem_cfg);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cem.correct(imputed, c, &pool).objective);
+    benchmark::DoNotOptimize(cem.correct(imputed, c, 1.0, &pool).objective);
   }
   state.SetItemsProcessed(state.iterations() * windows);
 }

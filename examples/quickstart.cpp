@@ -13,8 +13,8 @@
 // cache instead of recomputing them.
 #include <cstdio>
 
+#include "constraints/constraints.h"
 #include "example_common.h"
-#include "nn/kal.h"
 #include "obs/export.h"
 
 using namespace fmnet;
@@ -50,12 +50,13 @@ int main() {
   for (std::size_t t = 0; t < fine.size(); ++t) {
     normalised[t] = fine[t] / example.qlen_scale;
   }
-  const auto v = nn::evaluate_constraints(normalised, example.constraints);
+  constraints::Checker v;
+  v.add(normalised, example.constraints);
   std::printf(
       "imputed %zu fine-grained points for queue %d; constraint "
       "violations: max %.2g, periodic %.2g, sent %.2g -> %s\n",
-      fine.size(), example.queue, v.max_violation, v.periodic_violation,
-      v.sent_violation, v.satisfied(1e-5) ? "CONSISTENT" : "violated");
+      fine.size(), example.queue, v.c1.violation, v.c2.violation,
+      v.c3.violation, v.satisfied(1e-5) ? "CONSISTENT" : "violated");
 
   // 6. With FMNET_METRICS=<path> set, export the run's observability
   //    snapshot (stage spans, artifact hit/miss counters, pool lane

@@ -130,6 +130,17 @@ telemetry::ImputationExample read_example(util::BinReader& r, bool masked) {
   ex.window = static_cast<std::size_t>(r.pod<std::uint64_t>());
   ex.qlen_scale = r.pod<double>();
   ex.count_scale = r.pod<double>();
+  // Imputers, CEM and the checker index these vectors by window position,
+  // so a record whose lengths disagree must fail to parse, not read out of
+  // bounds later. The target check comes first: it bounds `window` by a
+  // length actually read before any arithmetic on it.
+  FMNET_CHECK(ex.target.size() == ex.window,
+              "dataset example target does not match its window of " +
+                  std::to_string(ex.window) + " steps");
+  FMNET_CHECK(ex.features.size() == ex.window * telemetry::kNumInputChannels,
+              "dataset example features do not match its window of " +
+                  std::to_string(ex.window) + " steps");
+  ex.constraints.check_shape(static_cast<std::int64_t>(ex.window));
   return ex;
 }
 

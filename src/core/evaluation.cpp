@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "constraints/constraints.h"
 #include "tasks/metrics.h"
 #include "tasks/netcalc.h"
 #include "util/check.h"
@@ -42,8 +43,7 @@ Table1Row Table1Evaluator::evaluate(impute::Imputer& imputer) const {
   Table1Row row;
   row.method = imputer.name();
 
-  tasks::ConsistencyAccumulator consistency;
-  tasks::BacklogBoundAccumulator backlog;
+  constraints::Checker checker;
   const std::size_t queues = campaign_.gt.queue_len.size();
   std::vector<std::vector<double>> stitched(queues);
 
@@ -61,15 +61,14 @@ Table1Row Table1Evaluator::evaluate(impute::Imputer& imputer) const {
     for (std::size_t t = 0; t < imputed.size(); ++t) {
       normalised[t] = imputed[t] / ex.qlen_scale;
     }
-    consistency.add(normalised, ex.constraints);
-    backlog.add(normalised, ex.constraints, c4_bound_pkts_ / ex.qlen_scale);
+    checker.add(normalised, ex.constraints, c4_bound_pkts_ / ex.qlen_scale);
     auto& dst = stitched[static_cast<std::size_t>(ex.queue)];
     dst.insert(dst.end(), imputed.begin(), imputed.end());
   }
-  row.max_constraint = consistency.max_error();
-  row.periodic_constraint = consistency.periodic_error();
-  row.sent_constraint = consistency.sent_error();
-  row.c4_backlog = backlog.error();
+  row.max_constraint = checker.c1.error();
+  row.periodic_constraint = checker.c2.error();
+  row.sent_constraint = checker.c3.error();
+  row.c4_backlog = checker.c4.error();
 
   // Burst tasks, averaged over queues that actually have bursts in truth.
   double det = 0.0;

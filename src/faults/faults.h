@@ -26,8 +26,9 @@
 //
 // Downstream semantics: injectors that *lose* a report record it in
 // telemetry::TelemetryQuality, turning C1/C2 into interval constraints
-// (kal.h / cem.h honour ExampleConstraints::window_max_valid, and dropped
-// periodic samples simply emit no C2 equality). Injectors that *corrupt* a
+// (KAL, CEM and the Table-1 checker honour window_max_valid through
+// constraints::ExampleConstraints::c1_binds, and dropped periodic samples
+// simply emit no C2 equality). Injectors that *corrupt* a
 // value in a plausible way (duplicate, reorder, noise, quantise) leave the
 // masks untouched — the operator cannot detect those, which is exactly the
 // robustness hazard the sweep in core/robustness.h measures. Counter wrap

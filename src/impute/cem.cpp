@@ -14,7 +14,9 @@
 namespace fmnet::impute {
 
 namespace {
-// Window-repair accounting shared by correct() and correct_port().
+
+// The cem.* accounting, once per repaired interval (correct_window) or
+// port window (correct_port).
 struct CemMetrics {
   obs::Counter& windows;
   obs::Counter& infeasible;
@@ -29,65 +31,64 @@ struct CemMetrics {
                       {0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000, 5000})};
     return m;
   }
+  void tally(bool feasible, std::int64_t objective,
+             const fmnet::Stopwatch& clock) {
+    windows.add(1);
+    if (feasible) {
+      packets_moved.add(objective);
+    } else {
+      infeasible.add(1);
+    }
+    if (obs::enabled()) window_ms.record(clock.elapsed_ms());
+  }
 };
-}  // namespace
 
-CemConstraints to_packet_constraints(const nn::ExampleConstraints& c,
-                                     double qlen_scale) {
-  FMNET_CHECK_GT(qlen_scale, 0.0);
-  CemConstraints out;
-  out.coarse_factor = c.coarse_factor;
-  out.sample_idx = c.sample_idx;
-  out.sample_val.reserve(c.sample_val.size());
-  for (const float v : c.sample_val) {
-    out.sample_val.push_back(
-        std::llround(static_cast<double>(v) * qlen_scale));
-  }
-  out.window_max.reserve(c.window_max.size());
-  for (const float v : c.window_max) {
-    out.window_max.push_back(
-        std::llround(static_cast<double>(v) * qlen_scale));
-  }
-  out.port_sent.reserve(c.port_sent.size());
-  for (const float v : c.port_sent) {
-    out.port_sent.push_back(std::llround(static_cast<double>(v)));
-  }
-  out.window_max_valid = c.window_max_valid;
-  return out;
-}
+std::int64_t iabs(std::int64_t v) { return v < 0 ? -v : v; }
 
-namespace {
-
-/// The effective C1 bound for one interval. Valid intervals use the LANZ
-/// report. Invalid ones (report lost) get a bound wide enough to admit the
-/// rounded reference and every sampled value, so C1 never binds there
-/// while the SMT variable domains stay finite.
-std::int64_t effective_m_max(const CemConstraints& c, std::int64_t w,
-                             const std::vector<double>& imputed,
-                             const std::vector<std::int64_t>& sample_at,
-                             std::int64_t begin, std::int64_t factor) {
-  const std::int64_t reported =
-      c.window_max[static_cast<std::size_t>(w)];
-  if (c.window_max_valid.empty() ||
-      c.window_max_valid[static_cast<std::size_t>(w)] != 0) {
-    return reported;
-  }
+/// The C1 bound a repair enforces on the `factor` steps at `imputed`: the
+/// reported maximum or, where the report was lost, a bound wide enough to
+/// admit the rounded reference and every sampled value, so C1 never binds
+/// there while the SMT variable domains stay finite.
+std::int64_t repair_bound(const PacketInterval& interval,
+                          const double* imputed) {
+  if (interval.m_max) return *interval.m_max;
   std::int64_t hi = 0;
-  for (std::int64_t t = begin; t < begin + factor; ++t) {
-    hi = std::max(hi, std::max<std::int64_t>(
-                          0, std::llround(imputed[static_cast<std::size_t>(
-                                 t)])));
-    const std::int64_t s = sample_at[static_cast<std::size_t>(t)];
-    if (s > hi) hi = s;
+  for (std::size_t t = 0; t < interval.sample_at.size(); ++t) {
+    hi = std::max(hi, std::max<std::int64_t>(0, std::llround(imputed[t])));
+    hi = std::max(hi, interval.sample_at[t]);
   }
   return hi;
 }
 
+/// The infeasible-interval fallback: the input clamped to >= 0, so callers
+/// still get a usable series.
+void clamp_nonnegative(const double* imputed, std::size_t n, double* out) {
+  for (std::size_t t = 0; t < n; ++t) out[t] = std::max(0.0, imputed[t]);
+}
+
 }  // namespace
 
-namespace {
-std::int64_t iabs(std::int64_t v) { return v < 0 ? -v : v; }
-}  // namespace
+PacketInterval packet_interval(const constraints::ExampleConstraints& c,
+                               double qlen_scale, std::int64_t w) {
+  FMNET_CHECK_GT(qlen_scale, 0.0);
+  const std::int64_t factor = c.coarse_factor;
+  const auto i = static_cast<std::size_t>(w);
+  PacketInterval out;
+  const std::int64_t reported =
+      std::llround(static_cast<double>(c.window_max[i]) * qlen_scale);
+  out.m_out = std::llround(static_cast<double>(c.port_sent[i]));
+  FMNET_CHECK_GE(reported, 0);
+  FMNET_CHECK_GE(out.m_out, 0);
+  if (c.c1_binds(w)) out.m_max = reported;
+  out.sample_at.assign(static_cast<std::size_t>(factor), -1);
+  for (std::size_t s = 0; s < c.sample_idx.size(); ++s) {
+    const std::int64_t rel = c.sample_idx[s] - w * factor;
+    if (rel < 0 || rel >= factor) continue;
+    out.sample_at[static_cast<std::size_t>(rel)] =
+        std::llround(static_cast<double>(c.sample_val[s]) * qlen_scale);
+  }
+  return out;
+}
 
 ConstraintEnforcementModule::IntervalResult
 ConstraintEnforcementModule::correct_interval_fast(
@@ -249,8 +250,8 @@ ConstraintEnforcementModule::correct_interval_smt(
 
 PortCemResult ConstraintEnforcementModule::correct_port(
     const std::vector<std::vector<double>>& imputed,
-    const std::vector<CemConstraints>& per_queue,
-    util::ThreadPool* pool) const {
+    const std::vector<constraints::ExampleConstraints>& per_queue,
+    double qlen_scale, util::ThreadPool* pool) const {
   obs::ScopedSpan span("correct_port");
   CemMetrics& metrics = CemMetrics::get();
   fmnet::Stopwatch clock;
@@ -259,28 +260,16 @@ PortCemResult ConstraintEnforcementModule::correct_port(
   const std::size_t nq = imputed.size();
   const std::int64_t factor = per_queue.front().coarse_factor;
   const auto t_len = static_cast<std::int64_t>(imputed.front().size());
-  FMNET_CHECK_GT(factor, 0);
-  FMNET_CHECK_EQ(t_len % factor, 0);
-  const std::int64_t windows = t_len / factor;
+  const std::int64_t windows = per_queue.front().check_shape(t_len);
+  // Validate and convert serially so malformed records throw
+  // deterministically: views[q][w] is queue q's interval w in packets.
+  std::vector<std::vector<PacketInterval>> views(nq);
   for (std::size_t q = 0; q < nq; ++q) {
     FMNET_CHECK_EQ(static_cast<std::int64_t>(imputed[q].size()), t_len);
     FMNET_CHECK_EQ(per_queue[q].coarse_factor, factor);
-    FMNET_CHECK_EQ(static_cast<std::int64_t>(per_queue[q].window_max.size()),
-                   windows);
-    if (!per_queue[q].window_max_valid.empty()) {
-      FMNET_CHECK_EQ(
-          static_cast<std::int64_t>(per_queue[q].window_max_valid.size()),
-          windows);
-    }
-  }
-
-  // Scatter samples per queue.
-  std::vector<std::vector<std::int64_t>> sample_at(
-      nq, std::vector<std::int64_t>(static_cast<std::size_t>(t_len), -1));
-  for (std::size_t q = 0; q < nq; ++q) {
-    for (std::size_t s = 0; s < per_queue[q].sample_idx.size(); ++s) {
-      sample_at[q][static_cast<std::size_t>(per_queue[q].sample_idx[s])] =
-          per_queue[q].sample_val[s];
+    per_queue[q].check_shape(t_len);
+    for (std::int64_t w = 0; w < windows; ++w) {
+      views[q].push_back(packet_interval(per_queue[q], qlen_scale, w));
     }
   }
 
@@ -296,24 +285,20 @@ PortCemResult ConstraintEnforcementModule::correct_port(
 
   util::ThreadPool::resolve(pool).parallel_for(0, windows, [&](std::int64_t
                                                                    w) {
-    const bool timed = obs::enabled();
     fmnet::Stopwatch window_clock;
     WindowResult& wr = results[static_cast<std::size_t>(w)];
     wr.values.assign(nq,
                      std::vector<double>(static_cast<std::size_t>(factor)));
     const std::int64_t begin = w * factor;
-    auto record_time = [&] {
-      if (timed) metrics.window_ms.record(window_clock.elapsed_ms());
-    };
+    const auto wi = static_cast<std::size_t>(w);
     auto clamp_fallback = [&] {
       wr.feasible = false;
       for (std::size_t q = 0; q < nq; ++q) {
-        for (std::int64_t t = 0; t < factor; ++t) {
-          wr.values[q][static_cast<std::size_t>(t)] = std::max(
-              0.0, imputed[q][static_cast<std::size_t>(begin + t)]);
-        }
+        clamp_nonnegative(imputed[q].data() + begin,
+                          static_cast<std::size_t>(factor),
+                          wr.values[q].data());
       }
-      record_time();
+      metrics.tally(false, 0, window_clock);
     };
 
     smt::Model model;
@@ -324,15 +309,16 @@ PortCemResult ConstraintEnforcementModule::correct_port(
     std::vector<std::int64_t> m_max_q(nq, 0);
     for (std::size_t q = 0; q < nq; ++q) {
       // C1 (upper bound) is each variable's domain [0, m_max]; intervals
-      // with a lost LANZ report get the relaxed effective bound instead.
-      const std::int64_t m_max = effective_m_max(
-          per_queue[q], w, imputed[q], sample_at[q], begin, factor);
+      // with a lost LANZ report get the relaxed bound instead.
+      const PacketInterval& interval = views[q][wi];
+      const std::int64_t m_max =
+          repair_bound(interval, imputed[q].data() + begin);
       m_max_q[q] = m_max;
       for (std::int64_t t = 0; t < factor; ++t) {
         const smt::VarId v = model.new_int(0, m_max);
         qv[q].push_back(v);
         const std::int64_t s =
-            sample_at[q][static_cast<std::size_t>(begin + t)];
+            interval.sample_at[static_cast<std::size_t>(t)];
         if (s >= 0) {
           if (s > m_max) {
             clamp_fallback();
@@ -368,8 +354,7 @@ PortCemResult ConstraintEnforcementModule::correct_port(
                        smt::Cmp::kLe, 0);
       ne = ne + smt::LinExpr(any);
     }
-    const std::int64_t m_out =
-        per_queue.front().port_sent[static_cast<std::size_t>(w)];
+    const std::int64_t m_out = views.front()[wi].m_out;
     model.add_linear(ne, smt::Cmp::kLe, m_out);
     model.minimize(objective);
 
@@ -387,7 +372,7 @@ PortCemResult ConstraintEnforcementModule::correct_port(
       for (std::size_t q = 0; q < nq; ++q) {
         for (std::int64_t t = 0; t < factor; ++t) {
           const std::int64_t s =
-              sample_at[q][static_cast<std::size_t>(begin + t)];
+              views[q][wi].sample_at[static_cast<std::size_t>(t)];
           if (s >= 0) {
             cand[q][static_cast<std::size_t>(t)] = s;
             if (s > 0) forced[static_cast<std::size_t>(t)] = 1;
@@ -434,7 +419,7 @@ PortCemResult ConstraintEnforcementModule::correct_port(
           const std::int64_t t = zero_delta[static_cast<std::size_t>(k)]
                                      .second;
           for (std::size_t q = 0; q < nq; ++q) {
-            if (sample_at[q][static_cast<std::size_t>(begin + t)] < 0) {
+            if (views[q][wi].sample_at[static_cast<std::size_t>(t)] < 0) {
               cand[q][static_cast<std::size_t>(t)] = 0;
             }
           }
@@ -468,21 +453,20 @@ PortCemResult ConstraintEnforcementModule::correct_port(
             r.value(qv[q][static_cast<std::size_t>(t)]));
       }
     }
-    record_time();
+    metrics.tally(true, wr.objective, window_clock);
   });
 
   PortCemResult out;
   out.corrected.assign(nq, std::vector<double>(
                                static_cast<std::size_t>(t_len), 0.0));
-  metrics.windows.add(windows);
   for (std::int64_t w = 0; w < windows; ++w) {
     const WindowResult& wr = results[static_cast<std::size_t>(w)];
     const std::int64_t begin = w * factor;
-    if (!wr.feasible) {
+    if (wr.feasible) {
+      out.objective += wr.objective;
+    } else {
       out.feasible = false;
-      metrics.infeasible.add(1);
     }
-    if (wr.feasible) out.objective += wr.objective;
     for (std::size_t q = 0; q < nq; ++q) {
       for (std::int64_t t = 0; t < factor; ++t) {
         out.corrected[q][static_cast<std::size_t>(begin + t)] =
@@ -491,142 +475,87 @@ PortCemResult ConstraintEnforcementModule::correct_port(
     }
   }
   out.seconds = clock.elapsed_seconds();
-  metrics.packets_moved.add(out.objective);
   return out;
 }
 
 CemResult ConstraintEnforcementModule::correct(
-    const std::vector<double>& imputed, const CemConstraints& c,
+    const std::vector<double>& imputed,
+    const constraints::ExampleConstraints& c, double qlen_scale,
     util::ThreadPool* pool) const {
   obs::ScopedSpan span("correct");
-  CemMetrics& metrics = CemMetrics::get();
   fmnet::Stopwatch clock;
   const std::int64_t factor = c.coarse_factor;
-  FMNET_CHECK_GT(factor, 0);
   const auto t_len = static_cast<std::int64_t>(imputed.size());
-  FMNET_CHECK_EQ(t_len % factor, 0);
-  const std::int64_t windows = t_len / factor;
-  FMNET_CHECK_EQ(static_cast<std::int64_t>(c.window_max.size()), windows);
-  FMNET_CHECK_EQ(static_cast<std::int64_t>(c.port_sent.size()), windows);
-  FMNET_CHECK_EQ(c.sample_idx.size(), c.sample_val.size());
-
-  // Scatter samples to per-step lookup (-1 = not sampled).
-  std::vector<std::int64_t> sample_at(static_cast<std::size_t>(t_len), -1);
-  for (std::size_t s = 0; s < c.sample_idx.size(); ++s) {
-    const std::int64_t idx = c.sample_idx[s];
-    FMNET_CHECK(idx >= 0 && idx < t_len, "sample index out of range");
-    sample_at[static_cast<std::size_t>(idx)] = c.sample_val[s];
-  }
-
-  // Validate serially so malformed constraints throw deterministically,
-  // then correct the independent intervals concurrently into per-window
-  // slots and stitch in window order.
-  if (!c.window_max_valid.empty()) {
-    FMNET_CHECK_EQ(static_cast<std::int64_t>(c.window_max_valid.size()),
-                   windows);
-  }
+  const std::int64_t windows = c.check_shape(t_len);
+  // Validate and convert serially so malformed records throw
+  // deterministically, then repair the independent intervals concurrently
+  // into per-interval slots and stitch in order.
+  std::vector<PacketInterval> views;
+  views.reserve(static_cast<std::size_t>(windows));
   for (std::int64_t w = 0; w < windows; ++w) {
-    FMNET_CHECK_GE(c.window_max[static_cast<std::size_t>(w)], 0);
-    FMNET_CHECK_GE(c.port_sent[static_cast<std::size_t>(w)], 0);
+    views.push_back(packet_interval(c, qlen_scale, w));
   }
-
-  std::vector<IntervalResult> results(static_cast<std::size_t>(windows));
+  std::vector<CemResult> results(static_cast<std::size_t>(windows));
   util::ThreadPool::resolve(pool).parallel_for(
       0, windows, [&](std::int64_t w) {
-        const bool timed = obs::enabled();
-        fmnet::Stopwatch window_clock;
-        const auto begin = static_cast<std::size_t>(w * factor);
-        const std::vector<double> window_in(
-            imputed.begin() + static_cast<std::ptrdiff_t>(begin),
-            imputed.begin() + static_cast<std::ptrdiff_t>(begin + factor));
-        const std::vector<std::int64_t> window_samples(
-            sample_at.begin() + static_cast<std::ptrdiff_t>(begin),
-            sample_at.begin() + static_cast<std::ptrdiff_t>(begin + factor));
-        const std::int64_t m_max = effective_m_max(
-            c, w, imputed, sample_at, w * factor, factor);
-        const std::int64_t m_out = c.port_sent[static_cast<std::size_t>(w)];
-        results[static_cast<std::size_t>(w)] =
-            config_.engine == CemEngine::kFastRepair
-                ? correct_interval_fast(window_in, m_max, m_out,
-                                        window_samples, factor)
-                : correct_interval_smt(window_in, m_max, m_out,
-                                       window_samples, factor);
-        if (timed) metrics.window_ms.record(window_clock.elapsed_ms());
+        const auto begin = imputed.begin() + w * factor;
+        results[static_cast<std::size_t>(w)] = correct_window(
+            std::vector<double>(begin, begin + factor),
+            views[static_cast<std::size_t>(w)]);
       });
 
   CemResult out;
-  out.corrected.resize(static_cast<std::size_t>(t_len));
-  metrics.windows.add(windows);
-  for (std::int64_t w = 0; w < windows; ++w) {
-    const IntervalResult& r = results[static_cast<std::size_t>(w)];
-    const auto begin = static_cast<std::size_t>(w * factor);
-    if (!r.feasible) {
+  out.corrected.reserve(static_cast<std::size_t>(t_len));
+  for (const CemResult& r : results) {
+    out.corrected.insert(out.corrected.end(), r.corrected.begin(),
+                         r.corrected.end());
+    if (r.feasible) {
+      out.objective += r.objective;
+    } else {
       out.feasible = false;
-      metrics.infeasible.add(1);
-      // Leave this interval as the clamped input so callers still get a
-      // usable series.
-      for (std::int64_t t = 0; t < factor; ++t) {
-        out.corrected[begin + static_cast<std::size_t>(t)] = std::max(
-            0.0, imputed[begin + static_cast<std::size_t>(t)]);
-      }
-      continue;
-    }
-    out.objective += r.objective;
-    for (std::int64_t t = 0; t < factor; ++t) {
-      out.corrected[begin + static_cast<std::size_t>(t)] =
-          static_cast<double>(r.values[static_cast<std::size_t>(t)]);
     }
   }
   out.seconds = clock.elapsed_seconds();
-  metrics.packets_moved.add(out.objective);
   return out;
 }
 
 CemResult ConstraintEnforcementModule::correct_window(
-    const std::vector<double>& imputed, std::int64_t m_max,
-    std::int64_t m_out, const std::vector<std::int64_t>& sample_at,
+    const std::vector<double>& imputed, const PacketInterval& interval,
     const std::vector<std::int64_t>* warm_values) const {
-  CemMetrics& metrics = CemMetrics::get();
-  const bool timed = obs::enabled();
   fmnet::Stopwatch clock;
-  const auto factor = static_cast<std::int64_t>(sample_at.size());
+  const auto factor = static_cast<std::int64_t>(interval.sample_at.size());
   FMNET_CHECK_GT(factor, 0);
   FMNET_CHECK_EQ(static_cast<std::int64_t>(imputed.size()), factor);
-  FMNET_CHECK_GE(m_max, 0);
-  FMNET_CHECK_GE(m_out, 0);
+  if (interval.m_max) FMNET_CHECK_GE(*interval.m_max, 0);
+  FMNET_CHECK_GE(interval.m_out, 0);
 
+  const std::int64_t m_max = repair_bound(interval, imputed.data());
   const IntervalResult r =
       config_.engine == CemEngine::kFastRepair
-          ? correct_interval_fast(imputed, m_max, m_out, sample_at, factor)
-          : correct_interval_smt(imputed, m_max, m_out, sample_at, factor,
-                                 warm_values);
+          ? correct_interval_fast(imputed, m_max, interval.m_out,
+                                  interval.sample_at, factor)
+          : correct_interval_smt(imputed, m_max, interval.m_out,
+                                 interval.sample_at, factor, warm_values);
   CemResult out;
   out.corrected.resize(static_cast<std::size_t>(factor));
-  metrics.windows.add(1);
-  if (!r.feasible) {
-    out.feasible = false;
-    metrics.infeasible.add(1);
-    for (std::int64_t t = 0; t < factor; ++t) {
-      out.corrected[static_cast<std::size_t>(t)] =
-          std::max(0.0, imputed[static_cast<std::size_t>(t)]);
-    }
-  } else {
+  out.feasible = r.feasible;
+  if (r.feasible) {
     out.objective = r.objective;
     for (std::int64_t t = 0; t < factor; ++t) {
       out.corrected[static_cast<std::size_t>(t)] =
           static_cast<double>(r.values[static_cast<std::size_t>(t)]);
     }
+  } else {
+    clamp_nonnegative(imputed.data(), imputed.size(), out.corrected.data());
   }
   out.seconds = clock.elapsed_seconds();
-  metrics.packets_moved.add(out.objective);
-  if (timed) metrics.window_ms.record(clock.elapsed_ms());
+  CemMetrics::get().tally(out.feasible, out.objective, clock);
   return out;
 }
 
-CemResult StreamingCemRepair::repair(
-    const std::vector<double>& imputed, std::int64_t m_max,
-    std::int64_t m_out, const std::vector<std::int64_t>& sample_at) {
-  const auto factor = static_cast<std::int64_t>(sample_at.size());
+CemResult StreamingCemRepair::repair(const std::vector<double>& imputed,
+                                     const PacketInterval& interval) {
+  const auto factor = static_cast<std::int64_t>(interval.sample_at.size());
   // Shift the previous solution by the stride: position t of this window
   // is position t + stride of the previous one; the fresh tail falls back
   // to the clamped imputation. Any mismatch (first window, resized window,
@@ -646,8 +575,8 @@ CemResult StreamingCemRepair::repair(
                     0, std::llround(imputed[static_cast<std::size_t>(t)]));
     }
   }
-  const CemResult out = cem_.correct_window(imputed, m_max, m_out, sample_at,
-                                            overlap ? &warm : nullptr);
+  const CemResult out =
+      cem_.correct_window(imputed, interval, overlap ? &warm : nullptr);
   prev_.resize(static_cast<std::size_t>(factor));
   for (std::int64_t t = 0; t < factor; ++t) {
     prev_[static_cast<std::size_t>(t)] =

@@ -11,13 +11,17 @@
 // C1 is an upper bound (not an attained equality): m_max is the LANZ
 // slot-granularity intra-interval maximum, which the per-ms corrected
 // series may legitimately stay below when the peak fell between two ms
-// samples (see nn/kal.h).
+// samples (see constraints/constraints.h). Where an interval's LANZ report
+// was lost, C1 does not bind (ExampleConstraints::c1_binds) and the repair
+// enforces only C2/C3 there.
 //
 // Because every constraint is interval-local, the optimisation decomposes
-// into one problem per coarse interval; independent intervals are
-// corrected concurrently on the shared ThreadPool with a deterministic
-// in-order stitch. Two interchangeable engines solve each interval over
-// integer packet counts:
+// into one problem per coarse interval: correct() reads each interval of
+// the record as a PacketInterval, runs the window repair on it — the same
+// repair serving calls per published interval — and stitches the results
+// in order. Independent intervals are corrected concurrently on the shared
+// ThreadPool. Two interchangeable engines solve each interval over integer
+// packet counts:
 //
 //  * kFastRepair — an exact specialised algorithm: each step's
 //    unconstrained optimum is clamp(round(q̂), 0, m_max); then the steps
@@ -30,31 +34,34 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "nn/kal.h"
+#include "constraints/constraints.h"
 #include "smt/solver.h"
 #include "util/thread_pool.h"
 
 namespace fmnet::impute {
 
-/// Constraint data for one window in integer packet units.
-struct CemConstraints {
-  std::vector<std::int64_t> sample_idx;
-  std::vector<std::int64_t> sample_val;  // packets
-  std::vector<std::int64_t> window_max;  // packets, per interval
-  std::vector<std::int64_t> port_sent;   // steps, per interval (pre-capped)
-  /// C1 validity per interval (empty = all valid, see nn/kal.h). Where 0,
-  /// the LANZ report was lost and window_max is stale: CEM relaxes the
-  /// interval's bound so C1 cannot bind there — the correction enforces
-  /// only C2/C3 and never clamps to a value the operator never received.
-  std::vector<std::uint8_t> window_max_valid;
-  std::int64_t coarse_factor = 50;
+/// One coarse interval of a constraint record in integer packet units —
+/// what a window repair consumes.
+struct PacketInterval {
+  /// C1 bound in packets; nullopt where the interval's LANZ report was
+  /// lost, so C1 does not bind (the repair then uses a bound wide enough to
+  /// admit the rounded input and every sample).
+  std::optional<std::int64_t> m_max;
+  /// C3: non-empty steps the port budget allows.
+  std::int64_t m_out = 0;
+  /// C2 per fine step of the interval: the sampled packets, or -1.
+  std::vector<std::int64_t> sample_at;
 };
 
-/// Converts the dataset's normalised constraint record to packet units.
-CemConstraints to_packet_constraints(const nn::ExampleConstraints& c,
-                                     double qlen_scale);
+/// Interval `w` of `c` in packets: queue lengths scaled by `qlen_scale`
+/// and rounded, the step budget rounded, the samples that fall in the
+/// interval scattered onto its steps. The record must already have passed
+/// check_shape.
+PacketInterval packet_interval(const constraints::ExampleConstraints& c,
+                               double qlen_scale, std::int64_t w);
 
 enum class CemEngine { kFastRepair, kSmtBranchAndBound };
 
@@ -101,14 +108,16 @@ class ConstraintEnforcementModule {
   explicit ConstraintEnforcementModule(CemConfig config = {})
       : config_(config) {}
 
-  /// Corrects one window (in packets). `imputed` length must be
+  /// Corrects one window (in packets) against its record, whose queue
+  /// lengths are normalised by `qlen_scale`. `imputed` length must be
   /// factor * #intervals. Throws CheckError on malformed constraints;
   /// returns feasible=false when the constraint system is contradictory
   /// (cannot happen for measurements produced by a real switch).
   /// Intervals are corrected concurrently on `pool` (null = global pool);
   /// the result is identical at every thread count.
   CemResult correct(const std::vector<double>& imputed,
-                    const CemConstraints& c,
+                    const constraints::ExampleConstraints& c,
+                    double qlen_scale,
                     util::ThreadPool* pool = nullptr) const;
 
   /// Port-level joint correction: the paper's exact C3 semantics, where
@@ -116,26 +125,27 @@ class ConstraintEnforcementModule {
   /// port* (Fig. 3 / §3, NE_i). Corrects every queue of the port
   /// simultaneously so that Σ_t [∨_q Q̂c[q][t] > 0] <= m_out per interval,
   /// in addition to per-queue C1/C2. All per-queue constraint records must
-  /// share coarse_factor and horizon; c[0].port_sent carries the port
-  /// budget. Solved with the smtlite engine (the joint problem has no
+  /// share coarse_factor and horizon; per_queue[0].port_sent carries the
+  /// port budget. Solved with the smtlite engine (the joint problem has no
   /// independent-cost structure for the fast repair).
   /// Windows are solved concurrently on `pool` (null = global pool) with a
   /// deterministic in-order stitch.
   PortCemResult correct_port(
       const std::vector<std::vector<double>>& imputed,
-      const std::vector<CemConstraints>& per_queue,
-      util::ThreadPool* pool = nullptr) const;
+      const std::vector<constraints::ExampleConstraints>& per_queue,
+      double qlen_scale, util::ThreadPool* pool = nullptr) const;
 
-  /// Repairs a single window of length `sample_at.size()` (== factor).
-  /// `warm_values`, when given, is a repair candidate for the window —
-  /// e.g. the overlapping part of the previous window's solution — used to
-  /// warm-start the SMT engine (it is first made feasible by the fast
+  /// The window repair: corrects one interval, of length
+  /// `interval.sample_at.size()` (== factor), and does the cem.* accounting
+  /// for it. An infeasible interval comes back as the input clamped to
+  /// >= 0. `warm_values`, when given, is a repair candidate for the window
+  /// — e.g. the overlapping part of the previous window's solution — used
+  /// to warm-start the SMT engine (it is first made feasible by the fast
   /// repair, so it never has to be exactly feasible itself). The returned
   /// repair is identical with or without warm values whenever the solve
   /// completes. `imputed` must have length factor.
   CemResult correct_window(
-      const std::vector<double>& imputed, std::int64_t m_max,
-      std::int64_t m_out, const std::vector<std::int64_t>& sample_at,
+      const std::vector<double>& imputed, const PacketInterval& interval,
       const std::vector<std::int64_t>* warm_values = nullptr) const;
 
  private:
@@ -164,21 +174,20 @@ class ConstraintEnforcementModule {
 /// Incremental repair of a sliding window advancing by `stride` steps at a
 /// time (stride < factor ⇒ consecutive windows overlap). Each repair
 /// warm-starts the solver from the previous window's solution shifted by
-/// the stride — the serving-path "incremental solving" mode: overlapping
-/// telemetry rarely changes the optimal repair of the shared suffix, so
-/// the previous solution is usually an immediately-feasible incumbent.
-/// Results are bit-identical to repairing each window cold (see
-/// correct_window).
+/// the stride: overlapping telemetry rarely changes the optimal repair of
+/// the shared suffix, so the previous solution is usually an
+/// immediately-feasible incumbent. Results are bit-identical to repairing
+/// each window cold (see correct_window). With stride >= factor no windows
+/// overlap and every repair is cold.
 class StreamingCemRepair {
  public:
   explicit StreamingCemRepair(CemConfig config, std::int64_t stride)
       : cem_(config), stride_(stride) {}
 
-  /// Repairs the current window (length = sample_at.size()); call with
-  /// consecutive windows advanced by `stride` steps each.
-  CemResult repair(const std::vector<double>& imputed, std::int64_t m_max,
-                   std::int64_t m_out,
-                   const std::vector<std::int64_t>& sample_at);
+  /// Repairs the current window (length = interval.sample_at.size()); call
+  /// with consecutive windows advanced by `stride` steps each.
+  CemResult repair(const std::vector<double>& imputed,
+                   const PacketInterval& interval);
 
   /// Forgets the previous window (e.g. at a series boundary).
   void reset() { prev_.clear(); }

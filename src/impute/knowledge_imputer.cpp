@@ -15,9 +15,8 @@ KnowledgeAugmentedImputer::KnowledgeAugmentedImputer(
 std::vector<double> KnowledgeAugmentedImputer::impute(
     const ImputationExample& ex) {
   obs::ScopedSpan span("impute");
-  return tally(cem_.correct(
-      base_->impute(ex), to_packet_constraints(ex.constraints, ex.qlen_scale),
-      pool_));
+  return tally(
+      cem_.correct(base_->impute(ex), ex.constraints, ex.qlen_scale, pool_));
 }
 
 std::vector<std::vector<double>> KnowledgeAugmentedImputer::impute_batch(
@@ -30,9 +29,8 @@ std::vector<std::vector<double>> KnowledgeAugmentedImputer::impute_batch(
       util::ThreadPool::resolve(pool_),
       static_cast<std::int64_t>(batch.size()), [&](std::int64_t i) {
         const ImputationExample& ex = batch[static_cast<std::size_t>(i)];
-        return cem_.correct(
-            out[static_cast<std::size_t>(i)],
-            to_packet_constraints(ex.constraints, ex.qlen_scale), pool_);
+        return cem_.correct(out[static_cast<std::size_t>(i)], ex.constraints,
+                            ex.qlen_scale, pool_);
       });
   // Counters reduce in window order, exactly as the per-window loop adds.
   for (std::size_t i = 0; i < batch.size(); ++i) {

@@ -30,11 +30,10 @@ class FmOnlyImputer : public Imputer {
   std::string name() const override { return "FM-alone"; }
 
   std::vector<double> impute(const ImputationExample& ex) override {
-    const CemConstraints c =
-        to_packet_constraints(ex.constraints, ex.qlen_scale);
     const std::vector<double> zeros(ex.window, 0.0);
     ConstraintEnforcementModule cem(cem_config_);
-    return cem.correct(zeros, c, pool_).corrected;
+    return cem.correct(zeros, ex.constraints, ex.qlen_scale, pool_)
+        .corrected;
   }
 
  private:

@@ -1,17 +1,16 @@
 #include "nn/kal.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "tensor/ops.h"
 #include "util/check.h"
-#include "util/stats.h"
 
 namespace fmnet::nn {
 
 using namespace fmnet::tensor;  // NOLINT: op vocabulary
 
-KalTerms kal_penalty(const Tensor& pred, const ExampleConstraints& c,
+KalTerms kal_penalty(const Tensor& pred,
+                     const constraints::ExampleConstraints& c,
                      float lambda_eq, float lambda_ineq, float mu) {
   // The penalty exists to be differentiated; built under an InferenceGuard
   // its graph would silently be discarded and the multipliers would train
@@ -20,27 +19,14 @@ KalTerms kal_penalty(const Tensor& pred, const ExampleConstraints& c,
               "kal_penalty inside an InferenceGuard scope: the KAL terms "
               "must build an autograd graph");
   FMNET_CHECK_EQ(pred.ndim(), 1u);
-  const std::int64_t t_len = pred.dim(0);
-  FMNET_CHECK_GT(c.coarse_factor, 0);
-  FMNET_CHECK_EQ(t_len % c.coarse_factor, 0);
-  const std::int64_t windows = t_len / c.coarse_factor;
-  FMNET_CHECK_EQ(static_cast<std::int64_t>(c.window_max.size()), windows);
-  FMNET_CHECK_EQ(static_cast<std::int64_t>(c.port_sent.size()), windows);
-  FMNET_CHECK_EQ(c.sample_idx.size(), c.sample_val.size());
-  if (!c.window_max_valid.empty()) {
-    FMNET_CHECK_EQ(static_cast<std::int64_t>(c.window_max_valid.size()),
-                   windows);
-  }
+  const std::int64_t windows = c.check_shape(pred.dim(0));
 
   // Φ: C1 per-window max (upper bound — only exceeding the LANZ max is a
-  // violation, see kal.h; intervals whose LANZ report was lost carry no
-  // bound and are exempt) and C2 sampled points (equality).
+  // violation; intervals where C1 does not bind are skipped) and C2
+  // sampled points (equality).
   Tensor phi = Tensor::scalar(0.0f);
   for (std::int64_t w = 0; w < windows; ++w) {
-    if (!c.window_max_valid.empty() &&
-        c.window_max_valid[static_cast<std::size_t>(w)] == 0) {
-      continue;
-    }
+    if (!c.c1_binds(w)) continue;
     const Tensor win =
         tensor::slice(pred, 0, w * c.coarse_factor, (w + 1) * c.coarse_factor);
     const Tensor wmax = max_all(win);
@@ -49,7 +35,6 @@ KalTerms kal_penalty(const Tensor& pred, const ExampleConstraints& c,
   }
   for (std::size_t s = 0; s < c.sample_idx.size(); ++s) {
     const std::int64_t idx = c.sample_idx[s];
-    FMNET_CHECK(idx >= 0 && idx < t_len, "sample index out of range");
     const Tensor at = tensor::slice(pred, 0, idx, idx + 1);
     phi = phi + sum(abs(add_scalar(at, -c.sample_val[s])));
   }
@@ -105,44 +90,6 @@ float KalState::mean_psi() const {
   double acc = 0.0;
   for (const float x : last_psi_) acc += x;
   return static_cast<float>(acc / static_cast<double>(last_psi_.size()));
-}
-
-ConstraintViolations evaluate_constraints(const std::vector<double>& pred,
-                                          const ExampleConstraints& c) {
-  ConstraintViolations v;
-  const auto t_len = static_cast<std::int64_t>(pred.size());
-  FMNET_CHECK_GT(c.coarse_factor, 0);
-  FMNET_CHECK_EQ(t_len % c.coarse_factor, 0);
-  const std::int64_t windows = t_len / c.coarse_factor;
-  FMNET_CHECK_EQ(static_cast<std::int64_t>(c.window_max.size()), windows);
-  FMNET_CHECK_EQ(static_cast<std::int64_t>(c.port_sent.size()), windows);
-
-  for (std::int64_t w = 0; w < windows; ++w) {
-    double wmax = 0.0;
-    std::int64_t ne = 0;
-    for (std::int64_t t = w * c.coarse_factor; t < (w + 1) * c.coarse_factor;
-         ++t) {
-      const double q = pred[static_cast<std::size_t>(t)];
-      wmax = std::max(wmax, q);
-      if (q > 0.0) ++ne;
-    }
-    const bool c1_valid =
-        c.window_max_valid.empty() ||
-        c.window_max_valid[static_cast<std::size_t>(w)] != 0;
-    if (c1_valid) {
-      v.max_violation += std::max(
-          0.0, wmax - c.window_max[static_cast<std::size_t>(w)]);
-    }
-    v.sent_violation += std::max(
-        0.0, static_cast<double>(ne) -
-                 static_cast<double>(c.port_sent[static_cast<std::size_t>(w)]));
-  }
-  for (std::size_t s = 0; s < c.sample_idx.size(); ++s) {
-    v.periodic_violation +=
-        std::abs(pred[static_cast<std::size_t>(c.sample_idx[s])] -
-                 static_cast<double>(c.sample_val[s]));
-  }
-  return v;
 }
 
 }  // namespace fmnet::nn

@@ -2,21 +2,13 @@
 //
 // The transformer's EMD loss is augmented with penalty terms for the three
 // switch constraints the paper selects because they are directly evaluable
-// on the model output:
-//
-//   C1 (max):       max_{t in window} Q̂[t] <= m_max_window      (upper bound)
-//   C2 (periodic):  Q̂[t] = m_len_t for sampled t                   (equality)
-//   C3 (work conservation): NE = #non-empty steps <= m_out (packets sent)
-//                                                              (inequality)
-//
-// C1 is an upper bound, not an equality: LANZ reports the slot-granularity
-// intra-interval maximum, while the imputed series lives on the per-ms
-// grid, so a peak reached and drained between two ms boundaries can
-// legitimately exceed every per-ms value — demanding attainment would make
-// the ground truth itself infeasible.
+// on the model output — C1 (max, an upper bound), C2 (periodic samples,
+// equalities) and C3 (work conservation, an inequality); their definitions
+// and the lost-LANZ exemption live in constraints/constraints.h.
 //
 // Per example i we aggregate C1/C2 violations into a scalar
-//   Φ_i = Σ_w relu(max_{t∈w} Q̂ - m_max_w) + Σ_{t∈samples} |Q̂_t - m_len_t|
+//   Φ_i = Σ_{w: C1 binds} relu(max_{t∈w} Q̂ - m_max_w)
+//         + Σ_{t∈samples} |Q̂_t - m_len_t|
 // and inequality violations into
 //   Ψ_i = Σ_w relu( Σ_{t∈w} tanh(k·relu(Q̂_t)) - m_out_w )
 // (the tanh soft-counts non-empty steps, the per-window hinge strengthens
@@ -33,38 +25,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "constraints/constraints.h"
 #include "tensor/tensor.h"
 
 namespace fmnet::nn {
 
 using tensor::Tensor;
-
-/// Constraint data for one training example (one queue, one fine window),
-/// in the same normalised units as the model output.
-struct ExampleConstraints {
-  /// C2: fine-step indices that were periodically sampled, and the sampled
-  /// values.
-  std::vector<std::int64_t> sample_idx;
-  std::vector<float> sample_val;
-  /// C1: per-coarse-interval maximum queue length (LANZ); an upper bound
-  /// on every fine step of the window (see file comment).
-  std::vector<float> window_max;
-  /// C1 validity per coarse interval: empty = every LANZ report survived
-  /// (the clean-telemetry case). When fault injection (src/faults) drops
-  /// or delays a report, the interval's entry is 0 and its window_max is a
-  /// stale carry-forward — not a bound — so kal_penalty,
-  /// evaluate_constraints and CEM must not enforce C1 there. C1 becomes an
-  /// *interval* constraint: binding exactly where the report survived.
-  std::vector<std::uint8_t> window_max_valid;
-  /// C3: per-coarse-interval packets sent by the port (SNMP), expressed in
-  /// "fine steps" units (i.e. already min'd with the interval length).
-  std::vector<float> port_sent;
-  /// Fine steps per coarse interval.
-  std::int64_t coarse_factor = 50;
-  /// Sharpness k of the tanh soft non-emptiness indicator. Should be large
-  /// enough that one packet's worth of normalised queue length saturates.
-  float ne_tanh_scale = 200.0f;
-};
 
 /// Differentiable penalty for one example. `pred` is the [T] model output.
 /// Also reports the scalar violations for the multiplier update.
@@ -74,7 +40,8 @@ struct KalTerms {
   float psi = 0.0f;
 };
 
-KalTerms kal_penalty(const Tensor& pred, const ExampleConstraints& c,
+KalTerms kal_penalty(const Tensor& pred,
+                     const constraints::ExampleConstraints& c,
                      float lambda_eq, float lambda_ineq, float mu);
 
 /// Per-example Lagrange multiplier state across the dataset.
@@ -101,21 +68,5 @@ class KalState {
   std::vector<float> last_phi_;
   std::vector<float> last_psi_;
 };
-
-/// Evaluates C1/C2/C3 violations of a *final* (non-differentiable) imputed
-/// series, used by evaluation code; same semantics as kal_penalty but on
-/// plain doubles and with a hard non-emptiness test.
-struct ConstraintViolations {
-  double max_violation = 0.0;       // Σ_w relu(max - m_max_w)
-  double periodic_violation = 0.0;  // Σ_samples |q - m_len|
-  double sent_violation = 0.0;      // Σ_w relu(NE_w - m_out_w)
-  bool satisfied(double tol = 1e-6) const {
-    return max_violation <= tol && periodic_violation <= tol &&
-           sent_violation <= tol;
-  }
-};
-
-ConstraintViolations evaluate_constraints(const std::vector<double>& pred,
-                                          const ExampleConstraints& c);
 
 }  // namespace fmnet::nn

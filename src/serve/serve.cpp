@@ -66,7 +66,7 @@ ServeCore::ServeCore(const ServeConfig& config,
   sessions_.reserve(static_cast<std::size_t>(config_.sessions));
   for (std::int64_t i = 0; i < config_.sessions; ++i) {
     sessions_.emplace_back(i, window_intervals, factor, qlen_scale,
-                           count_scale, cem_);
+                           count_scale);
   }
 }
 
@@ -168,30 +168,14 @@ void ServeCore::run_batch(std::size_t count,
           .windows_published;
 
     if (config_.repair) {
-      // Async repair job for the newest interval: constraints in packet
-      // units, sample positions relative to the interval.
-      const impute::CemConstraints c = impute::to_packet_constraints(
-          batch[i].constraints, qlen_scale_);
+      // Async repair job for the newest interval, in packet units.
       const auto intervals =
-          static_cast<std::int64_t>(c.window_max.size());
+          static_cast<std::int64_t>(batch[i].constraints.window_max.size());
       FMNET_CHECK_GT(intervals, 0);
-      RepairJob job;
-      job.session = items[i].session;
-      job.tick = items[i].tick;
-      job.arrival = items[i].arrival;
-      job.raw = p.fine;
-      job.m_max = c.window_max.back();
-      job.m_out = c.port_sent.back();
-      job.sample_at.assign(factor_, -1);
-      const std::int64_t begin =
-          (intervals - 1) * static_cast<std::int64_t>(factor_);
-      for (std::size_t k = 0; k < c.sample_idx.size(); ++k) {
-        const std::int64_t rel = c.sample_idx[k] - begin;
-        if (rel >= 0 && rel < static_cast<std::int64_t>(factor_)) {
-          job.sample_at[static_cast<std::size_t>(rel)] = c.sample_val[k];
-        }
-      }
-      repairs_.push_back(std::move(job));
+      repairs_.push_back(RepairJob{
+          items[i].session, items[i].tick, items[i].arrival, p.fine,
+          impute::packet_interval(batch[i].constraints, qlen_scale_,
+                                  intervals - 1)});
     }
     out.push_back(std::move(p));
   }
@@ -221,18 +205,14 @@ void ServeCore::run_repairs(std::vector<PublishedWindow>& out) {
   std::vector<RepairJob> jobs(std::make_move_iterator(repairs_.begin()),
                               std::make_move_iterator(repairs_.end()));
   repairs_.clear();
-  // One job per session at most (jobs are enqueued once per published
-  // window and the queue is fully drained every tick), so parallel
-  // execution touches disjoint Session::repair state; parallel_map
+  // Each job is an independent, stateless window repair; parallel_map
   // collects results in job order for a deterministic publish sequence.
   std::vector<impute::CemResult> results =
       util::parallel_map<impute::CemResult>(
           util::ThreadPool::resolve(pool_),
           static_cast<std::int64_t>(jobs.size()), [&](std::int64_t j) {
-            RepairJob& job = jobs[static_cast<std::size_t>(j)];
-            return sessions_[static_cast<std::size_t>(job.session)]
-                .repair.repair(job.raw, job.m_max, job.m_out,
-                               job.sample_at);
+            const RepairJob& job = jobs[static_cast<std::size_t>(j)];
+            return cem_.correct_window(job.raw, job.interval);
           });
   const double now = util::Clock::resolve(clock_).now();
   for (std::size_t j = 0; j < jobs.size(); ++j) {

@@ -1,7 +1,7 @@
 // The serving core: a long-running imputation server over N concurrent
-// single-queue sessions, built by refactoring impute::StreamingImputer
-// into reusable pieces (impute::WindowBuffer + serve::Session) and adding
-// the three serving layers the batch path never needed:
+// single-queue sessions (impute::WindowBuffer + serve::Session) — the
+// repo's one online imputation path — with the three serving layers the
+// batch path never needed:
 //
 //  * batching — ready windows from different sessions are coalesced into
 //    single Imputer::impute_batch calls (the PR-7 batched GEMM path) under
@@ -10,7 +10,8 @@
 //  * async repair — CEM repair runs *behind* the prediction path: raw
 //    predictions publish immediately (they carry the latency SLO), repair
 //    jobs execute on the pool one tick later and publish a corrected
-//    window when done, bounded by a repair budget.
+//    window when done, bounded by a repair budget. A job is the stateless
+//    window repair of one published interval (impute::PacketInterval).
 //  * admission/shedding — when the ready-queue exceeds its budget the
 //    oldest windows are shed to a degraded linear-interpolation fallback
 //    (a prediction is still published — sessions never starve — but it is
@@ -30,6 +31,7 @@
 #include <memory>
 #include <vector>
 
+#include "impute/cem.h"
 #include "impute/imputer.h"
 #include "obs/metrics.h"
 #include "serve/config.h"
@@ -119,9 +121,7 @@ class ServeCore {
     std::int64_t tick = 0;
     double arrival = 0.0;
     std::vector<double> raw;  // newest interval, packets
-    std::int64_t m_max = 0;
-    std::int64_t m_out = 0;
-    std::vector<std::int64_t> sample_at;  // -1 = not sampled
+    impute::PacketInterval interval;
   };
 
   void ingest(const std::vector<impute::CoarseIntervalUpdate>& updates);
@@ -137,7 +137,7 @@ class ServeCore {
   std::shared_ptr<impute::Imputer> fallback_;  // linear interpolation
   std::size_t factor_;
   double qlen_scale_;
-  impute::CemConfig cem_;
+  impute::ConstraintEnforcementModule cem_;
   const util::Clock* clock_;
   util::ThreadPool* pool_;
 

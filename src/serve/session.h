@@ -6,27 +6,22 @@
 
 #include <cstdint>
 
-#include "impute/cem.h"
-#include "impute/streaming.h"
+#include "impute/window_buffer.h"
 
 namespace fmnet::serve {
 
 /// State of one long-lived single-queue imputation session. Holds no
-/// model: window buffering and incremental-repair state only, so N
-/// sessions cost N small buffers and one shared model.
+/// model and no repair state: window buffering only, so N sessions cost N
+/// small buffers and one shared model. Each repair job covers exactly one
+/// published interval and runs the stateless CEM window repair.
 struct Session {
   Session(std::int64_t session_id, std::size_t window_intervals,
-          std::size_t factor, double qlen_scale, double count_scale,
-          const impute::CemConfig& cem)
+          std::size_t factor, double qlen_scale, double count_scale)
       : id(session_id),
-        window(window_intervals, factor, qlen_scale, count_scale),
-        repair(cem, static_cast<std::int64_t>(factor)) {}
+        window(window_intervals, factor, qlen_scale, count_scale) {}
 
   std::int64_t id;
   impute::WindowBuffer window;
-  /// Warm-started CEM repair of the session's newest interval; advanced
-  /// one window per published tick (stride = factor: adjacent windows).
-  impute::StreamingCemRepair repair;
   std::int64_t windows_published = 0;
   std::int64_t windows_shed = 0;
 };

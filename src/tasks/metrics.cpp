@@ -7,55 +7,6 @@
 
 namespace fmnet::tasks {
 
-void ConsistencyAccumulator::add(const std::vector<double>& imputed,
-                                 const nn::ExampleConstraints& c) {
-  const auto t_len = static_cast<std::int64_t>(imputed.size());
-  FMNET_CHECK_GT(c.coarse_factor, 0);
-  FMNET_CHECK_EQ(t_len % c.coarse_factor, 0);
-  const std::int64_t windows = t_len / c.coarse_factor;
-  FMNET_CHECK_EQ(static_cast<std::int64_t>(c.window_max.size()), windows);
-
-  for (std::int64_t w = 0; w < windows; ++w) {
-    double wmax = 0.0;
-    std::int64_t ne = 0;
-    for (std::int64_t t = w * c.coarse_factor; t < (w + 1) * c.coarse_factor;
-         ++t) {
-      const double q = imputed[static_cast<std::size_t>(t)];
-      wmax = std::max(wmax, q);
-      if (q > 0.0) ++ne;
-    }
-    const double m_max =
-        static_cast<double>(c.window_max[static_cast<std::size_t>(w)]);
-    // C1 is an upper bound (see nn/kal.h): staying below the LANZ max is
-    // legal because the true slot-level peak may fall between ms samples.
-    // Intervals whose LANZ report was lost (window_max_valid == 0) carry
-    // no bound, so they contribute neither violation nor normalisation.
-    const bool c1_valid =
-        c.window_max_valid.empty() ||
-        c.window_max_valid[static_cast<std::size_t>(w)] != 0;
-    if (c1_valid) {
-      max_violation += std::max(0.0, wmax - m_max);
-      max_norm += m_max;
-    }
-    const double m_out =
-        static_cast<double>(c.port_sent[static_cast<std::size_t>(w)]);
-    sent_violation += std::max(0.0, static_cast<double>(ne) - m_out);
-    sent_norm += m_out;
-  }
-  // Periodic samples are frequently zero (queues are mostly empty), so
-  // normalising by the sample values alone would blow up. Use the interval
-  // maxima as the characteristic queue scale instead.
-  for (std::size_t s = 0; s < c.sample_idx.size(); ++s) {
-    const double m_len = static_cast<double>(c.sample_val[s]);
-    periodic_violation +=
-        std::abs(imputed[static_cast<std::size_t>(c.sample_idx[s])] - m_len);
-    const std::size_t interval = static_cast<std::size_t>(
-        c.sample_idx[s] / c.coarse_factor);
-    periodic_norm +=
-        std::max(m_len, static_cast<double>(c.window_max[interval]));
-  }
-}
-
 namespace {
 
 double mean_interarrival(const std::vector<Burst>& bursts) {

@@ -1,18 +1,13 @@
-// Downstream-task error metrics — the rows of Table 1.
+// Downstream-task error metrics — rows d–i of Table 1.
 //
-// Rows a–c (consistency) measure how far an imputed series is from the
-// coarse measurements themselves; rows d–i measure burst-related analytics
-// against ground truth. All errors are normalised so that 0 is perfect;
-// ratios of means can exceed 1 (the paper reports 6.33 for IterImputer's
-// inter-arrival error).
+// Rows a–c (consistency) and j (the C4 bound) measure how far an imputed
+// series is from the coarse measurements and the backlog bound; they are
+// constraints::Checker (constraints/constraints.h). Rows d–i measure
+// burst-related analytics against ground truth. All errors are normalised
+// so that 0 is perfect; ratios of means can exceed 1 (the paper reports
+// 6.33 for IterImputer's inter-arrival error).
 //
 // Exact definitions used here (the paper does not spell out formulas):
-//   a. max constraint:    Σ_w |max_w(imp) − m_max_w| / (Σ_w m_max_w + ε)
-//   b. periodic:          Σ_s |imp[t_s] − m_len_s| /
-//                         (Σ_s max(m_len_s, m_max of s's interval) + ε)
-//                         — samples are frequently 0, so the interval max
-//                         provides the characteristic scale
-//   c. sent pkts:         Σ_w relu(NE_w(imp) − m_out_w) / (Σ_w m_out_w + ε)
 //   d. burst detection:   1 − Jaccard(burst steps of truth, of imputed)
 //   e. burst height:      mean over truth bursts of |h_imp − h_tr| / h_tr,
 //                         using the overlapping imputed burst (missing → 1),
@@ -28,35 +23,9 @@
 
 #include <vector>
 
-#include "nn/kal.h"
 #include "tasks/bursts.h"
 
 namespace fmnet::tasks {
-
-/// Rows a–c for one example: aggregate violation mass and the normaliser.
-struct ConsistencyAccumulator {
-  double max_violation = 0.0;
-  double max_norm = 0.0;
-  double periodic_violation = 0.0;
-  double periodic_norm = 0.0;
-  double sent_violation = 0.0;
-  double sent_norm = 0.0;
-
-  /// Adds one window's violations; `imputed` in the same (normalised)
-  /// units as the constraint record.
-  void add(const std::vector<double>& imputed,
-           const nn::ExampleConstraints& c);
-
-  double max_error(double eps = 1e-9) const {
-    return max_violation / (max_norm + eps);
-  }
-  double periodic_error(double eps = 1e-9) const {
-    return periodic_violation / (periodic_norm + eps);
-  }
-  double sent_error(double eps = 1e-9) const {
-    return sent_violation / (sent_norm + eps);
-  }
-};
 
 /// Rows d–h for one queue's stitched series.
 struct BurstMetrics {

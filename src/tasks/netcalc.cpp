@@ -1,7 +1,6 @@
 #include "tasks/netcalc.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 
@@ -31,32 +30,6 @@ double c4_backlog_bound(const C4Config& config,
   const double residual =
       excess_rate * std::max(0.0, horizon_ms - config.latency_ms);
   return std::min(buffer_cap_pkts, at_latency + residual);
-}
-
-void BacklogBoundAccumulator::add(const std::vector<double>& imputed,
-                                  const nn::ExampleConstraints& c,
-                                  double bound) {
-  const auto t_len = static_cast<std::int64_t>(imputed.size());
-  FMNET_CHECK_GT(c.coarse_factor, 0);
-  FMNET_CHECK_EQ(t_len % c.coarse_factor, 0);
-  FMNET_CHECK_GE(bound, 0.0);
-  const std::int64_t windows = t_len / c.coarse_factor;
-  for (std::int64_t w = 0; w < windows; ++w) {
-    // Same exemption as C1: an interval whose LANZ report was lost is
-    // CEM-repaired without a max bound, so holding its imputed peak
-    // against the calculus bound would punish the repair for the fault.
-    const bool valid =
-        c.window_max_valid.empty() ||
-        c.window_max_valid[static_cast<std::size_t>(w)] != 0;
-    if (!valid) continue;
-    double wmax = 0.0;
-    for (std::int64_t t = w * c.coarse_factor; t < (w + 1) * c.coarse_factor;
-         ++t) {
-      wmax = std::max(wmax, imputed[static_cast<std::size_t>(t)]);
-    }
-    violation += std::max(0.0, wmax - bound);
-    norm += bound;
-  }
 }
 
 }  // namespace fmnet::tasks

@@ -18,13 +18,9 @@
 //
 // An imputed series whose per-interval maximum exceeds B* claims a backlog
 // no admissible arrival process could have produced — a formal-methods
-// inconsistency of exactly the C1 kind, and it is reported, normalised and
-// fault-exempted the same way (see BacklogBoundAccumulator).
+// inconsistency of exactly the C1 kind, and constraints::Checker reports,
+// normalises and fault-exempts it the same way.
 #pragma once
-
-#include <vector>
-
-#include "nn/kal.h"
 
 namespace fmnet::tasks {
 
@@ -46,22 +42,5 @@ struct C4Config {
 double c4_backlog_bound(const C4Config& config,
                         double service_rate_pkts_per_ms,
                         double buffer_cap_pkts, double horizon_ms);
-
-/// Row j: aggregate violation of the C4 bound over imputed windows, with
-/// the same shape as ConsistencyAccumulator — per-coarse-interval maxima
-/// checked against the bound, intervals whose LANZ report was lost
-/// (window_max_valid == 0) exempted exactly as C1 is, violations
-/// normalised by the bound mass.
-struct BacklogBoundAccumulator {
-  double violation = 0.0;
-  double norm = 0.0;
-
-  /// Adds one window; `imputed` and `bound` in the same (normalised)
-  /// units as the constraint record.
-  void add(const std::vector<double>& imputed,
-           const nn::ExampleConstraints& c, double bound);
-
-  double error(double eps = 1e-9) const { return violation / (norm + eps); }
-};
 
 }  // namespace fmnet::tasks

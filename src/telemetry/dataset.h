@@ -6,9 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "nn/kal.h"
+#include "constraints/constraints.h"
 #include "switchsim/recorder.h"
 #include "telemetry/monitors.h"
 
@@ -31,7 +32,7 @@ struct ImputationExample {
   /// [T] fine-grained queue length (normalised by qlen_scale).
   std::vector<float> target;
   /// Constraint data in the same normalised units (see DatasetConfig).
-  nn::ExampleConstraints constraints;
+  constraints::ExampleConstraints constraints;
 
   std::int32_t queue = 0;     // flat queue index
   std::int32_t port = 0;      // owning port
@@ -56,17 +57,46 @@ struct DatasetConfig {
   double count_scale = 4500.0;
 };
 
-/// Cuts non-overlapping windows across every queue. C3's m_out is stored in
-/// *step count* units: min(factor, snmp_sent of the owning port), because a
-/// non-empty fine step implies at least one departure in that step (work
-/// conservation), so #non-empty steps can never exceed packets sent and is
-/// trivially capped by the interval length.
+/// One coarse interval of one queue's telemetry: the reports a collector
+/// holds once the interval closes.
+struct CoarseIntervalUpdate {
+  double periodic_qlen = 0.0;  // packets
+  double max_qlen = 0.0;       // packets
+  double port_sent = 0.0;      // packets
+  double port_dropped = 0.0;   // packets
+};
+
+/// Which of one interval's reports survived fault injection.
+struct ReportValidity {
+  bool periodic = true;
+  bool lanz = true;
+};
+
+/// The one example builder, shared by the offline dataset and the online
+/// window buffer (impute::WindowBuffer): the features and constraint record
+/// of a window from its per-interval reports, oldest first. Every interval
+/// contributes `factor` hold-upsampled feature rows, its LANZ max (C1), its
+/// port budget (C3) and a periodic sample on its first fine step (C2).
+/// C3's m_out is stored in *step count* units: min(factor, packets sent),
+/// because a non-empty fine step implies at least one departure in that
+/// step (work conservation), so #non-empty steps can never exceed packets
+/// sent and is trivially capped by the interval length.
+///
+/// `validity` is empty for clean telemetry, else one entry per interval: a
+/// dropped periodic report emits no C2 equality, and a lost LANZ report
+/// clears the interval's constraints.window_max_valid bit (see
+/// constraints::ExampleConstraints::c1_binds). The target is zero-filled;
+/// queue, port and start_ms are left to the caller.
+ImputationExample build_example(std::span<const CoarseIntervalUpdate> reports,
+                                std::span<const ReportValidity> validity,
+                                std::size_t factor, double qlen_scale,
+                                double count_scale);
+
+/// Cuts non-overlapping windows across every queue through build_example
+/// and fills each target from ground truth.
 ///
 /// `quality` (null = clean telemetry) marks which coarse reports survived
-/// fault injection: intervals with a dropped periodic sample emit no C2
-/// equality, and intervals with a lost LANZ report are recorded in
-/// constraints.window_max_valid so C1 becomes an interval constraint
-/// (nn/kal.h). With a null quality, the produced examples are byte-
+/// fault injection. With a null quality, the produced examples are byte-
 /// identical to the pre-fault pipeline.
 std::vector<ImputationExample> build_examples(
     const switchsim::GroundTruth& gt, const CoarseTelemetry& ct,

@@ -60,15 +60,16 @@ TEST(Determinism, CampaignShardRemainderHandled) {
   EXPECT_EQ(r.gt.num_ms(), 250u);
 }
 
-impute::CemConstraints multi_window_constraints(std::int64_t windows,
-                                                std::int64_t factor) {
-  impute::CemConstraints c;
+/// A record in packet units (qlen_scale 1).
+constraints::ExampleConstraints multi_window_constraints(
+    std::int64_t windows, std::int64_t factor) {
+  constraints::ExampleConstraints c;
   c.coarse_factor = factor;
   for (std::int64_t w = 0; w < windows; ++w) {
-    c.window_max.push_back(12);
-    c.port_sent.push_back(factor / 2);
+    c.window_max.push_back(12.0f);
+    c.port_sent.push_back(static_cast<float>(factor / 2));
     c.sample_idx.push_back(w * factor);
-    c.sample_val.push_back(3);
+    c.sample_val.push_back(3.0f);
   }
   return c;
 }
@@ -88,8 +89,8 @@ TEST(Determinism, CemCorrectionIdenticalAcrossThreadCounts) {
     impute::ConstraintEnforcementModule cem(cfg);
     util::ThreadPool one(1);
     util::ThreadPool eight(8);
-    const auto a = cem.correct(imputed, c, &one);
-    const auto b = cem.correct(imputed, c, &eight);
+    const auto a = cem.correct(imputed, c, 1.0, &one);
+    const auto b = cem.correct(imputed, c, 1.0, &eight);
     EXPECT_EQ(a.feasible, b.feasible);
     EXPECT_EQ(a.objective, b.objective);
     EXPECT_EQ(a.corrected, b.corrected);
@@ -109,8 +110,8 @@ TEST(Determinism, CemPortCorrectionIdenticalAcrossThreadCounts) {
   impute::ConstraintEnforcementModule cem;
   util::ThreadPool one(1);
   util::ThreadPool eight(8);
-  const auto a = cem.correct_port(imputed, {c, c}, &one);
-  const auto b = cem.correct_port(imputed, {c, c}, &eight);
+  const auto a = cem.correct_port(imputed, {c, c}, 1.0, &one);
+  const auto b = cem.correct_port(imputed, {c, c}, 1.0, &eight);
   EXPECT_EQ(a.feasible, b.feasible);
   EXPECT_EQ(a.objective, b.objective);
   EXPECT_EQ(a.corrected, b.corrected);
@@ -136,9 +137,9 @@ TEST(Determinism, MetricsCollectionDoesNotPerturbOutputs) {
   for (auto& v : imputed) v = rng.uniform(0.0, 20.0);
   impute::ConstraintEnforcementModule cem;
   obs::set_enabled(false);
-  const auto cem_off = cem.correct(imputed, c, &eight);
+  const auto cem_off = cem.correct(imputed, c, 1.0, &eight);
   obs::set_enabled(true);
-  const auto cem_on = cem.correct(imputed, c, &eight);
+  const auto cem_on = cem.correct(imputed, c, 1.0, &eight);
   obs::set_enabled(was_enabled);
 
   EXPECT_EQ(baseline.gt.queue_len, on_one.gt.queue_len);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -365,6 +366,66 @@ TEST(Engine, TruncatedDatasetPayloadDegradesToRecomputation) {
     EXPECT_EQ(truth.split.train[i].constraints.window_max_valid,
               recomputed.split.train[i].constraints.window_max_valid);
   }
+}
+
+/// Byte offset of the first training example's first sample index in a
+/// clean (format 1) dataset payload, following core/engine.cpp's layout:
+/// format word, four dataset-config fields and the coarse factor, five
+/// coarse series vectors, then the training examples.
+std::size_t first_sample_idx_offset(const std::string& bytes) {
+  const auto u64 = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof v);
+    return static_cast<std::size_t>(v);
+  };
+  std::size_t at = sizeof(std::uint32_t) + 5 * 8;
+  for (int series_vec = 0; series_vec < 5; ++series_vec) {
+    const std::size_t n = u64(at);
+    at += 8;
+    for (std::size_t i = 0; i < n; ++i) at += 8 + 8 + u64(at + 8) * 8;
+  }
+  at += 8;                      // example count
+  at += 8 + u64(at) * 4;        // features
+  at += 8 + u64(at) * 4;        // target
+  EXPECT_GT(u64(at), 0u);       // sample_idx length
+  return at + 8;
+}
+
+TEST(Engine, MalformedDatasetRecordIsRecomputed) {
+  const core::Scenario s = small_scenario();
+  const std::string dir = fresh_dir("engine_malformed_record");
+  core::Engine cold{core::ArtifactStore(dir)};
+  const core::Campaign campaign = cold.campaign(s.campaign);
+  const core::PreparedData truth = cold.prepare(s, campaign);
+
+  // Move one sample index outside its window and store the payload again
+  // under a valid digest: the store's integrity check passes, so only the
+  // record check can keep imputers from indexing out of bounds.
+  const std::string key = core::Engine::dataset_key(s);
+  const auto path = cold.store().find("dataset", key);
+  ASSERT_TRUE(path.has_value());
+  std::string bytes;
+  {
+    std::ifstream in(*path, std::ios::binary);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    bytes = buf.str();
+  }
+  const std::int64_t outside = 1'000'000;
+  std::memcpy(bytes.data() + first_sample_idx_offset(bytes), &outside,
+              sizeof outside);
+  cold.store().put("dataset", key,
+                   [&](std::ostream& out) { out << bytes; });
+
+  const auto before = ArtifactCounters::now();
+  core::Engine warm{core::ArtifactStore(dir)};
+  const core::PreparedData loaded = warm.prepare(s, campaign);
+  const auto d = ArtifactCounters::now().delta(before);
+  EXPECT_EQ(d.hit, 1);    // the payload is intact...
+  EXPECT_EQ(d.write, 1);  // ...but its record fails to parse: rebuilt
+  ASSERT_FALSE(loaded.split.train.empty());
+  EXPECT_EQ(loaded.split.train.front().constraints.sample_idx,
+            truth.split.train.front().constraints.sample_idx);
 }
 
 TEST(Engine, MaskedDatasetRoundTripsThroughStoreBitIdentically) {

@@ -1,5 +1,6 @@
 // Tests for the extension modules: GRU cells/encoder, the architecture
-// baselines, the physics-informed rate imputer, and streaming imputation.
+// baselines, the physics-informed rate imputer, and streaming imputation
+// through the serving core.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,11 +9,11 @@
 #include "impute/knowledge_imputer.h"
 #include "impute/linear_interp.h"
 #include "impute/rate_imputer.h"
-#include "impute/streaming.h"
+#include "impute/window_buffer.h"
 #include "nn/gru.h"
-#include "nn/kal.h"
 #include "nn/losses.h"
 #include "nn/optim.h"
+#include "serve/serve.h"
 #include "telemetry/dataset.h"
 #include "telemetry/monitors.h"
 #include "tensor/ops.h"
@@ -254,70 +255,105 @@ TEST(RateImputer, ComposesWithCem) {
   const auto& ex = split.test.front();
   auto out = full.impute(ex);
   for (auto& v : out) v /= ex.qlen_scale;
-  EXPECT_TRUE(nn::evaluate_constraints(out, ex.constraints)
-                  .satisfied(1e-5));
+  EXPECT_TRUE(fmnet::testing::checked(out, ex.constraints).satisfied(1e-5));
 }
 
 // ---------------------------------------------------------------------------
-// Streaming imputation.
+// Streaming imputation: the online path is serve::ServeCore over per-session
+// impute::WindowBuffers.
 // ---------------------------------------------------------------------------
 
+/// A one-tick-per-interval server under a virtual clock.
+std::unique_ptr<serve::ServeCore> streaming_core(
+    std::shared_ptr<impute::Imputer> model, std::size_t window_intervals,
+    std::size_t factor, double qlen_scale, double count_scale, bool repair,
+    const util::Clock* clock) {
+  serve::ServeConfig cfg;
+  cfg.sessions = 1;
+  cfg.repair = repair;
+  return std::make_unique<serve::ServeCore>(
+      cfg, std::move(model), window_intervals, factor, qlen_scale,
+      count_scale, impute::CemConfig{}, clock);
+}
+
 TEST(Streaming, NotReadyUntilWindowFull) {
-  auto base = std::make_shared<impute::LinearInterpImputer>();
-  impute::StreamingImputer stream(base, 4, 50, 200.0, 500.0);
+  util::VirtualClock clock;
+  const auto core = streaming_core(
+      std::make_shared<impute::LinearInterpImputer>(), 4, 50, 200.0, 500.0,
+      /*repair=*/false, &clock);
+  std::vector<serve::PublishedWindow> out;
   for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(stream.push({1.0, 2.0, 10.0, 0.0}).ready);
+    core->tick({{1.0, 2.0, 10.0, 0.0}}, out);
+    EXPECT_TRUE(out.empty());
   }
-  const auto out = stream.push({1.0, 2.0, 10.0, 0.0});
-  EXPECT_TRUE(out.ready);
-  EXPECT_EQ(out.fine.size(), 50u);
-  EXPECT_GE(out.latency_seconds, 0.0);
-  EXPECT_EQ(stream.intervals_seen(), 4u);
+  core->tick({{1.0, 2.0, 10.0, 0.0}}, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].kind, serve::WindowKind::kRaw);
+  EXPECT_EQ(out[0].fine.size(), 50u);
+  EXPECT_GE(out[0].latency_seconds, 0.0);
+  EXPECT_EQ(core->session(0).window.intervals_seen(), 4u);
 }
 
 TEST(Streaming, SlidingWindowTracksNewestInterval) {
-  auto base = std::make_shared<impute::LinearInterpImputer>();
-  impute::StreamingImputer stream(base, 2, 10, 100.0, 100.0);
-  stream.push({0.0, 0.0, 5.0, 0.0});
+  util::VirtualClock clock;
+  const auto core = streaming_core(
+      std::make_shared<impute::LinearInterpImputer>(), 2, 10, 100.0, 100.0,
+      /*repair=*/false, &clock);
+  std::vector<serve::PublishedWindow> out;
+  core->tick({{0.0, 0.0, 5.0, 0.0}}, out);
   // Newest interval has max 8: its imputed slice must reach 8 somewhere
   // (LinearInterp places the max at the midpoint).
-  const auto out = stream.push({2.0, 8.0, 5.0, 0.0});
-  ASSERT_TRUE(out.ready);
+  core->tick({{2.0, 8.0, 5.0, 0.0}}, out);
+  ASSERT_EQ(out.size(), 1u);
   double mx = 0.0;
-  for (const double v : out.fine) mx = std::max(mx, v);
+  for (const double v : out[0].fine) mx = std::max(mx, v);
   EXPECT_NEAR(mx, 8.0, 1e-5);  // float32 round trip through the example
 }
 
 TEST(Streaming, CemGuaranteesHoldOnline) {
-  auto interp = std::make_shared<impute::LinearInterpImputer>();
-  auto corrected =
-      std::make_shared<impute::KnowledgeAugmentedImputer>(interp);
-  impute::StreamingImputer stream(corrected, 3, 20, 100.0, 200.0);
+  // Every repaired publication — the async CEM window repair of the
+  // session's newest interval — attains the LANZ max as an upper bound
+  // and pins the periodic sample exactly.
+  util::VirtualClock clock;
+  const auto core = streaming_core(
+      std::make_shared<impute::LinearInterpImputer>(), 3, 20, 100.0, 200.0,
+      /*repair=*/true, &clock);
   Rng rng(71);
+  std::vector<impute::CoarseIntervalUpdate> sent;  // by tick
+  std::vector<serve::PublishedWindow> out;
   for (int i = 0; i < 20; ++i) {
     const double mx = static_cast<double>(rng.uniform_int(0, 40));
     const double sample = static_cast<double>(
         rng.uniform_int(0, static_cast<std::int64_t>(mx)));
-    const auto out = stream.push({sample, mx, 20.0, 0.0});
-    if (!out.ready) continue;
+    sent.push_back({sample, mx, 20.0, 0.0});
+    core->tick({sent.back()}, out);
+  }
+  core->drain(out);
+  std::size_t repaired = 0;
+  for (const auto& p : out) {
+    if (p.kind != serve::WindowKind::kRepaired) continue;
+    ++repaired;
+    const auto& u = sent.at(static_cast<std::size_t>(p.tick));
     double got_max = 0.0;
-    for (const double v : out.fine) {
+    for (const double v : p.fine) {
       ASSERT_GE(v, 0.0);
       got_max = std::max(got_max, v);
     }
     // Newest interval's max equals the LANZ report, exactly (CEM).
-    EXPECT_NEAR(got_max, mx, 1e-5);
+    EXPECT_NEAR(got_max, u.max_qlen, 1e-5) << "tick " << p.tick;
     // And the sampled first step matches the periodic sample.
-    EXPECT_NEAR(out.fine.front(), sample, 1e-5);
+    EXPECT_NEAR(p.fine.front(), u.periodic_qlen, 1e-5) << "tick " << p.tick;
   }
+  EXPECT_EQ(repaired, 18u);  // every tick from the third on
 }
 
 TEST(Streaming, RejectsBadConfig) {
   auto base = std::make_shared<impute::LinearInterpImputer>();
-  EXPECT_THROW(impute::StreamingImputer(nullptr, 3, 50, 100.0, 100.0),
+  EXPECT_THROW(streaming_core(nullptr, 3, 50, 100.0, 100.0, false, nullptr),
                CheckError);
-  EXPECT_THROW(impute::StreamingImputer(base, 0, 50, 100.0, 100.0),
+  EXPECT_THROW(streaming_core(base, 0, 50, 100.0, 100.0, false, nullptr),
                CheckError);
+  EXPECT_THROW(impute::WindowBuffer(3, 0, 100.0, 100.0), CheckError);
 }
 
 }  // namespace

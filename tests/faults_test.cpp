@@ -16,10 +16,9 @@
 #include "core/scenario.h"
 #include "faults/faults.h"
 #include "impute/cem.h"
-#include "nn/kal.h"
-#include "tasks/metrics.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
+#include "test_helpers.h"
 
 namespace fmnet {
 namespace {
@@ -417,29 +416,25 @@ TEST(Faults, BuildExamplesHonoursQualityMasks) {
 }
 
 TEST(Constraints, EvaluationExemptsInvalidC1Windows) {
-  nn::ExampleConstraints c;
+  constraints::ExampleConstraints c;
   c.coarse_factor = 2;
   c.window_max = {3.0f, 3.0f};
   c.port_sent = {2.0f, 2.0f};
   const std::vector<double> pred = {5.0, 5.0, 4.0, 4.0};
 
-  const auto clean = nn::evaluate_constraints(pred, c);
-  EXPECT_DOUBLE_EQ(clean.max_violation, 3.0);  // (5-3) + (4-3)
+  const auto clean = fmnet::testing::checked(pred, c);
+  EXPECT_DOUBLE_EQ(clean.c1.violation, 3.0);  // (5-3) + (4-3)
 
   c.window_max_valid = {0, 1};  // first window's LANZ report was lost
-  const auto masked = nn::evaluate_constraints(pred, c);
-  EXPECT_DOUBLE_EQ(masked.max_violation, 1.0);  // only (4-3)
-
-  // The consistency metric also drops the invalid window from its
-  // normalisation, not just its violation.
-  tasks::ConsistencyAccumulator acc;
-  acc.add(pred, c);
-  EXPECT_DOUBLE_EQ(acc.max_violation, 1.0);
-  EXPECT_DOUBLE_EQ(acc.max_norm, 3.0);
+  const auto masked = fmnet::testing::checked(pred, c);
+  EXPECT_DOUBLE_EQ(masked.c1.violation, 1.0);  // only (4-3)
+  // The invalid window also leaves the normalisation, not just the
+  // violation.
+  EXPECT_DOUBLE_EQ(masked.c1.norm, 3.0);
 }
 
 TEST(Constraints, CemRelaxesC1WhereTheReportWasLost) {
-  impute::CemConstraints c;
+  constraints::ExampleConstraints c;  // packet units: qlen_scale 1
   c.coarse_factor = 4;
   c.window_max = {2};    // stale carry-forward, far below the true queue
   c.port_sent = {4};
@@ -447,14 +442,14 @@ TEST(Constraints, CemRelaxesC1WhereTheReportWasLost) {
   const impute::ConstraintEnforcementModule cem;
 
   // Valid report: C1 binds and the series is clamped to the bound.
-  const auto clamped = cem.correct(imputed, c);
+  const auto clamped = cem.correct(imputed, c, 1.0);
   ASSERT_TRUE(clamped.feasible);
   for (const double v : clamped.corrected) EXPECT_LE(v, 2.0);
 
   // Lost report: C1 must not bind — the correction never clamps to a
   // value the operator never received.
   c.window_max_valid = {0};
-  const auto relaxed = cem.correct(imputed, c);
+  const auto relaxed = cem.correct(imputed, c, 1.0);
   ASSERT_TRUE(relaxed.feasible);
   EXPECT_EQ(relaxed.objective, 0);
   for (const double v : relaxed.corrected) EXPECT_DOUBLE_EQ(v, 10.0);

@@ -11,7 +11,6 @@
 #include "impute/knowledge_imputer.h"
 #include "impute/linear_interp.h"
 #include "impute/transformer_imputer.h"
-#include "nn/kal.h"
 #include "smt/solve_cache.h"
 #include "telemetry/dataset.h"
 #include "telemetry/monitors.h"
@@ -87,33 +86,34 @@ TEST(IterativeImputerTest, InterpolationStaysInObservedEnvelope) {
 // CEM
 // ---------------------------------------------------------------------------
 
-CemConstraints toy_cem(std::int64_t factor) {
-  CemConstraints c;
+/// A record in packet units (qlen_scale 1).
+constraints::ExampleConstraints toy_cem(std::int64_t factor) {
+  constraints::ExampleConstraints c;
   c.coarse_factor = factor;
   return c;
 }
 
 TEST(Cem, AlreadyFeasibleIsUntouched) {
-  CemConstraints c = toy_cem(4);
+  constraints::ExampleConstraints c = toy_cem(4);
   c.window_max = {3};
   c.port_sent = {4};
   c.sample_idx = {0};
   c.sample_val = {1};
   ConstraintEnforcementModule cem;
-  const auto r = cem.correct({1, 3, 2, 0}, c);
+  const auto r = cem.correct({1, 3, 2, 0}, c, 1.0);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.objective, 0);
   EXPECT_EQ(r.corrected, (std::vector<double>{1, 3, 2, 0}));
 }
 
 TEST(Cem, EnforcesSampleValues) {
-  CemConstraints c = toy_cem(4);
+  constraints::ExampleConstraints c = toy_cem(4);
   c.window_max = {5};
   c.port_sent = {4};
   c.sample_idx = {0};
   c.sample_val = {5};
   ConstraintEnforcementModule cem;
-  const auto r = cem.correct({0, 0, 0, 0}, c);
+  const auto r = cem.correct({0, 0, 0, 0}, c, 1.0);
   ASSERT_TRUE(r.feasible);
   EXPECT_DOUBLE_EQ(r.corrected[0], 5.0);  // C2 enforced
   // Sample already attains the max, so nothing else must change.
@@ -121,25 +121,25 @@ TEST(Cem, EnforcesSampleValues) {
 }
 
 TEST(Cem, LeavesUnderMaxWindowUntouched) {
-  CemConstraints c = toy_cem(4);
+  constraints::ExampleConstraints c = toy_cem(4);
   c.window_max = {10};
   c.port_sent = {4};
   ConstraintEnforcementModule cem;
   // C1 is an upper bound: a window whose peak (7) stays under the LANZ
   // report (10) is already legal — the true slot-level peak may fall
   // between ms samples — so nothing may change.
-  const auto r = cem.correct({1, 4, 7, 2}, c);
+  const auto r = cem.correct({1, 4, 7, 2}, c, 1.0);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.objective, 0);
   EXPECT_EQ(r.corrected, (std::vector<double>{1, 4, 7, 2}));
 }
 
 TEST(Cem, ClampsAboveMax) {
-  CemConstraints c = toy_cem(4);
+  constraints::ExampleConstraints c = toy_cem(4);
   c.window_max = {5};
   c.port_sent = {4};
   ConstraintEnforcementModule cem;
-  const auto r = cem.correct({9, 2, 8, 1}, c);
+  const auto r = cem.correct({9, 2, 8, 1}, c, 1.0);
   ASSERT_TRUE(r.feasible);
   for (const double v : r.corrected) EXPECT_LE(v, 5.0);
   // Objective: |9->5| + |8->5| = 7.
@@ -149,11 +149,11 @@ TEST(Cem, ClampsAboveMax) {
 TEST(Cem, ZeroesDribbleWhenPortSentFewPackets) {
   // SNMP says only 1 packet left the port, but the model imputed a small
   // nonzero value everywhere: C3 forces all but one step to empty.
-  CemConstraints c = toy_cem(5);
+  constraints::ExampleConstraints c = toy_cem(5);
   c.window_max = {2};
   c.port_sent = {1};
   ConstraintEnforcementModule cem;
-  const auto r = cem.correct({1, 1, 2, 1, 1}, c);
+  const auto r = cem.correct({1, 1, 2, 1, 1}, c, 1.0);
   ASSERT_TRUE(r.feasible);
   std::int64_t nonempty = 0;
   double mx = 0;
@@ -166,36 +166,36 @@ TEST(Cem, ZeroesDribbleWhenPortSentFewPackets) {
 }
 
 TEST(Cem, AllZeroWindowWhenMaxIsZero) {
-  CemConstraints c = toy_cem(4);
+  constraints::ExampleConstraints c = toy_cem(4);
   c.window_max = {0};
   c.port_sent = {4};
   ConstraintEnforcementModule cem;
-  const auto r = cem.correct({2, 1, 0, 3}, c);
+  const auto r = cem.correct({2, 1, 0, 3}, c, 1.0);
   ASSERT_TRUE(r.feasible);
   for (const double v : r.corrected) EXPECT_DOUBLE_EQ(v, 0.0);
   EXPECT_EQ(r.objective, 6);
 }
 
 TEST(Cem, InfeasibleWhenSampleExceedsMax) {
-  CemConstraints c = toy_cem(4);
+  constraints::ExampleConstraints c = toy_cem(4);
   c.window_max = {2};
   c.port_sent = {4};
   c.sample_idx = {1};
   c.sample_val = {5};
   ConstraintEnforcementModule cem;
-  const auto r = cem.correct({0, 5, 0, 0}, c);
+  const auto r = cem.correct({0, 5, 0, 0}, c, 1.0);
   EXPECT_FALSE(r.feasible);
 }
 
 TEST(Cem, MultipleSamplesWithinOneInterval) {
   // Samples need not sit at interval starts: fix three interior points.
-  CemConstraints c = toy_cem(6);
+  constraints::ExampleConstraints c = toy_cem(6);
   c.window_max = {7};
   c.port_sent = {6};
   c.sample_idx = {1, 3, 4};
   c.sample_val = {7, 2, 0};
   ConstraintEnforcementModule cem;
-  const auto r = cem.correct({0, 0, 5, 0, 9, 1}, c);
+  const auto r = cem.correct({0, 0, 5, 0, 9, 1}, c, 1.0);
   ASSERT_TRUE(r.feasible);
   EXPECT_DOUBLE_EQ(r.corrected[1], 7.0);
   EXPECT_DOUBLE_EQ(r.corrected[3], 2.0);
@@ -207,11 +207,11 @@ TEST(Cem, MultipleSamplesWithinOneInterval) {
 }
 
 TEST(Cem, NegativeInputsClampToZero) {
-  CemConstraints c = toy_cem(4);
+  constraints::ExampleConstraints c = toy_cem(4);
   c.window_max = {3};
   c.port_sent = {4};
   ConstraintEnforcementModule cem;
-  const auto r = cem.correct({-2.0, 3.0, -0.4, 0.0}, c);
+  const auto r = cem.correct({-2.0, 3.0, -0.4, 0.0}, c, 1.0);
   ASSERT_TRUE(r.feasible);
   EXPECT_DOUBLE_EQ(r.corrected[0], 0.0);
   EXPECT_DOUBLE_EQ(r.corrected[2], 0.0);
@@ -221,11 +221,11 @@ TEST(Cem, NegativeInputsClampToZero) {
 }
 
 TEST(Cem, MultiWindowIndependence) {
-  CemConstraints c = toy_cem(3);
+  constraints::ExampleConstraints c = toy_cem(3);
   c.window_max = {4, 0};
   c.port_sent = {3, 3};
   ConstraintEnforcementModule cem;
-  const auto r = cem.correct({1, 2, 3, 1, 1, 1}, c);
+  const auto r = cem.correct({1, 2, 3, 1, 1, 1}, c, 1.0);
   ASSERT_TRUE(r.feasible);
   // Window 1 forced all-zero; window 0 already under its max of 4 and so
   // untouched.
@@ -255,8 +255,7 @@ TEST(Cem, GroundTruthIsFixedPoint) {
     for (std::size_t t = 0; t < ex.window; ++t) {
       truth_pkts[t] = gt.queue_len[ex.queue][ex.start_ms + t];
     }
-    const auto c = to_packet_constraints(ex.constraints, ex.qlen_scale);
-    const auto r = cem.correct(truth_pkts, c);
+    const auto r = cem.correct(truth_pkts, ex.constraints, ex.qlen_scale);
     ASSERT_TRUE(r.feasible);
     ASSERT_EQ(r.objective, 0);
     ASSERT_EQ(r.corrected, truth_pkts);
@@ -275,10 +274,10 @@ TEST_P(CemCrossCheck, FastRepairMatchesSmtOptimum) {
   fmnet::Rng rng(param.seed);
   const std::int64_t factor = param.factor;
 
-  CemConstraints c = toy_cem(factor);
+  constraints::ExampleConstraints c = toy_cem(factor);
   const std::int64_t m_max = rng.uniform_int(0, 6);
-  c.window_max = {m_max};
-  c.port_sent = {rng.uniform_int(0, factor)};
+  c.window_max = {static_cast<float>(m_max)};
+  c.port_sent = {static_cast<float>(rng.uniform_int(0, factor))};
   std::vector<double> imputed(static_cast<std::size_t>(factor));
   for (auto& v : imputed) {
     v = static_cast<double>(rng.uniform_int(-1, 8));
@@ -286,31 +285,23 @@ TEST_P(CemCrossCheck, FastRepairMatchesSmtOptimum) {
   // Random consistent sample: pick a position, value within [0, m_max].
   if (rng.bernoulli(0.7)) {
     c.sample_idx = {rng.uniform_int(0, factor - 1)};
-    c.sample_val = {rng.uniform_int(0, m_max)};
+    c.sample_val = {static_cast<float>(rng.uniform_int(0, m_max))};
   }
 
   ConstraintEnforcementModule fast(
       CemConfig{.engine = CemEngine::kFastRepair});
   ConstraintEnforcementModule smt_engine(
       CemConfig{.engine = CemEngine::kSmtBranchAndBound});
-  const auto rf = fast.correct(imputed, c);
-  const auto rs = smt_engine.correct(imputed, c);
+  const auto rf = fast.correct(imputed, c, 1.0);
+  const auto rs = smt_engine.correct(imputed, c, 1.0);
   ASSERT_EQ(rf.feasible, rs.feasible) << "seed " << param.seed;
   if (!rf.feasible) return;
   EXPECT_EQ(rf.objective, rs.objective) << "seed " << param.seed;
 
   // Both solutions must satisfy the constraints exactly.
   for (const auto& r : {rf, rs}) {
-    nn::ExampleConstraints nc;
-    nc.coarse_factor = factor;
-    nc.window_max = {static_cast<float>(m_max)};
-    nc.port_sent = {static_cast<float>(c.port_sent[0])};
-    for (std::size_t s = 0; s < c.sample_idx.size(); ++s) {
-      nc.sample_idx.push_back(c.sample_idx[s]);
-      nc.sample_val.push_back(static_cast<float>(c.sample_val[s]));
-    }
-    const auto v = nn::evaluate_constraints(r.corrected, nc);
-    EXPECT_TRUE(v.satisfied()) << "seed " << param.seed;
+    EXPECT_TRUE(fmnet::testing::checked(r.corrected, c).satisfied())
+        << "seed " << param.seed;
   }
 }
 
@@ -352,25 +343,28 @@ TEST(CemAccel, AcceleratedConfigMatchesColdExactly) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     fmnet::Rng rng(seed * 31);
     const std::int64_t factor = 4 + static_cast<std::int64_t>(seed % 4);
-    CemConstraints c;
+    constraints::ExampleConstraints c;
     c.coarse_factor = factor;
-    c.window_max = {rng.uniform_int(0, 6), rng.uniform_int(0, 6)};
-    c.port_sent = {rng.uniform_int(0, factor), rng.uniform_int(0, factor)};
+    c.window_max = {static_cast<float>(rng.uniform_int(0, 6)),
+                    static_cast<float>(rng.uniform_int(0, 6))};
+    c.port_sent = {static_cast<float>(rng.uniform_int(0, factor)),
+                   static_cast<float>(rng.uniform_int(0, factor))};
     std::vector<double> imputed;
     for (std::int64_t t = 0; t < 2 * factor; ++t) {
       imputed.push_back(static_cast<double>(rng.uniform_int(-1, 8)));
     }
     if (rng.bernoulli(0.6)) {
       c.sample_idx = {rng.uniform_int(0, factor - 1)};
-      c.sample_val = {rng.uniform_int(0, c.window_max[0])};
+      c.sample_val = {static_cast<float>(rng.uniform_int(
+          0, static_cast<std::int64_t>(c.window_max[0])))};
     }
-    const auto rc = cold.correct(imputed, c);
-    const auto ra = accel.correct(imputed, c);
+    const auto rc = cold.correct(imputed, c, 1.0);
+    const auto ra = accel.correct(imputed, c, 1.0);
     ASSERT_EQ(rc.feasible, ra.feasible) << "seed " << seed;
     EXPECT_EQ(rc.objective, ra.objective) << "seed " << seed;
     EXPECT_EQ(rc.corrected, ra.corrected) << "seed " << seed;
     // Second accelerated run hits the repair cache; still identical.
-    const auto rcached = accel.correct(imputed, c);
+    const auto rcached = accel.correct(imputed, c, 1.0);
     EXPECT_EQ(rcached.corrected, ra.corrected) << "seed " << seed;
     EXPECT_EQ(rcached.objective, ra.objective) << "seed " << seed;
   }
@@ -402,15 +396,13 @@ TEST(CemAccel, StreamingRepairMatchesBatchCold) {
        begin += stride) {
     std::vector<double> window(series.begin() + begin,
                                series.begin() + begin + factor);
-    std::vector<std::int64_t> sample_at(static_cast<std::size_t>(factor),
-                                        -1);
+    PacketInterval interval{.m_max = 5, .m_out = 4, .sample_at = {}};
+    interval.sample_at.assign(static_cast<std::size_t>(factor), -1);
     if (begin % (3 * stride) == 0) {
-      sample_at[2] = rng.uniform_int(0, 4);
+      interval.sample_at[2] = rng.uniform_int(0, 4);
     }
-    const std::int64_t m_max = 5;
-    const std::int64_t m_out = 4;
-    const auto rs = streaming.repair(window, m_max, m_out, sample_at);
-    const auto rc = cold.correct_window(window, m_max, m_out, sample_at);
+    const auto rs = streaming.repair(window, interval);
+    const auto rc = cold.correct_window(window, interval);
     ASSERT_EQ(rs.feasible, rc.feasible) << "begin " << begin;
     EXPECT_EQ(rs.objective, rc.objective) << "begin " << begin;
     EXPECT_EQ(rs.corrected, rc.corrected) << "begin " << begin;
@@ -435,17 +427,18 @@ TEST(CemAccel, PortJointWarmMatchesPlain) {
     const std::int64_t factor = 4;
     const std::size_t nq = 2;
     std::vector<std::vector<double>> imputed(nq);
-    std::vector<CemConstraints> per_queue(nq);
+    std::vector<constraints::ExampleConstraints> per_queue(nq);
     for (std::size_t q = 0; q < nq; ++q) {
       per_queue[q].coarse_factor = factor;
-      per_queue[q].window_max = {rng.uniform_int(1, 5)};
-      per_queue[q].port_sent = {rng.uniform_int(1, factor)};
+      per_queue[q].window_max = {static_cast<float>(rng.uniform_int(1, 5))};
+      per_queue[q].port_sent = {
+          static_cast<float>(rng.uniform_int(1, factor))};
       for (std::int64_t t = 0; t < factor; ++t) {
         imputed[q].push_back(static_cast<double>(rng.uniform_int(-1, 6)));
       }
     }
-    const auto rp = plain.correct_port(imputed, per_queue);
-    const auto ra = accel.correct_port(imputed, per_queue);
+    const auto rp = plain.correct_port(imputed, per_queue, 1.0);
+    const auto ra = accel.correct_port(imputed, per_queue, 1.0);
     ASSERT_EQ(rp.feasible, ra.feasible) << "seed " << seed;
     EXPECT_EQ(rp.objective, ra.objective) << "seed " << seed;
     EXPECT_EQ(rp.corrected, ra.corrected) << "seed " << seed;
@@ -457,18 +450,18 @@ TEST(CemPort, JointCorrectionEnforcesDisjunctionC3) {
   // Each queue alone satisfies NE <= 2, but the port-level disjunction has
   // 4 non-empty steps over a budget of 2: per-queue CEM would pass this
   // through; the joint correction must empty some steps.
-  CemConstraints q0 = toy_cem(4);
+  constraints::ExampleConstraints q0 = toy_cem(4);
   q0.window_max = {5};
   q0.port_sent = {2};
-  CemConstraints q1 = q0;
+  constraints::ExampleConstraints q1 = q0;
   ConstraintEnforcementModule cem;
 
   // Per-queue correction: untouched (sound but weaker).
-  EXPECT_EQ(cem.correct({5, 5, 0, 0}, q0).objective, 0);
-  EXPECT_EQ(cem.correct({0, 0, 5, 5}, q1).objective, 0);
+  EXPECT_EQ(cem.correct({5, 5, 0, 0}, q0, 1.0).objective, 0);
+  EXPECT_EQ(cem.correct({0, 0, 5, 5}, q1, 1.0).objective, 0);
 
   const auto joint = cem.correct_port({{5, 5, 0, 0}, {0, 0, 5, 5}},
-                                      {q0, q1});
+                                      {q0, q1}, 1.0);
   ASSERT_TRUE(joint.feasible);
   EXPECT_GT(joint.objective, 0);
   std::int64_t union_ne = 0;
@@ -485,15 +478,15 @@ TEST(CemPort, JointCorrectionEnforcesDisjunctionC3) {
 }
 
 TEST(CemPort, SingleQueueJointMatchesPerQueueOptimum) {
-  CemConstraints c = toy_cem(4);
+  constraints::ExampleConstraints c = toy_cem(4);
   c.window_max = {10};
   c.port_sent = {2};
   c.sample_idx = {0};
   c.sample_val = {1};
   const std::vector<double> imputed{1, 4, 7, 2};
   ConstraintEnforcementModule cem;
-  const auto single = cem.correct(imputed, c);
-  const auto joint = cem.correct_port({imputed}, {c});
+  const auto single = cem.correct(imputed, c, 1.0);
+  const auto joint = cem.correct_port({imputed}, {c}, 1.0);
   ASSERT_TRUE(single.feasible);
   ASSERT_TRUE(joint.feasible);
   EXPECT_EQ(single.objective, joint.objective);
@@ -503,12 +496,12 @@ TEST(CemPort, JointBudgetZeroesCheaperQueue) {
   // With a joint budget of 1 non-empty step and C1 as an upper bound, the
   // cheapest repair empties one queue's single burst (cost 4) rather than
   // relocating its mass onto the survivor's step (cost 8).
-  CemConstraints q0 = toy_cem(3);
+  constraints::ExampleConstraints q0 = toy_cem(3);
   q0.window_max = {4};
   q0.port_sent = {1};
-  CemConstraints q1 = q0;
+  constraints::ExampleConstraints q1 = q0;
   ConstraintEnforcementModule cem;
-  const auto joint = cem.correct_port({{4, 0, 0}, {0, 0, 4}}, {q0, q1});
+  const auto joint = cem.correct_port({{4, 0, 0}, {0, 0, 4}}, {q0, q1}, 1.0);
   ASSERT_TRUE(joint.feasible);
   std::int64_t union_ne = 0;
   for (std::size_t t = 0; t < 3; ++t) {
@@ -575,8 +568,8 @@ TEST(TransformerImputerTest, KalReducesConstraintViolations) {
     for (const auto& ex : examples) {
       auto out = imp.impute(ex);
       for (auto& v : out) v /= ex.qlen_scale;  // normalised units
-      const auto viol = nn::evaluate_constraints(out, ex.constraints);
-      acc += viol.max_violation + viol.periodic_violation;
+      const auto viol = fmnet::testing::checked(out, ex.constraints);
+      acc += viol.c1.violation + viol.c2.violation;
     }
     return acc;
   };
@@ -619,12 +612,12 @@ TEST(KnowledgeImputerTest, OutputSatisfiesConstraintsExactly) {
   for (const auto& ex : examples) {
     auto out = full.impute(ex);
     for (auto& v : out) v /= ex.qlen_scale;
-    const auto viol = nn::evaluate_constraints(out, ex.constraints);
+    const auto viol = fmnet::testing::checked(out, ex.constraints);
     // CEM output is exact in integer packets; the float32 constraint
     // record introduces ~1e-7-relative noise after normalisation.
-    ASSERT_NEAR(viol.max_violation, 0.0, 1e-5);
-    ASSERT_NEAR(viol.periodic_violation, 0.0, 1e-5);
-    ASSERT_NEAR(viol.sent_violation, 0.0, 1e-5);
+    ASSERT_NEAR(viol.c1.violation, 0.0, 1e-5);
+    ASSERT_NEAR(viol.c2.violation, 0.0, 1e-5);
+    ASSERT_NEAR(viol.c3.violation, 0.0, 1e-5);
   }
   EXPECT_EQ(full.infeasible_windows(), 0);
   EXPECT_GT(full.cem_calls(), 0);

@@ -7,11 +7,11 @@
 //   * impute_batch equals the per-window impute loop bit-for-bit, also
 //     lane-parallel on 8 lanes against the 1-lane loop, with and without
 //     the +cem wrapper (whose counters must match too);
-//   * the streaming shim (WindowBuffer + StreamingImputer) equals offline
-//     imputation of the same trailing window;
+//   * serving (a multi-session serve::ServeCore) publishes, per session,
+//     exactly the offline imputation of that session's trailing window;
 //   * every learned method round-trips through nn/serialize exactly, and
 //     a warm engine run reloads it instead of training;
-//   * the C1 upper bound holds after CEM correction;
+//   * C1–C3 hold after CEM correction;
 //   * fault masks (window_max_valid) exempt C1 during repair and checking.
 //
 // A new imputer registered in impute::Registry gets this contract for
@@ -32,12 +32,13 @@
 #include "core/scenario.h"
 #include "impute/knowledge_imputer.h"
 #include "impute/registry.h"
-#include "impute/streaming.h"
-#include "nn/kal.h"
+#include "impute/window_buffer.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
+#include "serve/serve.h"
 #include "telemetry/dataset.h"
 #include "test_helpers.h"
+#include "util/clock.h"
 #include "util/thread_pool.h"
 
 namespace fmnet {
@@ -249,30 +250,52 @@ TEST_P(ImputerConformance, ParallelBatchMatchesLoopAcrossLanes) {
 }
 
 TEST_P(ImputerConformance, StreamingMatchesOffline) {
-  // Feed the same coarse intervals into the streaming shim and into a
-  // shadow WindowBuffer; once ready, the streamed newest interval must be
-  // exactly the tail slice of imputing the shadow's trailing window.
+  // Serve three sessions (batches of two, so one batch mixes sessions)
+  // and mirror each session's intervals into a shadow WindowBuffer; every
+  // raw publication must be exactly the tail slice of imputing that
+  // session's trailing window offline.
   const std::shared_ptr<impute::Imputer> base = fitted(GetParam(), 1).imputer;
-  impute::WindowBuffer shadow(2, 50, 200.0, 500.0);
-  impute::StreamingImputer stream(base, 2, 50, 200.0, 500.0);
+  constexpr std::int64_t kSessions = 3;
+  serve::ServeConfig cfg;
+  cfg.sessions = kSessions;
+  cfg.max_batch = 2;
+  cfg.repair = false;
+  util::VirtualClock clock;
+  serve::ServeCore core(cfg, base, 2, 50, 200.0, 500.0, impute::CemConfig{},
+                        &clock, &pool_with(1));
+  std::vector<impute::WindowBuffer> shadow(
+      kSessions, impute::WindowBuffer(2, 50, 200.0, 500.0));
   Rng rng(17);
-  for (int i = 0; i < 8; ++i) {
-    const double mx = static_cast<double>(rng.uniform_int(0, 60));
-    const double sample = static_cast<double>(
-        rng.uniform_int(0, static_cast<std::int64_t>(mx)));
-    const impute::CoarseIntervalUpdate update{sample, mx, 20.0, 0.0};
-    shadow.push(update);
-    const impute::StreamingOutput out = stream.push(update);
-    ASSERT_EQ(out.ready, shadow.ready());
-    if (!out.ready) continue;
-    const auto offline = base->impute(shadow.make_example());
-    ASSERT_EQ(offline.size(), 100u);
-    ASSERT_EQ(out.fine.size(), 50u);
-    for (std::size_t t = 0; t < 50; ++t) {
-      EXPECT_EQ(out.fine[t], offline[50 + t])
-          << "method " << GetParam() << ", interval " << i << ", step " << t;
+  std::size_t published = 0;
+  for (std::int64_t tick = 0; tick < 6; ++tick) {
+    std::vector<impute::CoarseIntervalUpdate> updates;
+    for (std::int64_t s = 0; s < kSessions; ++s) {
+      const double mx = static_cast<double>(rng.uniform_int(0, 60));
+      const double sample = static_cast<double>(
+          rng.uniform_int(0, static_cast<std::int64_t>(mx)));
+      updates.push_back({sample, mx, 20.0, 0.0});
+      shadow[static_cast<std::size_t>(s)].push(updates.back());
     }
+    std::vector<serve::PublishedWindow> out;
+    core.tick(updates, out);
+    for (const serve::PublishedWindow& p : out) {
+      ASSERT_EQ(p.kind, serve::WindowKind::kRaw);
+      ASSERT_EQ(p.tick, tick);
+      const auto offline = base->impute(
+          shadow[static_cast<std::size_t>(p.session)].make_example());
+      ASSERT_EQ(offline.size(), 100u);
+      ASSERT_EQ(p.fine.size(), 50u);
+      for (std::size_t t = 0; t < 50; ++t) {
+        EXPECT_EQ(p.fine[t], offline[50 + t])
+            << "method " << GetParam() << ", session " << p.session
+            << ", tick " << tick << ", step " << t;
+      }
+      ++published;
+    }
+    clock.advance(0.05);
   }
+  // Every session publishes once per tick from its second interval on.
+  EXPECT_EQ(published, 5u * kSessions);
 }
 
 TEST_P(ImputerConformance, CheckpointRoundTripBitExact) {
@@ -298,14 +321,19 @@ TEST_P(ImputerConformance, CheckpointRoundTripBitExact) {
 }
 
 TEST_P(ImputerConformance, CemEnforcesC1UpperBound) {
+  // The C1 upper bound, and with it C2 and C3, after CEM correction.
   const auto corrected = cem_corrected(GetParam());
   const auto& test = split().test;
   ASSERT_GE(test.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     const auto imputed = corrected->impute(test[i]);
-    const auto v = nn::evaluate_constraints(normalised(imputed, test[i]),
-                                            test[i].constraints);
-    EXPECT_LE(v.max_violation, 1e-5)
+    const auto v = fmnet::testing::checked(normalised(imputed, test[i]),
+                                           test[i].constraints);
+    EXPECT_LE(v.c1.violation, 1e-5)
+        << "method " << GetParam() << ", test window " << i;
+    EXPECT_LE(v.c2.violation, 1e-5)
+        << "method " << GetParam() << ", test window " << i;
+    EXPECT_LE(v.c3.violation, 1e-5)
         << "method " << GetParam() << ", test window " << i;
   }
 }
@@ -324,10 +352,10 @@ TEST_P(ImputerConformance, FaultMaskExemptsC1DuringRepair) {
   ex.constraints.window_max[0] = 0.0f;
   const auto imputed = corrected->impute(ex);
   const auto v =
-      nn::evaluate_constraints(normalised(imputed, ex), ex.constraints);
-  EXPECT_LE(v.max_violation, 1e-5) << "method " << GetParam();
-  EXPECT_LE(v.periodic_violation, 1e-5) << "method " << GetParam();
-  EXPECT_LE(v.sent_violation, 1e-5) << "method " << GetParam();
+      fmnet::testing::checked(normalised(imputed, ex), ex.constraints);
+  EXPECT_LE(v.c1.violation, 1e-5) << "method " << GetParam();
+  EXPECT_LE(v.c2.violation, 1e-5) << "method " << GetParam();
+  EXPECT_LE(v.c3.violation, 1e-5) << "method " << GetParam();
 }
 
 // ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ TEST(InferenceMode, KalPenaltyRefusesInferenceScope) {
   // graph-free value node would silently return zero gradients.
   const tensor::Tensor pred =
       tensor::Tensor::from_vector({0.5f, 0.25f, 0.0f}, {1, 3});
-  nn::ExampleConstraints c;
+  constraints::ExampleConstraints c;
   c.window_max.assign(1, 1.0f);
   c.coarse_factor = 3;
   const tensor::InferenceGuard guard;

@@ -315,8 +315,8 @@ TEST(Losses, EmdBatchAveraged) {
   EXPECT_NEAR(emd_loss(a, b).item(), 0.5f, 1e-6);
 }
 
-ExampleConstraints tiny_constraints() {
-  ExampleConstraints c;
+constraints::ExampleConstraints tiny_constraints() {
+  constraints::ExampleConstraints c;
   c.coarse_factor = 4;
   c.window_max = {3.0f, 0.0f};
   c.port_sent = {4.0f, 0.0f};
@@ -364,7 +364,7 @@ TEST(Kal, PenaltyGradPushesTowardSatisfaction) {
   Tensor pred = Tensor::from_vector({1, 3, 2, 1, 1, 1, 1, 1}, {8}, true);
   // Moderate tanh sharpness so the soft non-emptiness indicator is not
   // saturated at these magnitudes and gradients can flow.
-  ExampleConstraints c = tiny_constraints();
+  constraints::ExampleConstraints c = tiny_constraints();
   c.ne_tanh_scale = 2.0f;
   auto terms = kal_penalty(pred, c, 0.0f, 1.0f, 1.0f);
   terms.penalty.backward();
@@ -385,14 +385,16 @@ TEST(Kal, StateUpdateRules) {
 }
 
 TEST(Kal, EvaluateConstraintsHardSemantics) {
-  ExampleConstraints c = tiny_constraints();
-  const std::vector<double> ok{1, 3, 2, 1, 0, 0, 0, 0};
-  EXPECT_TRUE(evaluate_constraints(ok, c).satisfied());
-  const std::vector<double> bad{1, 4, 2, 1, 0.5, 0, 0, 0};
-  const auto v = evaluate_constraints(bad, c);
-  EXPECT_NEAR(v.max_violation, 1.0 + 0.5, 1e-9);  // window0 4!=3, window1 .5!=0
-  EXPECT_NEAR(v.periodic_violation, 0.5, 1e-9);   // sample at t=4
-  EXPECT_NEAR(v.sent_violation, 1.0, 1e-9);       // 1 nonempty step, 0 budget
+  // The hard checker KAL's soft terms relax (constraints::Checker).
+  const constraints::ExampleConstraints c = tiny_constraints();
+  constraints::Checker ok;
+  ok.add({1, 3, 2, 1, 0, 0, 0, 0}, c);
+  EXPECT_TRUE(ok.satisfied());
+  constraints::Checker v;
+  v.add({1, 4, 2, 1, 0.5, 0, 0, 0}, c);
+  EXPECT_NEAR(v.c1.violation, 1.0 + 0.5, 1e-9);  // window0 4>3, window1 .5>0
+  EXPECT_NEAR(v.c2.violation, 0.5, 1e-9);        // sample at t=4
+  EXPECT_NEAR(v.c3.violation, 1.0, 1e-9);        // 1 nonempty step, 0 budget
   EXPECT_FALSE(v.satisfied());
 }
 

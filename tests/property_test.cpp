@@ -6,10 +6,15 @@
 #include <cmath>
 #include <cstdint>
 #include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "constraints/constraints.h"
 #include "impute/cem.h"
 #include "impute/fm_model.h"
 #include "nn/attention.h"
+#include "nn/kal.h"
 #include "nn/layers.h"
 #include "nn/losses.h"
 #include "smt/model.h"
@@ -210,7 +215,7 @@ INSTANTIATE_TEST_SUITE_P(Ports, PortsSweep, ::testing::Values(2, 4, 8, 16));
 TEST(CemProperty, ObjectiveMonotoneInSentBudget) {
   Rng rng(17);
   for (int trial = 0; trial < 10; ++trial) {
-    impute::CemConstraints c;
+    constraints::ExampleConstraints c;  // packet units: qlen_scale 1
     c.coarse_factor = 8;
     c.window_max = {5};
     std::vector<double> imputed(8);
@@ -218,8 +223,8 @@ TEST(CemProperty, ObjectiveMonotoneInSentBudget) {
     impute::ConstraintEnforcementModule cem;
     std::int64_t prev = -1;
     for (std::int64_t budget = 8; budget >= 0; --budget) {
-      c.port_sent = {budget};
-      const auto r = cem.correct(imputed, c);
+      c.port_sent = {static_cast<float>(budget)};
+      const auto r = cem.correct(imputed, c, 1.0);
       if (!r.feasible) continue;  // budget 0 with max>0 is infeasible
       if (prev >= 0) {
         EXPECT_GE(r.objective, prev)
@@ -234,7 +239,7 @@ TEST(CemProperty, ObjectiveInvariantToFeasiblePerturbationScale) {
   // Doubling every imputed value scales costs but never breaks
   // feasibility: the corrected output must still satisfy constraints.
   Rng rng(19);
-  impute::CemConstraints c;
+  constraints::ExampleConstraints c;  // packet units: qlen_scale 1
   c.coarse_factor = 10;
   c.window_max = {7};
   c.port_sent = {5};
@@ -246,16 +251,214 @@ TEST(CemProperty, ObjectiveInvariantToFeasiblePerturbationScale) {
   for (const double scale : {0.5, 1.0, 2.0, 4.0}) {
     std::vector<double> scaled(imputed);
     for (auto& v : scaled) v *= scale;
-    const auto r = cem.correct(scaled, c);
+    const auto r = cem.correct(scaled, c, 1.0);
     ASSERT_TRUE(r.feasible);
-    nn::ExampleConstraints nc;
-    nc.coarse_factor = 10;
-    nc.window_max = {7.0f};
-    nc.port_sent = {5.0f};
-    nc.sample_idx = {0};
-    nc.sample_val = {2.0f};
-    EXPECT_TRUE(nn::evaluate_constraints(r.corrected, nc).satisfied());
+    EXPECT_TRUE(fmnet::testing::checked(r.corrected, c).satisfied());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Constraint backends: KAL's penalty, the Table-1 checker and both CEM
+// engines read one record the same way. The oracle is written from the
+// C1–C3 definitions, not from the shared record code, so a bug there
+// cannot make every backend agree on a wrong answer. Packet series are
+// integers and qlen_scale is 1 or a power of two, so every record↔packet
+// conversion is exact and "satisfied" means exactly zero violation.
+// ---------------------------------------------------------------------------
+
+/// One random window in packets, with the constraint data it is checked
+/// against.
+struct RandomWindow {
+  std::int64_t factor = 0;
+  double qlen_scale = 1.0;
+  std::vector<std::int64_t> q;      // the series
+  std::vector<std::int64_t> m_max;  // C1 per interval
+  std::vector<std::uint8_t> lanz;   // empty = every LANZ report arrived
+  std::vector<std::int64_t> m_out;  // C3 per interval, steps
+  std::vector<std::pair<std::int64_t, std::int64_t>> samples;  // C2
+
+  std::size_t intervals() const { return m_max.size(); }
+
+  constraints::ExampleConstraints record() const {
+    constraints::ExampleConstraints c;
+    c.coarse_factor = factor;
+    c.ne_tanh_scale = static_cast<float>(qlen_scale);
+    c.window_max_valid = lanz;
+    for (std::size_t i = 0; i < intervals(); ++i) {
+      c.window_max.push_back(
+          static_cast<float>(static_cast<double>(m_max[i]) / qlen_scale));
+      c.port_sent.push_back(static_cast<float>(m_out[i]));
+    }
+    for (const auto& [t, v] : samples) {
+      c.sample_idx.push_back(t);
+      c.sample_val.push_back(
+          static_cast<float>(static_cast<double>(v) / qlen_scale));
+    }
+    return c;
+  }
+};
+
+struct OracleVerdict {
+  bool c1 = true;
+  bool c2 = true;
+  bool c3 = true;
+  bool all() const { return c1 && c2 && c3; }
+};
+
+/// C1–C3 of `series` (packets) straight from the definitions: C1 bounds
+/// every step of an interval whose LANZ report arrived, C2 pins every
+/// sampled step, C3 caps each interval's non-empty steps.
+OracleVerdict oracle(const RandomWindow& w,
+                     const std::vector<std::int64_t>& series) {
+  OracleVerdict v;
+  const auto f = static_cast<std::size_t>(w.factor);
+  for (std::size_t i = 0; i < w.intervals(); ++i) {
+    const bool report_arrived = w.lanz.empty() || w.lanz[i] == 1;
+    std::int64_t nonempty = 0;
+    for (std::size_t t = i * f; t < (i + 1) * f; ++t) {
+      if (report_arrived && series[t] > w.m_max[i]) v.c1 = false;
+      if (series[t] > 0) ++nonempty;
+    }
+    if (nonempty > w.m_out[i]) v.c3 = false;
+  }
+  for (const auto& [t, value] : w.samples) {
+    if (series[static_cast<std::size_t>(t)] != value) v.c2 = false;
+  }
+  return v;
+}
+
+/// A window whose data is derived from its own series (so it holds), then
+/// with `perturb` one bound, sample or budget nudged (so it may not).
+/// Lost LANZ reports carry a stale maximum below the interval's peak.
+RandomWindow random_window(Rng& rng, bool perturb) {
+  RandomWindow w;
+  const std::int64_t intervals = rng.uniform_int(1, 4);
+  w.factor = rng.uniform_int(5, 20);
+  w.qlen_scale = rng.bernoulli(0.5) ? 1.0 : 64.0;
+  for (std::int64_t t = 0; t < intervals * w.factor; ++t) {
+    w.q.push_back(rng.bernoulli(0.4) ? 0 : rng.uniform_int(1, 12));
+  }
+  const bool masked = rng.bernoulli(0.6);
+  std::vector<std::int64_t> peak;
+  for (std::int64_t i = 0; i < intervals; ++i) {
+    std::int64_t top = 0;
+    std::int64_t nonempty = 0;
+    for (std::int64_t t = i * w.factor; t < (i + 1) * w.factor; ++t) {
+      top = std::max(top, w.q[static_cast<std::size_t>(t)]);
+      if (w.q[static_cast<std::size_t>(t)] > 0) ++nonempty;
+    }
+    peak.push_back(top);
+    w.m_max.push_back(top + rng.uniform_int(0, 2));
+    w.m_out.push_back(
+        std::min(w.factor, nonempty + rng.uniform_int(0, 2)));
+    if (masked) {
+      const bool lost = rng.bernoulli(0.4);
+      w.lanz.push_back(lost ? 0 : 1);
+      if (lost) {
+        w.m_max.back() = rng.uniform_int(0, std::max<std::int64_t>(0, top - 1));
+      }
+    }
+  }
+  for (std::int64_t t = 0; t < intervals * w.factor; ++t) {
+    if (rng.bernoulli(0.15)) {
+      w.samples.emplace_back(t, w.q[static_cast<std::size_t>(t)]);
+    }
+  }
+  if (perturb) {
+    const auto i = static_cast<std::size_t>(rng.uniform_int(0, intervals - 1));
+    switch (rng.uniform_int(0, 2)) {
+      case 0:
+        w.m_max[i] = std::max<std::int64_t>(0, peak[i] - rng.uniform_int(1, 3));
+        break;
+      case 1:
+        if (w.samples.empty()) {
+          w.samples.emplace_back(0, w.q[0]);
+        }
+        w.samples[static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(w.samples.size()) - 1))]
+            .second += rng.uniform_int(1, 3);
+        break;
+      default:
+        w.m_out[i] = std::max<std::int64_t>(0, w.m_out[i] - rng.uniform_int(1, 3));
+        break;
+    }
+  }
+  return w;
+}
+
+TEST(ConstraintBackends, AgreeOnRandomRecords) {
+  const impute::ConstraintEnforcementModule fast(
+      impute::CemConfig{.engine = impute::CemEngine::kFastRepair});
+  const impute::ConstraintEnforcementModule smt_engine(
+      impute::CemConfig{.engine = impute::CemEngine::kSmtBranchAndBound});
+  Rng rng(2024);
+  int satisfied = 0;
+  int violated = 0;
+  int exempted = 0;  // satisfied only because a lost report does not bind
+  for (int trial = 0; trial < 120; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const RandomWindow w = random_window(rng, trial % 2 == 1);
+    const constraints::ExampleConstraints c = w.record();
+    const OracleVerdict truth = oracle(w, w.q);
+    ++(truth.all() ? satisfied : violated);
+    if (truth.all() && !w.lanz.empty()) {
+      RandomWindow unmasked = w;
+      unmasked.lanz.clear();
+      if (!oracle(unmasked, w.q).c1) ++exempted;
+    }
+
+    std::vector<double> packets;
+    std::vector<double> normalised;
+    std::vector<float> normalised_f;
+    for (const std::int64_t v : w.q) {
+      packets.push_back(static_cast<double>(v));
+      normalised.push_back(static_cast<double>(v) / w.qlen_scale);
+      normalised_f.push_back(static_cast<float>(normalised.back()));
+    }
+
+    // The checker reads zero exactly where the oracle holds.
+    constraints::Checker checker;
+    checker.add(normalised, c);
+    EXPECT_EQ(truth.c1, checker.c1.violation == 0.0);
+    EXPECT_EQ(truth.c2, checker.c2.violation == 0.0);
+    EXPECT_EQ(truth.c3, checker.c3.violation == 0.0);
+    EXPECT_EQ(truth.all(), checker.satisfied(0.0));
+
+    // Both CEM engines leave a satisfying series untouched, and only one.
+    for (const auto* cem : {&fast, &smt_engine}) {
+      const impute::CemResult r = cem->correct(packets, c, w.qlen_scale);
+      EXPECT_EQ(truth.all(), r.feasible && r.corrected == packets)
+          << (cem == &fast ? "fast" : "smt");
+    }
+
+    // KAL: Φ vanishes exactly when C1 and C2 hold; C3 holding forces
+    // Ψ = 0 (the tanh count is a lower bound, so not the converse).
+    const tensor::Tensor pred = tensor::Tensor::from_vector(
+        normalised_f, {static_cast<std::int64_t>(normalised_f.size())}, true);
+    const nn::KalTerms terms = nn::kal_penalty(pred, c, 0.0f, 0.0f, 1.0f);
+    EXPECT_EQ(truth.c1 && truth.c2, terms.phi == 0.0f) << terms.phi;
+    if (truth.c3) {
+      EXPECT_EQ(terms.psi, 0.0f);
+    }
+
+    // Repairing a real-valued input yields, when feasible, a series the
+    // oracle accepts.
+    std::vector<double> imputed;
+    for (std::size_t t = 0; t < w.q.size(); ++t) {
+      imputed.push_back(rng.uniform(-2.0, 15.0));
+    }
+    for (const auto* cem : {&fast, &smt_engine}) {
+      const impute::CemResult r = cem->correct(imputed, c, w.qlen_scale);
+      if (!r.feasible) continue;
+      std::vector<std::int64_t> repaired;
+      for (const double v : r.corrected) repaired.push_back(std::llround(v));
+      EXPECT_TRUE(oracle(w, repaired).all())
+          << (cem == &fast ? "fast" : "smt");
+    }
+  }
+  EXPECT_GT(satisfied, 0);
+  EXPECT_GT(violated, 0);
+  EXPECT_GT(exempted, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-// Tests for burst detection and the Table-1 metric definitions.
+// Tests for burst detection and the Table-1 metric definitions (rows a–c
+// and j through constraints::Checker).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "constraints/constraints.h"
 #include "tasks/bursts.h"
 #include "tasks/delay.h"
 #include "tasks/metrics.h"
@@ -51,49 +53,52 @@ TEST(BurstDetect, OverlapPredicate) {
   EXPECT_FALSE(a.overlaps(c));  // [2,5) and [5,8) touch but don't overlap
 }
 
+using constraints::Checker;
+using constraints::ExampleConstraints;
+
 TEST(Consistency, ZeroForSatisfiedSeries) {
-  nn::ExampleConstraints c;
+  ExampleConstraints c;
   c.coarse_factor = 4;
   c.window_max = {3.0f};
   c.port_sent = {4.0f};
   c.sample_idx = {0};
   c.sample_val = {1.0f};
-  ConsistencyAccumulator acc;
+  Checker acc;
   acc.add({1, 3, 2, 0}, c);
-  EXPECT_DOUBLE_EQ(acc.max_error(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.periodic_error(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.sent_error(), 0.0);
+  EXPECT_DOUBLE_EQ(acc.c1.error(), 0.0);
+  EXPECT_DOUBLE_EQ(acc.c2.error(), 0.0);
+  EXPECT_DOUBLE_EQ(acc.c3.error(), 0.0);
 }
 
 TEST(Consistency, NormalisedViolations) {
-  nn::ExampleConstraints c;
+  ExampleConstraints c;
   c.coarse_factor = 4;
   c.window_max = {4.0f};
   c.port_sent = {2.0f};
   c.sample_idx = {0};
   c.sample_val = {2.0f};
-  ConsistencyAccumulator acc;
+  Checker acc;
   // max is 5 (relu(5-4)=1 over norm 4 = 0.25); sample err 1 over norm
   // max(sample 2, interval max 4) = 4; NE = 4 > 2 (violation 2 over 2).
   acc.add({1, 5, 1, 1}, c);
-  EXPECT_NEAR(acc.max_error(), 0.25, 1e-9);
-  EXPECT_NEAR(acc.periodic_error(), 0.25, 1e-9);
-  EXPECT_NEAR(acc.sent_error(), 1.0, 1e-9);
+  EXPECT_NEAR(acc.c1.error(), 0.25, 1e-9);
+  EXPECT_NEAR(acc.c2.error(), 0.25, 1e-9);
+  EXPECT_NEAR(acc.c3.error(), 1.0, 1e-9);
   // C1 is an upper bound: staying below the LANZ max is not a violation.
-  ConsistencyAccumulator under;
+  Checker under;
   under.add({1, 2, 1, 1}, c);
-  EXPECT_NEAR(under.max_error(), 0.0, 1e-9);
+  EXPECT_NEAR(under.c1.error(), 0.0, 1e-9);
 }
 
 TEST(Consistency, AccumulatesAcrossWindows) {
-  nn::ExampleConstraints c;
+  ExampleConstraints c;
   c.coarse_factor = 2;
   c.window_max = {2.0f, 4.0f};
   c.port_sent = {2.0f, 2.0f};
-  ConsistencyAccumulator acc;
+  Checker acc;
   // relu(3-2) + relu(6-4) = 3 over norm 2 + 4 = 6.
   acc.add({3, 0, 6, 0}, c);
-  EXPECT_NEAR(acc.max_error(), 3.0 / 6.0, 1e-9);
+  EXPECT_NEAR(acc.c1.error(), 3.0 / 6.0, 1e-9);
 }
 
 TEST(C4Bound, FormulaAndBufferCollapse) {
@@ -119,31 +124,40 @@ TEST(C4Bound, FormulaAndBufferCollapse) {
 }
 
 TEST(C4Bound, AccumulatorNormalisedViolations) {
-  nn::ExampleConstraints c;
+  ExampleConstraints c;
   c.coarse_factor = 4;
-  BacklogBoundAccumulator acc;
+  c.window_max = {9.0f, 9.0f};
+  c.port_sent = {4.0f, 4.0f};
+  Checker acc;
   // Interval maxima 3 and 7 against a bound of 5: relu(3−5) + relu(7−5)
   // = 2 over norm 5 + 5 = 10.
   acc.add({1, 3, 2, 0, 7, 1, 0, 0}, c, 5.0);
-  EXPECT_NEAR(acc.error(), 2.0 / 10.0, 1e-9);
+  EXPECT_NEAR(acc.c4.error(), 2.0 / 10.0, 1e-9);
   // Staying below the bound is not a violation (it is an upper bound).
-  BacklogBoundAccumulator under;
+  c.window_max = {9.0f};
+  c.port_sent = {4.0f};
+  Checker under;
   under.add({1, 3, 2, 0}, c, 5.0);
-  EXPECT_DOUBLE_EQ(under.error(), 0.0);
+  EXPECT_DOUBLE_EQ(under.c4.error(), 0.0);
+  // Without a bound, C4 is not checked at all.
+  Checker unbounded;
+  unbounded.add({1, 3, 2, 0}, c);
+  EXPECT_DOUBLE_EQ(unbounded.c4.norm, 0.0);
 }
 
 TEST(C4Bound, FaultMaskedIntervalsAreExempt) {
   // The second interval's LANZ report was lost (window_max_valid == 0):
   // its imputed peak of 7 contributes neither violation nor norm, exactly
   // like C1's exemption during CEM repair.
-  nn::ExampleConstraints c;
+  ExampleConstraints c;
   c.coarse_factor = 4;
   c.window_max = {3.0f, 0.0f};
   c.window_max_valid = {1, 0};
-  BacklogBoundAccumulator acc;
+  c.port_sent = {4.0f, 4.0f};
+  Checker acc;
   acc.add({1, 3, 2, 0, 7, 1, 0, 0}, c, 5.0);
-  EXPECT_DOUBLE_EQ(acc.violation, 0.0);
-  EXPECT_DOUBLE_EQ(acc.norm, 5.0);
+  EXPECT_DOUBLE_EQ(acc.c4.violation, 0.0);
+  EXPECT_DOUBLE_EQ(acc.c4.norm, 5.0);
 }
 
 TEST(BurstMetricsTest, PerfectImputationZeroErrors) {

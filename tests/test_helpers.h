@@ -2,6 +2,9 @@
 // switch campaign and return its ground truth.
 #pragma once
 
+#include <vector>
+
+#include "constraints/constraints.h"
 #include "switchsim/recorder.h"
 #include "switchsim/switch.h"
 #include "traffic/sources.h"
@@ -38,6 +41,14 @@ inline CampaignResult run_small_campaign(std::uint64_t seed,
     rec.on_slot();
   }
   return {cfg, rec.finish()};
+}
+
+/// The C1–C3 checker run over one window.
+inline constraints::Checker checked(const std::vector<double>& series,
+                                    const constraints::ExampleConstraints& c) {
+  constraints::Checker checker;
+  checker.add(series, c);
+  return checker;
 }
 
 }  // namespace fmnet::testing
