@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <string>
 
 #include "core/pipeline.h"
@@ -17,6 +18,7 @@
 #include "switchsim/switch.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
+#include "tensor/tensor.h"
 #include "traffic/sources.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -84,6 +86,38 @@ void BM_TransformerForwardBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TransformerForwardBackward)->Arg(100)->Arg(300);
+
+// The attention block's inference forward at the two model shapes: Arg
+// 100 is a serving shard (B = 16 windows of T = 100, one head of width 8),
+// Arg 300 a Table-1 window (B = 1, T = 300, two heads of width 8). Windows
+// per second on the calling thread.
+void BM_AttentionForward(benchmark::State& state) {
+  const std::int64_t t = state.range(0);
+  const std::int64_t batch = t == 100 ? 16 : 1;
+  const std::int64_t heads = t == 100 ? 1 : 2;
+  Rng rng(3);
+  const auto q = tensor::Tensor::randn({batch, t, heads * 8}, rng);
+  const auto k = tensor::Tensor::randn({batch, t, heads * 8}, rng);
+  const auto v = tensor::Tensor::randn({batch, t, heads * 8}, rng);
+  const float scale = 1.0f / std::sqrt(8.0f);
+  tensor::InferenceGuard guard;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        tensor::attention(q, k, v, heads, scale).data().data());
+  }
+  const double elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  state.SetItemsProcessed(state.iterations() * batch);
+  if (elapsed_s > 0.0) {
+    obs::Registry::global()
+        .gauge("bench.attention.t" + std::to_string(t) + ".win_per_s")
+        .set_max(static_cast<double>(state.iterations() * batch) /
+                 elapsed_s);
+  }
+}
+BENCHMARK(BM_AttentionForward)->Arg(100)->Arg(300);
 
 void BM_SwitchStepThroughput(benchmark::State& state) {
   switchsim::SwitchConfig cfg;

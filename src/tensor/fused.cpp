@@ -338,25 +338,26 @@ Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
   FMNET_CHECK_EQ(v.dim(2), dm);
   const std::int64_t hd = dm / heads;
   // Head h of entry e is the column block [h*hd, (h+1)*hd) of each
-  // [t, dm] slab: the GEMMs address it in place through row strides of dm,
-  // so the heads are never split out into (or merged back from) a
-  // [B*H, T, hd] copy.
+  // [t, dm] slab: the forward kernel and the backward GEMMs address it in
+  // place through row strides of dm, so the heads are never split out into
+  // (or merged back from) a [B*H, T, hd] copy. Backward's GEMM strides:
   const kernels::RowStrides scores_ld{dm, dm, s};  // [t,hd] x [s,hd]^T
   const kernels::RowStrides probs_ld{s, dm, dm};    // [t,s] x [s,hd]
 
   // The whole block is one node, so the [T, S] score matrix never becomes
   // graph state: no score/attn gradient buffers to zero-fill and accumulate
-  // into (at T=300 those were the two largest allocations per step). The
-  // softmax rows are computed in place on the score buffer and kept for
-  // backward, which needs them for both dV and the softmax Jacobian.
-  // Backward is also the ONLY consumer of the whole-batch slab: inference
-  // reuses a single [T, S] scratch across (entry, head) pairs instead — at
-  // B=16 the batch*H*T*S slab (1 MB at the bench sizes) evicts the
-  // L2-resident Q/K/V streams. Buffer addresses never enter the
-  // arithmetic, so batched results stay bit-identical either way.
-  const bool infer = inference_mode();
-  auto attn = std::make_shared<PooledBuf>(pool::acquire(
-      static_cast<std::size_t>((infer ? 1 : batch * heads) * t * s)));
+  // into (at T=300 those were the two largest allocations per step).
+  // kernels::attention_rows runs each (entry, head) forward in place on
+  // the head's columns. Training keeps every pair's softmax rows in one
+  // whole-batch slab for backward, which needs them for both dV and the
+  // softmax Jacobian; inference keeps none (at B=16 that slab, 1 MB at the
+  // bench sizes, evicted the L2-resident Q/K/V streams). Buffer addresses
+  // never enter the arithmetic, so both modes compute the same bits.
+  PooledPtr attn;
+  if (!inference_mode()) {
+    attn = std::make_shared<PooledBuf>(
+        pool::acquire(static_cast<std::size_t>(batch * heads * t * s)));
+  }
   std::vector<float> out =
       pool::acquire(static_cast<std::size_t>(batch * t * dm));
   const float* qp = q.data().data();
@@ -364,17 +365,11 @@ Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
   const float* vp = v.data().data();
   for (std::int64_t e = 0; e < batch; ++e) {
     for (std::int64_t h = 0; h < heads; ++h) {
-      float* ae = attn->v.data() + (infer ? 0 : (e * heads + h) * t * s);
-      kernels::gemm_bt(qp + e * t * dm + h * hd, kp + e * s * dm + h * hd,
-                       ae, t, hd, s, /*pool=*/nullptr, /*accumulate=*/false,
-                       scores_ld);
-      // softmax(scale * x) == exp(scale * (x - max)) / sum: the score scale
-      // folds into the exp argument inside the ISA-dispatched row kernel
-      // instead of a separate scaling pass.
-      kernels::softmax_rows(ae, t, s, scale);
-      kernels::gemm(ae, vp + e * s * dm + h * hd, out.data() + e * t * dm +
-                    h * hd, t, s, hd, /*pool=*/nullptr, /*accumulate=*/false,
-                    probs_ld);
+      kernels::attention_rows(
+          qp + e * t * dm + h * hd, kp + e * s * dm + h * hd,
+          vp + e * s * dm + h * hd, out.data() + e * t * dm + h * hd, t, s,
+          hd, dm, scale,
+          attn ? attn->v.data() + (e * heads + h) * t * s : nullptr);
     }
   }
 

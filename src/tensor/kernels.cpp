@@ -22,6 +22,31 @@ namespace fmnet::tensor::kernels {
 
 namespace {
 
+// attention_rows as gemm_bt -> softmax_rows -> gemm, through the
+// ISA-dispatched entry points: the variant every ISA without a dedicated
+// attention body runs, and the fallback of the AVX-512 body for shapes it
+// does not take.
+void attention_composed(const float* q, const float* k, const float* v,
+                        float* out, std::int64_t t, std::int64_t s,
+                        std::int64_t hd, std::int64_t ld, float scale,
+                        float* probs) {
+  // Inference keeps no softmax rows: a [t, s] scratch holds them between
+  // the two products.
+  std::vector<float> scratch;
+  if (probs == nullptr) {
+    scratch = pool::acquire(static_cast<std::size_t>(t * s));
+    probs = scratch.data();
+  }
+  gemm_bt(q, k, probs, t, hd, s, /*pool=*/nullptr, /*accumulate=*/false,
+          {ld, ld, s});
+  // softmax(scale * x) == exp(scale * (x - max)) / sum: the score scale
+  // folds into the exp argument instead of a separate scaling pass.
+  softmax_rows(probs, t, s, scale);
+  gemm(probs, v, out, t, s, hd, /*pool=*/nullptr, /*accumulate=*/false,
+       {s, ld, ld});
+  pool::release(std::move(scratch));
+}
+
 // ---- panel kernel, compiled per ISA ---------------------------------------
 
 // The body lives in kernels_panel.inc and is textually included once per
@@ -109,6 +134,9 @@ using QuantLinearFn = void (*)(const float*, std::int64_t, std::int64_t,
                                float*, int);
 using SoftmaxFn = void (*)(float*, std::int64_t, std::int64_t, float);
 using GeluFn = void (*)(float*, std::int64_t, std::int64_t);
+using AttentionFn = void (*)(const float*, const float*, const float*,
+                             float*, std::int64_t, std::int64_t,
+                             std::int64_t, std::int64_t, float, float*);
 
 PanelFn fn_for(Isa isa) {
   switch (isa) {
@@ -175,11 +203,11 @@ SoftmaxFn softmax_fn_for(Isa isa) {
 #endif
 #ifdef FMNET_GEMM_AVX512_CLONE
     case Isa::kAvx512:
-      return avx512::softmax_rows_avx512;
+      return avx512::softmax_rows_impl;
 #endif
 #ifdef FMNET_GEMM_AVX512VNNI_CLONE
     case Isa::kAvx512Vnni:
-      return avx512vnni::softmax_rows_avx512;
+      return avx512vnni::softmax_rows_impl;
 #endif
     default:
       return baseline::softmax_rows_impl;
@@ -202,6 +230,21 @@ GeluFn gelu_fn_for(Isa isa) {
 #endif
     default:
       return baseline::gelu_rows_impl;
+  }
+}
+
+AttentionFn attention_fn_for(Isa isa) {
+  switch (isa) {
+#ifdef FMNET_GEMM_AVX512_CLONE
+    case Isa::kAvx512:
+      return avx512::attention_rows_avx512;
+#endif
+#ifdef FMNET_GEMM_AVX512VNNI_CLONE
+    case Isa::kAvx512Vnni:
+      return avx512vnni::attention_rows_avx512;
+#endif
+    default:
+      return attention_composed;
   }
 }
 
@@ -515,6 +558,15 @@ void gemm_bt(const float* a, const float* bt, float* c, std::int64_t m,
                 return static_cast<const float*>(packed.data());
               });
   pool::release(std::move(packed));
+}
+
+void attention_rows(const float* q, const float* k, const float* v,
+                    float* out, std::int64_t t, std::int64_t s,
+                    std::int64_t hd, std::int64_t ld, float scale,
+                    float* probs) {
+  if (t == 0) return;
+  attention_fn_for(active_isa_slow())(q, k, v, out, t, s, hd, ld, scale,
+                                      probs);
 }
 
 void reference_gemm(const float* a, const float* b, float* c, std::int64_t m,

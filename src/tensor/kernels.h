@@ -154,6 +154,31 @@ void softmax_rows(float* v, std::int64_t rows, std::int64_t len,
 /// In-place tanh-approximation GELU over `rows` contiguous rows of `len`.
 void gelu_rows(float* v, std::int64_t rows, std::int64_t len);
 
+/// Scaled-dot-product attention of one batch entry and one head:
+///   out[t, hd] = softmax(scale * q[t, hd] @ k[s, hd]^T) @ v[s, hd]
+/// with q, k, v and out one head's columns of wider buffers whose rows are
+/// `ld` floats apart, read and written in place. `probs`, when not null,
+/// receives the softmax rows as a dense row-major [t, s] block (training
+/// keeps them for the backward pass); inference passes null.
+///
+/// Bit contract. The portable and AVX2 variants run the composition
+/// gemm_bt (scores, overwrite) -> softmax_rows (scale folded into the exp)
+/// -> gemm (P @ V, overwrite) under the active ISA, and so do the AVX-512
+/// variants for hd != 8 or s % kKU != 0. For hd == 8 and s % kKU == 0 the
+/// AVX-512 variants run a key-major body that puts one query row in each
+/// vector lane and spells out, with intrinsics, the fused and unfused
+/// operations GCC compiles that composition to at -O3 (kernels_avx512.inc).
+/// In every build the body's output (and probs) equals that spelled
+/// sequence; it equals the composition itself in GCC -O3 Release builds
+/// (checked with GCC 12.2), not in Debug or -O1 sanitizer builds, which
+/// contract the composition differently. Each row is a pure function of
+/// its own query and the head's keys and values, so results do not
+/// depend on t.
+void attention_rows(const float* q, const float* k, const float* v,
+                    float* out, std::int64_t t, std::int64_t s,
+                    std::int64_t hd, std::int64_t ld, float scale,
+                    float* probs);
+
 // Backward elementwise kernels (kernels_backward.cpp), ISA-dispatched
 // like the rest. Their translation unit is compiled without FMA
 // contraction, so every variant returns exactly the bits of the plain

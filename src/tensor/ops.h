@@ -87,13 +87,17 @@ Tensor scaled_matmul_bt(const Tensor& a, const Tensor& b, float scale = 1.0f);
 /// dimension, dh = d / heads:
 ///   out[.., h] = softmax(scale * q[.., h] @ k[.., h]^T, last axis) @ v[.., h]
 /// q: [b,t,d], k: [b,s,d], v: [b,s,d] -> [b,t,d]; d % heads == 0 and scale
-/// must be positive. Equivalent to splitting the heads into a [b*heads,
-/// t, dh] batch, computing matmul(softmax(scaled_matmul_bt(q, k, scale),
-/// 2), v) and merging the heads back — bit for bit — but the heads are
-/// addressed in place by GEMM row strides, so no split or merge copy
-/// exists, and the [t,s] score matrix stays internal scratch: it never
-/// becomes graph state, so no score-sized gradient buffers are zeroed or
-/// accumulated.
+/// must be positive. Per head it computes
+/// matmul(softmax(scaled_matmul_bt(q, k, scale), 2), v) up to rounding.
+/// It equals splitting the heads into a [b*heads, t, dh] batch, running
+/// this op with heads = 1 and merging the heads back, bit for bit, but
+/// each head is read and written in place through the row stride d
+/// (kernels::attention_rows), so no split or merge copy exists. The [t,s]
+/// score matrix never becomes graph state, so no score-sized gradient
+/// buffers are zeroed or accumulated: training keeps the softmax rows for
+/// the backward, and inference keeps none (the AVX-512 forward holds
+/// scores in a key-major tile of 16 query rows; other ISAs and shapes use
+/// a [t,s] scratch).
 Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
                  std::int64_t heads, float scale);
 

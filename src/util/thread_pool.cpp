@@ -66,10 +66,16 @@ struct ThreadPool::ForState {
         next.store(end);  // abandon unclaimed indices
       }
     }
-    LaneCounters& lc = lanes[lane];
-    lc.tasks.fetch_add(executed, std::memory_order_relaxed);
-    lc.regions.fetch_add(1, std::memory_order_relaxed);
-    lc.busy_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
+    // A helper that claims no index took no part in the region, and may
+    // run after the caller has returned (its task was still queued when
+    // the other lanes drained the range), so it records nothing. Lane 0,
+    // the caller, counts every region.
+    if (lane == 0 || executed > 0) {
+      LaneCounters& lc = lanes[lane];
+      lc.tasks.fetch_add(executed, std::memory_order_relaxed);
+      lc.regions.fetch_add(1, std::memory_order_relaxed);
+      lc.busy_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
+    }
     if (in_flight.fetch_sub(1) == 1) {
       std::lock_guard<std::mutex> lock(done_mu);  // pairs with waiter
       done_cv.notify_all();

@@ -36,7 +36,8 @@ namespace fmnet::util {
 struct LaneStatsSnapshot {
   /// parallel_for indices executed while holding this lane id.
   std::int64_t tasks = 0;
-  /// Parallel regions this lane participated in.
+  /// Parallel regions this lane participated in: every region for lane 0
+  /// (the caller), the regions it executed an index of for a helper lane.
   std::int64_t regions = 0;
   /// Seconds spent inside region bodies on this lane.
   double busy_s = 0.0;

@@ -3,14 +3,19 @@
 // row-position bit-identity, strided operands, the backward kernels
 // against the scalar loops they replaced, fused ops (linear_act,
 // layer_norm, softmax, scaled_matmul_bt, head-strided attention) against
-// their primitive compositions and central-difference gradients, and
-// buffer-pool recycling behaviour.
+// their primitive compositions and central-difference gradients, the
+// attention kernel against the composition it replaced, and buffer-pool
+// recycling behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -865,12 +870,208 @@ TEST_P(HeadStridedAttention, MatchesSplitPerHeadMerge) {
 }
 
 // T not a multiple of 16 (or of the four-row pass); a cross-attention
-// shape; the model's head width 8 and a panel-path width 20. PrintTo names
-// each case (h2_t19_s19_dh8), so its ctest name is stable.
+// shape; the model's head width 8 and a panel-path width 20. Those four
+// have S % 4 != 0, so they run the composed forward on every ISA; the
+// last two (a T and S tail mod 16, and the serving model's shape) reach
+// the AVX-512 key-major body. PrintTo names each case (h2_t19_s19_dh8), so
+// its ctest name is stable.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, HeadStridedAttention,
     ::testing::Values(AttnCase{1, 19, 19, 8}, AttnCase{2, 19, 19, 8},
-                      AttnCase{2, 37, 21, 8}, AttnCase{2, 19, 23, 20}));
+                      AttnCase{2, 37, 21, 8}, AttnCase{2, 19, 23, 20},
+                      AttnCase{2, 37, 36, 8}, AttnCase{1, 100, 100, 8}));
+
+// ---- attention kernel vs the composition it replaced ------------------------
+
+// kernels::attention_rows against the gemm_bt -> softmax_rows -> gemm
+// composition its bit contract names (kernels.h), on every ISA: the
+// output in inference (probs null) and the output plus row-major P in
+// training. Where the AVX-512 key-major body runs (head width 8,
+// S % 4 == 0), its bits are the ones GCC's -O3 build of the composition
+// computes, which Debug and -O1 sanitizer builds contract differently.
+// So every build holds that body to spelled_attention, which writes the
+// same fused and unfused operations out one element at a time, and the
+// GCC Release build (FMNET_RELEASE_CONTRACTION, tests/CMakeLists.txt) also
+// holds it to the composition itself. That comparison pins GCC 12.2's -O3
+// contraction of the composition: another GCC that contracts it
+// differently fails it on AVX-512 hosts, and its production AVX-512 bits
+// would then differ from the composition's. Other ISAs run the
+// composition, and are held to it in every build.
+
+// detail::fast_expf with the fusions the -O3 vectorised softmax makes.
+float spelled_expf(float x) {
+  x = x < -87.0f ? -87.0f : (x > 88.0f ? 88.0f : x);
+  const float n =
+      std::fma(x, 1.44269504088896341f, 12582912.0f) - 12582912.0f;
+  float r = std::fma(-n, 0.693359375f, x);
+  r = std::fma(n, 2.12194440e-4f, r);
+  float p = std::fma(r, 1.9875691500e-4f, 1.3981999507e-3f);
+  p = std::fma(p, r, 8.3334519073e-3f);
+  p = std::fma(p, r, 4.1665795894e-2f);
+  p = std::fma(p, r, 1.6666665459e-1f);
+  p = std::fma(p, r, 5.0000001201e-1f);
+  const float pr = p * r;
+  p = std::fma(pr, r, r) + 1.0f;
+  return std::bit_cast<float>(std::bit_cast<std::int32_t>(p) +
+                              (static_cast<std::int32_t>(n) << 23));
+}
+
+// One head (width 8) of attention_rows for t query rows, one row at a
+// time: scores as the panel kernel contracts its k = 8 pass, softmax with
+// sixteen partial sums, P @ V grouped as the n = 8 skinny kernel groups it.
+// No product here feeds a plain add, so nothing is left to contract.
+void spelled_attention(const float* q, const float* k, const float* v,
+                       float* out, float* probs, std::int64_t t,
+                       std::int64_t s, std::int64_t ld, float scale) {
+  std::vector<float> e(static_cast<std::size_t>(s));
+  for (std::int64_t i = 0; i < t; ++i) {
+    const float* qi = q + i * ld;
+    float mx = -std::numeric_limits<float>::infinity();
+    for (std::int64_t j = 0; j < s; ++j) {
+      const float* kj = k + j * ld;
+      float lo = qi[1] * kj[1];
+      lo = std::fma(qi[0], kj[0], lo);
+      lo = std::fma(qi[2], kj[2], lo);
+      lo = std::fma(qi[3], kj[3], lo);
+      float hi = qi[5] * kj[5];
+      hi = std::fma(qi[4], kj[4], hi);
+      hi = std::fma(qi[6], kj[6], hi);
+      hi = std::fma(qi[7], kj[7], hi);
+      e[j] = lo + hi;
+      mx = std::max(mx, e[j]);
+    }
+    float psum[16] = {};
+    for (std::int64_t j = 0; j < s; ++j) {
+      e[j] = spelled_expf(scale * (e[j] - mx));
+      psum[j % 16] += e[j];
+    }
+    float denom = 0.0f;
+    for (const float ps : psum) denom += ps;
+    const float inv = 1.0f / denom;
+    for (std::int64_t j = 0; j < s; ++j) {
+      e[j] *= inv;
+      probs[i * s + j] = e[j];
+    }
+    float acc[4][8] = {};
+    const auto quad = [&](std::int64_t p, float(&a)[8]) {
+      for (std::int64_t c = 0; c < 8; ++c) {
+        float sum = e[p + 1] * v[(p + 1) * ld + c];
+        sum = std::fma(e[p], v[p * ld + c], sum);
+        sum = std::fma(e[p + 2], v[(p + 2) * ld + c], sum);
+        sum = std::fma(e[p + 3], v[(p + 3) * ld + c], sum);
+        a[c] += sum;
+      }
+    };
+    std::int64_t p = 0;
+    for (; p + 16 <= s; p += 16) {
+      for (std::int64_t g = 0; g < 4; ++g) quad(p + 4 * g, acc[g]);
+    }
+    for (; p < s; p += 4) quad(p, acc[0]);
+    for (std::int64_t c = 0; c < 8; ++c) {
+      out[i * ld + c] = (acc[0][c] + acc[1][c]) + (acc[2][c] + acc[3][c]);
+    }
+  }
+}
+
+struct AttnOutputs {
+  std::vector<float> out;    // [t, heads * 8]
+  std::vector<float> probs;  // [heads, t, s]
+};
+
+// Runs every head of [t, heads * 8] q and [s, heads * 8] k, v through
+// `head` (one head's q, k, v, out, probs) into fresh garbage-filled
+// buffers.
+template <class HeadFn>
+AttnOutputs run_heads(const std::vector<float>& q, const std::vector<float>& k,
+                      const std::vector<float>& v, std::int64_t heads,
+                      std::int64_t t, std::int64_t s, bool keep_probs,
+                      HeadFn head) {
+  AttnOutputs r{std::vector<float>(static_cast<std::size_t>(t * heads * 8),
+                                   -3.5f),
+                std::vector<float>(
+                    keep_probs ? static_cast<std::size_t>(heads * t * s) : 0,
+                    -7.25f)};
+  for (std::int64_t h = 0; h < heads; ++h) {
+    head(q.data() + h * 8, k.data() + h * 8, v.data() + h * 8,
+         r.out.data() + h * 8, keep_probs ? r.probs.data() + h * t * s : nullptr);
+  }
+  return r;
+}
+
+bool runs_key_major_body(kernels::Isa isa) {
+  return isa == kernels::Isa::kAvx512 || isa == kernels::Isa::kAvx512Vnni;
+}
+
+void check_attention_kernel(std::int64_t heads, std::int64_t t,
+                            std::int64_t s, float q_gain, fmnet::Rng& rng) {
+  const std::int64_t ld = heads * 8;
+  const float scale = 1.0f / std::sqrt(8.0f);
+  auto q = random_buffer(static_cast<std::size_t>(t * ld), rng);
+  for (auto& x : q) x *= q_gain;
+  const auto k = random_buffer(static_cast<std::size_t>(s * ld), rng);
+  const auto v = random_buffer(static_cast<std::size_t>(s * ld), rng);
+  const auto kernel = [&](const float* qh, const float* kh, const float* vh,
+                          float* oh, float* ph) {
+    kernels::attention_rows(qh, kh, vh, oh, t, s, 8, ld, scale, ph);
+  };
+  const auto composed = [&](const float* qh, const float* kh, const float* vh,
+                            float* oh, float* ph) {
+    kernels::gemm_bt(qh, kh, ph, t, 8, s, nullptr, false, {ld, ld, s});
+    kernels::softmax_rows(ph, t, s, scale);
+    kernels::gemm(ph, vh, oh, t, s, 8, nullptr, false, {s, ld, ld});
+  };
+  const auto spelled = [&](const float* qh, const float* kh, const float* vh,
+                           float* oh, float* ph) {
+    spelled_attention(qh, kh, vh, oh, ph, t, s, ld, scale);
+  };
+  const kernels::Isa startup = kernels::active_isa();
+  for (const kernels::Isa isa : kernels::compiled_isas()) {
+    if (!kernels::isa_supported(isa)) continue;
+    kernels::set_isa(isa);
+    const AttnOutputs train = run_heads(q, k, v, heads, t, s, true, kernel);
+    const AttnOutputs infer = run_heads(q, k, v, heads, t, s, false, kernel);
+    const AttnOutputs comp = run_heads(q, k, v, heads, t, s, true, composed);
+    const std::string where = std::string(kernels::isa_name(isa)) + " h" +
+                              std::to_string(heads) + " t" +
+                              std::to_string(t) + " s" + std::to_string(s);
+    bool against_composition = true;
+    if (runs_key_major_body(isa)) {
+      const AttnOutputs ref = run_heads(q, k, v, heads, t, s, true, spelled);
+      ASSERT_EQ(train.out, ref.out) << where << " output vs spelled";
+      ASSERT_EQ(train.probs, ref.probs) << where << " P vs spelled";
+      ASSERT_EQ(infer.out, ref.out) << where << " inference vs spelled";
+#if !defined(FMNET_RELEASE_CONTRACTION)
+      against_composition = false;
+#endif
+    }
+    if (against_composition) {
+      ASSERT_EQ(train.out, comp.out) << where << " output vs composition";
+      ASSERT_EQ(train.probs, comp.probs) << where << " P vs composition";
+      ASSERT_EQ(infer.out, comp.out) << where << " inference vs composition";
+    }
+  }
+  kernels::set_isa(startup);
+}
+
+// (heads, T, S): the Table-1 window, the serving window, T and S tails
+// mod 16 (36 % 16 == 4: one leftover key quad), and S = 4 (a single quad,
+// T one full 16-row block).
+TEST(AttentionKernel, MatchesCompositionInInferenceAndTraining) {
+  fmnet::Rng rng(123);
+  check_attention_kernel(2, 300, 300, 1.0f, rng);
+  check_attention_kernel(1, 100, 100, 1.0f, rng);
+  check_attention_kernel(2, 37, 36, 1.0f, rng);
+  check_attention_kernel(1, 16, 4, 1.0f, rng);
+}
+
+// Queries scaled so far apart that scale * (x - max) falls below
+// fast_expf's -87 clamp on most keys: the clamped lanes must round like
+// the composition's too.
+TEST(AttentionKernel, MatchesCompositionWhereExpClamps) {
+  fmnet::Rng rng(124);
+  check_attention_kernel(1, 100, 100, 30.0f, rng);
+  check_attention_kernel(2, 37, 36, 30.0f, rng);
+}
 
 // ---- buffer pool -----------------------------------------------------------
 
