@@ -119,6 +119,44 @@ void BM_AttentionForward(benchmark::State& state) {
 }
 BENCHMARK(BM_AttentionForward)->Arg(100)->Arg(300);
 
+// The attention block's training step, forward (keeping P) and backward,
+// at the same two shapes: Arg 100 is a B = 16 shard of T = 100 windows
+// with one head, Arg 300 a Table-1 window (B = 1, T = 300, two heads).
+// The output is weighted so every upstream gradient element differs.
+// Windows per second on the calling thread.
+void BM_AttentionTrain(benchmark::State& state) {
+  const std::int64_t t = state.range(0);
+  const std::int64_t batch = t == 100 ? 16 : 1;
+  const std::int64_t heads = t == 100 ? 1 : 2;
+  Rng rng(4);
+  const tensor::Shape shape{batch, t, heads * 8};
+  auto q = tensor::Tensor::randn(shape, rng, 1.0f, true);
+  auto k = tensor::Tensor::randn(shape, rng, 1.0f, true);
+  auto v = tensor::Tensor::randn(shape, rng, 1.0f, true);
+  const auto w = tensor::Tensor::randn(shape, rng);
+  const float scale = 1.0f / std::sqrt(8.0f);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    q.zero_grad();
+    k.zero_grad();
+    v.zero_grad();
+    auto loss = tensor::sum(tensor::attention(q, k, v, heads, scale) * w);
+    loss.backward();
+    benchmark::DoNotOptimize(loss.item());
+  }
+  const double elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  state.SetItemsProcessed(state.iterations() * batch);
+  if (elapsed_s > 0.0) {
+    obs::Registry::global()
+        .gauge("bench.attention.t" + std::to_string(t) + ".train_win_per_s")
+        .set_max(static_cast<double>(state.iterations() * batch) /
+                 elapsed_s);
+  }
+}
+BENCHMARK(BM_AttentionTrain)->Arg(100)->Arg(300);
+
 void BM_SwitchStepThroughput(benchmark::State& state) {
   switchsim::SwitchConfig cfg;
   cfg.num_ports = static_cast<std::int32_t>(state.range(0));

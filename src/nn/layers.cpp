@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "tensor/ops.h"
+#include "tensor/pool.h"
 #include "util/check.h"
 
 namespace fmnet::nn {
@@ -77,7 +78,7 @@ Dropout::Dropout(float p) : p_(p) {
 
 Tensor Dropout::forward(const Tensor& x, fmnet::Rng& rng) const {
   if (!training() || p_ == 0.0f) return x;
-  std::vector<float> mask(x.data().size());
+  std::vector<float> mask = tensor::pool::acquire(x.data().size());
   const float keep_scale = 1.0f / (1.0f - p_);
   for (auto& m : mask) {
     m = rng.bernoulli(static_cast<double>(p_)) ? 0.0f : keep_scale;

@@ -6,6 +6,7 @@
 // element).
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -338,38 +339,44 @@ Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
   FMNET_CHECK_EQ(v.dim(2), dm);
   const std::int64_t hd = dm / heads;
   // Head h of entry e is the column block [h*hd, (h+1)*hd) of each
-  // [t, dm] slab: the forward kernel and the backward GEMMs address it in
-  // place through row strides of dm, so the heads are never split out into
-  // (or merged back from) a [B*H, T, hd] copy. Backward's GEMM strides:
-  const kernels::RowStrides scores_ld{dm, dm, s};  // [t,hd] x [s,hd]^T
-  const kernels::RowStrides probs_ld{s, dm, dm};    // [t,s] x [s,hd]
+  // [t, dm] slab: the forward and backward kernels address it in place
+  // through row strides of dm, so the heads are never split out into (or
+  // merged back from) a [B*H, T, hd] copy.
 
   // The whole block is one node, so the [T, S] score matrix never becomes
   // graph state: no score/attn gradient buffers to zero-fill and accumulate
   // into (at T=300 those were the two largest allocations per step).
   // kernels::attention_rows runs each (entry, head) forward in place on
-  // the head's columns. Training keeps every pair's softmax rows in one
-  // whole-batch slab for backward, which needs them for both dV and the
-  // softmax Jacobian; inference keeps none (at B=16 that slab, 1 MB at the
-  // bench sizes, evicted the L2-resident Q/K/V streams). Buffer addresses
-  // never enter the arithmetic, so both modes compute the same bits.
+  // the head's columns. Training keeps every pair's softmax rows, in the
+  // layout the kernel returns, in one whole-batch slab for the backward,
+  // which needs them for both dV and the softmax Jacobian; inference keeps
+  // none (at B=16 that slab, 1 MB at the bench sizes, evicted the
+  // L2-resident Q/K/V streams). Buffer addresses never enter the
+  // arithmetic, so both modes compute the same bits.
+  const std::int64_t head_probs = kernels::attention_probs_floats(t, s);
   PooledPtr attn;
+  float* probs = nullptr;
   if (!inference_mode()) {
-    attn = std::make_shared<PooledBuf>(
-        pool::acquire(static_cast<std::size_t>(batch * heads * t * s)));
+    // 16 floats of slack give the slab a 64-byte-aligned start.
+    attn = std::make_shared<PooledBuf>(pool::acquire(
+        static_cast<std::size_t>(batch * heads * head_probs + 16)));
+    const auto addr = reinterpret_cast<std::uintptr_t>(attn->v.data());
+    probs = reinterpret_cast<float*>((addr + 63) & ~std::uintptr_t{63});
   }
   std::vector<float> out =
       pool::acquire(static_cast<std::size_t>(batch * t * dm));
   const float* qp = q.data().data();
   const float* kp = k.data().data();
   const float* vp = v.data().data();
+  kernels::ProbsLayout layout = kernels::ProbsLayout::kRowMajor;
   for (std::int64_t e = 0; e < batch; ++e) {
     for (std::int64_t h = 0; h < heads; ++h) {
-      kernels::attention_rows(
+      // Every pair has the same shape, so the same layout.
+      layout = kernels::attention_rows(
           qp + e * t * dm + h * hd, kp + e * s * dm + h * hd,
           vp + e * s * dm + h * hd, out.data() + e * t * dm + h * hd, t, s,
           hd, dm, scale,
-          attn ? attn->v.data() + (e * heads + h) * t * s : nullptr);
+          probs != nullptr ? probs + (e * heads + h) * head_probs : nullptr);
     }
   }
 
@@ -378,55 +385,33 @@ Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
   auto vn = v.node();
   return make_op_result(
       Shape{batch, t, dm}, std::move(out), {q, k, v},
-      [qn, kn, vn, attn, batch, heads, t, hd, dm, s, scale, scores_ld,
-       probs_ld](Node& o) {
+      [qn, kn, vn, attn, probs, layout, batch, heads, t, hd, dm, s, scale,
+       head_probs](Node& o) {
         const bool need_q = qn->requires_grad;
         const bool need_k = kn->requires_grad;
         const bool need_v = vn->requires_grad;
         if (need_q) qn->ensure_grad();
         if (need_k) kn->ensure_grad();
         if (need_v) vn->ensure_grad();
-        // One [T, S] scratch reused across (entry, head) pairs instead of a
-        // whole-batch gradient tensor.
-        std::vector<float> dattn =
-            pool::acquire(static_cast<std::size_t>(t * s));
+        // One scratch for every (entry, head) pair: the backward's dP / dZ
+        // block and its packed operands.
+        std::vector<float> scratch = pool::acquire(static_cast<std::size_t>(
+            kernels::attention_grad_scratch_floats(t, s)));
         for (std::int64_t e = 0; e < batch; ++e) {
           for (std::int64_t h = 0; h < heads; ++h) {
-            const float* ae = attn->v.data() + (e * heads + h) * t * s;
             const std::int64_t q0 = e * t * dm + h * hd;
             const std::int64_t k0 = e * s * dm + h * hd;
-            const float* ge = o.grad.data() + q0;
-            if (need_v) {
-              // dV = attn^T @ dY
-              kernels::gemm_at(ae, ge, vn->grad.data() + k0, s, t, hd,
-                               /*pool=*/nullptr, /*accumulate=*/true,
-                               probs_ld);
-            }
-            if (!(need_q || need_k)) continue;
-            // dAttn = dY @ V^T (overwrite: dattn scratch is recycled dirty)
-            kernels::gemm_bt(ge, vn->cdata().data() + k0, dattn.data(), t,
-                             hd, s, /*pool=*/nullptr, /*accumulate=*/false,
-                             scores_ld);
-            // Softmax Jacobian and the score scale in one in-place pass:
-            // dZ = scale * y * (dAttn - sum_j dAttn * y).
-            kernels::softmax_jacobian_rows(dattn.data(), ae, t, s, scale);
-            if (need_q) {
-              // dQ = dZ @ K
-              kernels::gemm(dattn.data(), kn->cdata().data() + k0,
-                            qn->grad.data() + q0, t, s, hd,
-                            /*pool=*/nullptr, /*accumulate=*/true,
-                            probs_ld);
-            }
-            if (need_k) {
-              // dK = dZ^T @ Q
-              kernels::gemm_at(dattn.data(), qn->cdata().data() + q0,
-                               kn->grad.data() + k0, s, t, hd,
-                               /*pool=*/nullptr, /*accumulate=*/true,
-                               probs_ld);
-            }
+            kernels::attention_rows_grad(
+                qn->cdata().data() + q0, kn->cdata().data() + k0,
+                vn->cdata().data() + k0, o.grad.data() + q0,
+                probs + (e * heads + h) * head_probs, layout,
+                need_q ? qn->grad.data() + q0 : nullptr,
+                need_k ? kn->grad.data() + k0 : nullptr,
+                need_v ? vn->grad.data() + k0 : nullptr, t, s, hd, dm, scale,
+                scratch.data());
           }
         }
-        pool::release(std::move(dattn));
+        pool::release(std::move(scratch));
       });
 }
 

@@ -25,11 +25,11 @@ namespace {
 // attention_rows as gemm_bt -> softmax_rows -> gemm, through the
 // ISA-dispatched entry points: the variant every ISA without a dedicated
 // attention body runs, and the fallback of the AVX-512 body for shapes it
-// does not take.
-void attention_composed(const float* q, const float* k, const float* v,
-                        float* out, std::int64_t t, std::int64_t s,
-                        std::int64_t hd, std::int64_t ld, float scale,
-                        float* probs) {
+// does not take. It keeps P row-major.
+ProbsLayout attention_composed(const float* q, const float* k,
+                               const float* v, float* out, std::int64_t t,
+                               std::int64_t s, std::int64_t hd,
+                               std::int64_t ld, float scale, float* probs) {
   // Inference keeps no softmax rows: a [t, s] scratch holds them between
   // the two products.
   std::vector<float> scratch;
@@ -45,6 +45,35 @@ void attention_composed(const float* q, const float* k, const float* v,
   gemm(probs, v, out, t, s, hd, /*pool=*/nullptr, /*accumulate=*/false,
        {s, ld, ld});
   pool::release(std::move(scratch));
+  return ProbsLayout::kRowMajor;
+}
+
+// attention_rows_grad for row-major P, through the ISA-dispatched entry
+// points; `dz` is a [t, s] scratch for dP and then dZ.
+void attention_grad_composed(const float* q, const float* k, const float* v,
+                             const float* dy, const float* probs, float* dq,
+                             float* dk, float* dv, std::int64_t t,
+                             std::int64_t s, std::int64_t hd,
+                             std::int64_t ld, float scale, float* dz) {
+  const RowStrides scores_ld{ld, ld, s};  // [t,hd] x [s,hd]^T
+  const RowStrides probs_ld{s, ld, ld};   // [t,s] x [s,hd]
+  if (dv != nullptr) {
+    gemm_at(probs, dy, dv, s, t, hd, /*pool=*/nullptr, /*accumulate=*/true,
+            probs_ld);
+  }
+  if (dq == nullptr && dk == nullptr) return;
+  gemm_bt(dy, v, dz, t, hd, s, /*pool=*/nullptr, /*accumulate=*/false,
+          scores_ld);
+  // Softmax Jacobian and the score scale in one in-place pass.
+  softmax_jacobian_rows(dz, probs, t, s, scale);
+  if (dq != nullptr) {
+    gemm(dz, k, dq, t, s, hd, /*pool=*/nullptr, /*accumulate=*/true,
+         probs_ld);
+  }
+  if (dk != nullptr) {
+    gemm_at(dz, q, dk, s, t, hd, /*pool=*/nullptr, /*accumulate=*/true,
+            probs_ld);
+  }
 }
 
 // ---- panel kernel, compiled per ISA ---------------------------------------
@@ -134,9 +163,10 @@ using QuantLinearFn = void (*)(const float*, std::int64_t, std::int64_t,
                                float*, int);
 using SoftmaxFn = void (*)(float*, std::int64_t, std::int64_t, float);
 using GeluFn = void (*)(float*, std::int64_t, std::int64_t);
-using AttentionFn = void (*)(const float*, const float*, const float*,
-                             float*, std::int64_t, std::int64_t,
-                             std::int64_t, std::int64_t, float, float*);
+using AttentionFn = ProbsLayout (*)(const float*, const float*,
+                                    const float*, float*, std::int64_t,
+                                    std::int64_t, std::int64_t, std::int64_t,
+                                    float, float*);
 
 PanelFn fn_for(Isa isa) {
   switch (isa) {
@@ -560,13 +590,47 @@ void gemm_bt(const float* a, const float* bt, float* c, std::int64_t m,
   pool::release(std::move(packed));
 }
 
-void attention_rows(const float* q, const float* k, const float* v,
-                    float* out, std::int64_t t, std::int64_t s,
-                    std::int64_t hd, std::int64_t ld, float scale,
-                    float* probs) {
-  if (t == 0) return;
-  attention_fn_for(active_isa_slow())(q, k, v, out, t, s, hd, ld, scale,
-                                      probs);
+std::int64_t attention_probs_floats(std::int64_t t, std::int64_t s) {
+  return (t + 15) / 16 * 16 * s;
+}
+
+ProbsLayout attention_rows(const float* q, const float* k, const float* v,
+                           float* out, std::int64_t t, std::int64_t s,
+                           std::int64_t hd, std::int64_t ld, float scale,
+                           float* probs) {
+  if (t == 0) return ProbsLayout::kRowMajor;
+  return attention_fn_for(active_isa_slow())(q, k, v, out, t, s, hd, ld,
+                                             scale, probs);
+}
+
+std::int64_t attention_grad_scratch_floats(std::int64_t t, std::int64_t s) {
+  // Key-major: 64-byte alignment slack, the dZ tiles, and dense [s][8] K
+  // and [t][8] dY and Q. Row-major uses [t, s] of it.
+  return 16 + attention_probs_floats(t, s) + 8 * s + 16 * t;
+}
+
+void attention_rows_grad(const float* q, const float* k, const float* v,
+                         const float* dy, const float* probs,
+                         ProbsLayout layout, float* dq, float* dk, float* dv,
+                         std::int64_t t, std::int64_t s, std::int64_t hd,
+                         std::int64_t ld, float scale, float* scratch) {
+  if (t == 0 || s == 0) return;
+  if (layout == ProbsLayout::kRowMajor) {
+    attention_grad_composed(q, k, v, dy, probs, dq, dk, dv, t, s, hd, ld,
+                            scale, scratch);
+    return;
+  }
+  // Only the AVX-512 forward writes key-major P, so its backward exists
+  // wherever such P can.
+#if defined(FMNET_GEMM_AVX512_CLONE)
+  avx512::attention_grad_avx512(q, k, v, dy, probs, dq, dk, dv, t, s, ld,
+                                scale, scratch);
+#elif defined(FMNET_GEMM_AVX512VNNI_CLONE)
+  avx512vnni::attention_grad_avx512(q, k, v, dy, probs, dq, dk, dv, t, s, ld,
+                                    scale, scratch);
+#else
+  FMNET_CHECK(false, "key-major attention probs without an AVX-512 body");
+#endif
 }
 
 void reference_gemm(const float* a, const float* b, float* c, std::int64_t m,

@@ -154,30 +154,83 @@ void softmax_rows(float* v, std::int64_t rows, std::int64_t len,
 /// In-place tanh-approximation GELU over `rows` contiguous rows of `len`.
 void gelu_rows(float* v, std::int64_t rows, std::int64_t len);
 
+/// Layout of the softmax rows attention_rows keeps for the backward.
+enum class ProbsLayout {
+  /// Dense [t][s]: P(i, j) at i * s + j.
+  kRowMajor,
+  /// [ceil(t / 16)][s][16] tiles of 16 query rows per key, as the AVX-512
+  /// body computes them: P(i, j) at ((i / 16) * s + j) * 16 + i % 16. The
+  /// lanes of a last partial tile past t hold finite values no one reads.
+  kKeyMajor,
+};
+
+/// Floats of one head's probs block, enough for either layout:
+/// round_up(t, 16) * s. A multiple of 16, so consecutive blocks of a
+/// 64-byte-aligned slab stay 64-byte aligned.
+std::int64_t attention_probs_floats(std::int64_t t, std::int64_t s);
+
 /// Scaled-dot-product attention of one batch entry and one head:
 ///   out[t, hd] = softmax(scale * q[t, hd] @ k[s, hd]^T) @ v[s, hd]
 /// with q, k, v and out one head's columns of wider buffers whose rows are
 /// `ld` floats apart, read and written in place. `probs`, when not null,
-/// receives the softmax rows as a dense row-major [t, s] block (training
-/// keeps them for the backward pass); inference passes null.
+/// receives the softmax rows (training keeps them for the backward pass;
+/// inference passes null): attention_probs_floats(t, s) floats at a
+/// 64-byte-aligned address. Returns the layout written there, which
+/// attention_rows_grad must be given.
 ///
 /// Bit contract. The portable and AVX2 variants run the composition
 /// gemm_bt (scores, overwrite) -> softmax_rows (scale folded into the exp)
-/// -> gemm (P @ V, overwrite) under the active ISA, and so do the AVX-512
-/// variants for hd != 8 or s % kKU != 0. For hd == 8 and s % kKU == 0 the
-/// AVX-512 variants run a key-major body that puts one query row in each
-/// vector lane and spells out, with intrinsics, the fused and unfused
-/// operations GCC compiles that composition to at -O3 (kernels_avx512.inc).
-/// In every build the body's output (and probs) equals that spelled
-/// sequence; it equals the composition itself in GCC -O3 Release builds
-/// (checked with GCC 12.2), not in Debug or -O1 sanitizer builds, which
-/// contract the composition differently. Each row is a pure function of
-/// its own query and the head's keys and values, so results do not
-/// depend on t.
-void attention_rows(const float* q, const float* k, const float* v,
-                    float* out, std::int64_t t, std::int64_t s,
-                    std::int64_t hd, std::int64_t ld, float scale,
-                    float* probs);
+/// -> gemm (P @ V, overwrite) under the active ISA and keep P row-major,
+/// and so do the AVX-512 variants for hd != 8 or s % kKU != 0. For
+/// hd == 8 and s % kKU == 0 the AVX-512 variants run a key-major body that
+/// puts one query row in each vector lane, spells out, with intrinsics,
+/// the fused and unfused operations GCC compiles that composition to at
+/// -O3 (kernels_avx512.inc), and keeps P key-major. In every build the
+/// body's output (and probs) equals that spelled sequence; it equals the
+/// composition itself in GCC -O3 Release builds (checked with GCC 12.2),
+/// not in Debug or -O1 sanitizer builds, which contract the composition
+/// differently. Each row is a pure function of its own query and the
+/// head's keys and values, so results do not depend on t.
+ProbsLayout attention_rows(const float* q, const float* k, const float* v,
+                           float* out, std::int64_t t, std::int64_t s,
+                           std::int64_t hd, std::int64_t ld, float scale,
+                           float* probs);
+
+/// Floats of scratch attention_rows_grad needs for t query rows and s keys
+/// (it aligns the scratch itself).
+std::int64_t attention_grad_scratch_floats(std::int64_t t, std::int64_t s);
+
+/// Backward of attention_rows for one head. Given the forward's q, k, v
+/// (same addressing), its probs in the layout it returned, and dy (the
+/// gradient of out, rows `ld` apart), accumulates
+///   dV += P^T @ dY,  dZ = scale * P * (dP - rowsum(dP * P)) with
+///   dP = dY @ V^T,   dQ += dZ @ K,   dK += dZ^T @ Q
+/// into dq, dk and dv (rows `ld` apart; a null one is skipped). The layout
+/// picks the variant, not the active ISA, so a forward and its backward
+/// always agree.
+///
+/// Bit contract. Row-major P runs the composition under the active ISA:
+/// gemm_at (dV), gemm_bt (dP, overwrite), softmax_jacobian_rows, gemm (dQ)
+/// and gemm_at (dK), with a [t, s] block of the scratch for dP and dZ.
+/// Key-major P (only the AVX-512 body writes it) runs that composition's
+/// operations on the tiles:
+///   - dP with the scores' k = 8 spelling, one query row per lane;
+///   - the Jacobian's row dot as softmax_jacobian_rows forms it, a
+///     separately rounded multiply then an add per key in key order,
+///     then dZ = (scale * P) * (dP - dot);
+///   - dQ with the forward's P @ V grouping (skinny8_rows');
+///   - dV and dK through skinny8_rows reading P and dZ key-major: one
+///     tile's 16 query rows of a key are exactly one of its 4 * kKU-step
+///     passes, so the grouping is the composition's.
+/// So it equals the spelled operations in every build and the composition
+/// in GCC -O3 Release builds, as the forward does. skinny8_rows takes only
+/// t % kKU == 0 (t is the k of dV and dK); for other t the key-major P is
+/// copied out row-major and the composition runs.
+void attention_rows_grad(const float* q, const float* k, const float* v,
+                         const float* dy, const float* probs,
+                         ProbsLayout layout, float* dq, float* dk, float* dv,
+                         std::int64_t t, std::int64_t s, std::int64_t hd,
+                         std::int64_t ld, float scale, float* scratch);
 
 // Backward elementwise kernels (kernels_backward.cpp), ISA-dispatched
 // like the rest. Their translation unit is compiled without FMA

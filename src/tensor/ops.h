@@ -95,9 +95,10 @@ Tensor scaled_matmul_bt(const Tensor& a, const Tensor& b, float scale = 1.0f);
 /// (kernels::attention_rows), so no split or merge copy exists. The [t,s]
 /// score matrix never becomes graph state, so no score-sized gradient
 /// buffers are zeroed or accumulated: training keeps the softmax rows for
-/// the backward, and inference keeps none (the AVX-512 forward holds
-/// scores in a key-major tile of 16 query rows; other ISAs and shapes use
-/// a [t,s] scratch).
+/// the backward (kernels::attention_rows_grad), and inference keeps none
+/// (the AVX-512 kernels hold scores, and training's softmax rows, in
+/// key-major tiles of 16 query rows; other ISAs and shapes use a [t,s]
+/// block).
 Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
                  std::int64_t heads, float scale);
 

@@ -4,11 +4,12 @@
 // against the scalar loops they replaced, fused ops (linear_act,
 // layer_norm, softmax, scaled_matmul_bt, head-strided attention) against
 // their primitive compositions and central-difference gradients, the
-// attention kernel against the composition it replaced, and buffer-pool
-// recycling behaviour.
+// attention kernels (forward and backward) against the compositions they
+// replaced, and buffer-pool recycling across lanes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <limits>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -883,19 +885,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- attention kernel vs the composition it replaced ------------------------
 
-// kernels::attention_rows against the gemm_bt -> softmax_rows -> gemm
-// composition its bit contract names (kernels.h), on every ISA: the
-// output in inference (probs null) and the output plus row-major P in
-// training. Where the AVX-512 key-major body runs (head width 8,
-// S % 4 == 0), its bits are the ones GCC's -O3 build of the composition
-// computes, which Debug and -O1 sanitizer builds contract differently.
-// So every build holds that body to spelled_attention, which writes the
-// same fused and unfused operations out one element at a time, and the
-// GCC Release build (FMNET_RELEASE_CONTRACTION, tests/CMakeLists.txt) also
+// kernels::attention_rows and attention_rows_grad against the
+// compositions their bit contracts name (kernels.h), on every ISA: the
+// output in inference (probs null), the output plus P in training, and
+// dQ, dK and dV from the P the forward kept, accumulated into nonzero
+// gradients. Where the AVX-512 key-major code runs (head width 8,
+// S % 4 == 0; the backward also needs T % 4 == 0), its bits are the ones
+// GCC's -O3 build of the composition computes, which Debug and -O1
+// sanitizer builds contract differently. So every build holds that code
+// to spelled_attention and spelled_attention_grad, which write the same
+// fused and unfused operations out one element at a time, and the GCC
+// Release build (FMNET_RELEASE_CONTRACTION, tests/CMakeLists.txt) also
 // holds it to the composition itself. That comparison pins GCC 12.2's -O3
 // contraction of the composition: another GCC that contracts it
 // differently fails it on AVX-512 hosts, and its production AVX-512 bits
-// would then differ from the composition's. Other ISAs run the
+// would then differ from the composition's. Other ISAs and shapes run the
 // composition, and are held to it in every build.
 
 // detail::fast_expf with the fusions the -O3 vectorised softmax makes.
@@ -916,6 +920,47 @@ float spelled_expf(float x) {
                               (static_cast<std::int32_t>(n) << 23));
 }
 
+// The k = 8 dot of two rows as the panel kernel contracts its k = 8 pass.
+float spelled_dot8(const float* x, const float* y) {
+  float lo = x[1] * y[1];
+  lo = std::fma(x[0], y[0], lo);
+  lo = std::fma(x[2], y[2], lo);
+  lo = std::fma(x[3], y[3], lo);
+  float hi = x[5] * y[5];
+  hi = std::fma(x[4], y[4], hi);
+  hi = std::fma(x[6], y[6], hi);
+  hi = std::fma(x[7], y[7], hi);
+  return lo + hi;
+}
+
+// sum_{p < k} a(p) * b(p) (k % 4 == 0) grouped as the n = 8 skinny kernel
+// groups a row: four partial sums owning every fourth quad of p, leftover
+// quads into the first, each quad contracted as skinny8_group4 does.
+template <class A, class B>
+float spelled_skinny_sum(std::int64_t k, const A& a, const B& b) {
+  float acc[4] = {};
+  const auto quad = [&](std::int64_t p, float& to) {
+    float sum = a(p + 1) * b(p + 1);
+    sum = std::fma(a(p), b(p), sum);
+    sum = std::fma(a(p + 2), b(p + 2), sum);
+    sum = std::fma(a(p + 3), b(p + 3), sum);
+    to += sum;
+  };
+  std::int64_t p = 0;
+  for (; p + 16 <= k; p += 16) {
+    for (std::int64_t g = 0; g < 4; ++g) quad(p + 4 * g, acc[g]);
+  }
+  for (; p < k; p += 4) quad(p, acc[0]);
+  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
+}
+
+// x * y rounded on its own, even where the compiler could contract it
+// into a following add.
+float unfused_product(float x, float y) {
+  volatile float prod = x * y;
+  return prod;
+}
+
 // One head (width 8) of attention_rows for t query rows, one row at a
 // time: scores as the panel kernel contracts its k = 8 pass, softmax with
 // sixteen partial sums, P @ V grouped as the n = 8 skinny kernel groups it.
@@ -925,19 +970,9 @@ void spelled_attention(const float* q, const float* k, const float* v,
                        std::int64_t s, std::int64_t ld, float scale) {
   std::vector<float> e(static_cast<std::size_t>(s));
   for (std::int64_t i = 0; i < t; ++i) {
-    const float* qi = q + i * ld;
     float mx = -std::numeric_limits<float>::infinity();
     for (std::int64_t j = 0; j < s; ++j) {
-      const float* kj = k + j * ld;
-      float lo = qi[1] * kj[1];
-      lo = std::fma(qi[0], kj[0], lo);
-      lo = std::fma(qi[2], kj[2], lo);
-      lo = std::fma(qi[3], kj[3], lo);
-      float hi = qi[5] * kj[5];
-      hi = std::fma(qi[4], kj[4], hi);
-      hi = std::fma(qi[6], kj[6], hi);
-      hi = std::fma(qi[7], kj[7], hi);
-      e[j] = lo + hi;
+      e[j] = spelled_dot8(q + i * ld, k + j * ld);
       mx = std::max(mx, e[j]);
     }
     float psum[16] = {};
@@ -952,51 +987,118 @@ void spelled_attention(const float* q, const float* k, const float* v,
       e[j] *= inv;
       probs[i * s + j] = e[j];
     }
-    float acc[4][8] = {};
-    const auto quad = [&](std::int64_t p, float(&a)[8]) {
-      for (std::int64_t c = 0; c < 8; ++c) {
-        float sum = e[p + 1] * v[(p + 1) * ld + c];
-        sum = std::fma(e[p], v[p * ld + c], sum);
-        sum = std::fma(e[p + 2], v[(p + 2) * ld + c], sum);
-        sum = std::fma(e[p + 3], v[(p + 3) * ld + c], sum);
-        a[c] += sum;
-      }
-    };
-    std::int64_t p = 0;
-    for (; p + 16 <= s; p += 16) {
-      for (std::int64_t g = 0; g < 4; ++g) quad(p + 4 * g, acc[g]);
-    }
-    for (; p < s; p += 4) quad(p, acc[0]);
     for (std::int64_t c = 0; c < 8; ++c) {
-      out[i * ld + c] = (acc[0][c] + acc[1][c]) + (acc[2][c] + acc[3][c]);
+      out[i * ld + c] = spelled_skinny_sum(
+          s, [&](std::int64_t p) { return e[p]; },
+          [&](std::int64_t p) { return v[p * ld + c]; });
     }
   }
 }
 
+// One head of attention_rows_grad from row-major P, one element at a
+// time: dP as the scores' k = 8 product, the Jacobian's row dot unfused in
+// key order as softmax_jacobian_rows forms it, and the three n = 8
+// products grouped as the skinny kernel groups them, each added into its
+// gradient.
+void spelled_attention_grad(const float* q, const float* k, const float* v,
+                            const float* dy, const float* probs, float* dq,
+                            float* dk, float* dv, std::int64_t t,
+                            std::int64_t s, std::int64_t ld, float scale) {
+  std::vector<float> dz(static_cast<std::size_t>(t * s));
+  for (std::int64_t i = 0; i < t; ++i) {
+    const float* pi = probs + i * s;
+    float* zi = dz.data() + i * s;
+    float dot = 0.0f;
+    for (std::int64_t j = 0; j < s; ++j) {
+      zi[j] = spelled_dot8(dy + i * ld, v + j * ld);
+      dot += unfused_product(zi[j], pi[j]);
+    }
+    for (std::int64_t j = 0; j < s; ++j) {
+      zi[j] = (scale * pi[j]) * (zi[j] - dot);
+    }
+    for (std::int64_t c = 0; c < 8; ++c) {
+      dq[i * ld + c] += spelled_skinny_sum(
+          s, [&](std::int64_t p) { return zi[p]; },
+          [&](std::int64_t p) { return k[p * ld + c]; });
+    }
+  }
+  for (std::int64_t j = 0; j < s; ++j) {
+    for (std::int64_t c = 0; c < 8; ++c) {
+      dv[j * ld + c] += spelled_skinny_sum(
+          t, [&](std::int64_t p) { return probs[p * s + j]; },
+          [&](std::int64_t p) { return dy[p * ld + c]; });
+      dk[j * ld + c] += spelled_skinny_sum(
+          t, [&](std::int64_t p) { return dz[p * s + j]; },
+          [&](std::int64_t p) { return q[p * ld + c]; });
+    }
+  }
+}
+
+// Per-head probs blocks, 64-byte aligned as attention_rows requires.
+class ProbsBlocks {
+ public:
+  ProbsBlocks(std::int64_t heads, std::int64_t t, std::int64_t s)
+      : t_(t), s_(s), stride_(kernels::attention_probs_floats(t, s)),
+        storage_(static_cast<std::size_t>(heads * stride_ + 16), -7.25f) {
+    const auto addr = reinterpret_cast<std::uintptr_t>(storage_.data());
+    base_ = storage_.data() + ((64 - addr % 64) % 64) / sizeof(float);
+  }
+  float* head(std::int64_t h) { return base_ + h * stride_; }
+
+  // Head h's P as dense [t][s] rows, read in `layout`.
+  std::vector<float> rows(std::int64_t h, kernels::ProbsLayout layout) {
+    const float* blk = head(h);
+    std::vector<float> out(static_cast<std::size_t>(t_ * s_));
+    for (std::int64_t i = 0; i < t_; ++i) {
+      for (std::int64_t j = 0; j < s_; ++j) {
+        out[i * s_ + j] = layout == kernels::ProbsLayout::kKeyMajor
+                              ? blk[((i / 16) * s_ + j) * 16 + i % 16]
+                              : blk[i * s_ + j];
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::int64_t t_, s_, stride_;
+  std::vector<float> storage_;
+  float* base_;
+};
+
 struct AttnOutputs {
   std::vector<float> out;    // [t, heads * 8]
-  std::vector<float> probs;  // [heads, t, s]
+  std::vector<float> probs;  // [heads, t, s], row-major
+  kernels::ProbsLayout layout = kernels::ProbsLayout::kRowMajor;
 };
 
 // Runs every head of [t, heads * 8] q and [s, heads * 8] k, v through
-// `head` (one head's q, k, v, out, probs) into fresh garbage-filled
-// buffers.
+// `head` (one head's q, k, v, out, probs; returns the probs layout) into
+// fresh garbage-filled buffers. `blocks`, when given, keeps the probs as
+// written.
 template <class HeadFn>
 AttnOutputs run_heads(const std::vector<float>& q, const std::vector<float>& k,
                       const std::vector<float>& v, std::int64_t heads,
                       std::int64_t t, std::int64_t s, bool keep_probs,
-                      HeadFn head) {
+                      HeadFn head, ProbsBlocks* blocks = nullptr) {
+  ProbsBlocks local(keep_probs ? heads : 0, t, s);
+  ProbsBlocks& pb = blocks != nullptr ? *blocks : local;
   AttnOutputs r{std::vector<float>(static_cast<std::size_t>(t * heads * 8),
                                    -3.5f),
-                std::vector<float>(
-                    keep_probs ? static_cast<std::size_t>(heads * t * s) : 0,
-                    -7.25f)};
+                {}};
   for (std::int64_t h = 0; h < heads; ++h) {
-    head(q.data() + h * 8, k.data() + h * 8, v.data() + h * 8,
-         r.out.data() + h * 8, keep_probs ? r.probs.data() + h * t * s : nullptr);
+    r.layout = head(q.data() + h * 8, k.data() + h * 8, v.data() + h * 8,
+                    r.out.data() + h * 8, keep_probs ? pb.head(h) : nullptr);
+  }
+  for (std::int64_t h = 0; keep_probs && h < heads; ++h) {
+    const auto rows = pb.rows(h, r.layout);
+    r.probs.insert(r.probs.end(), rows.begin(), rows.end());
   }
   return r;
 }
+
+struct AttnGrads {
+  std::vector<float> dq, dk, dv;
+};
 
 bool runs_key_major_body(kernels::Isa isa) {
   return isa == kernels::Isa::kAvx512 || isa == kernels::Isa::kAvx512Vnni;
@@ -1010,52 +1112,123 @@ void check_attention_kernel(std::int64_t heads, std::int64_t t,
   for (auto& x : q) x *= q_gain;
   const auto k = random_buffer(static_cast<std::size_t>(s * ld), rng);
   const auto v = random_buffer(static_cast<std::size_t>(s * ld), rng);
+  const auto dy = random_buffer(static_cast<std::size_t>(t * ld), rng);
+  // Gradients accumulate: start them from nonzero values.
+  const AttnGrads grads0{
+      random_buffer(static_cast<std::size_t>(t * ld), rng),
+      random_buffer(static_cast<std::size_t>(s * ld), rng),
+      random_buffer(static_cast<std::size_t>(s * ld), rng)};
   const auto kernel = [&](const float* qh, const float* kh, const float* vh,
                           float* oh, float* ph) {
-    kernels::attention_rows(qh, kh, vh, oh, t, s, 8, ld, scale, ph);
+    return kernels::attention_rows(qh, kh, vh, oh, t, s, 8, ld, scale, ph);
   };
   const auto composed = [&](const float* qh, const float* kh, const float* vh,
                             float* oh, float* ph) {
     kernels::gemm_bt(qh, kh, ph, t, 8, s, nullptr, false, {ld, ld, s});
     kernels::softmax_rows(ph, t, s, scale);
     kernels::gemm(ph, vh, oh, t, s, 8, nullptr, false, {s, ld, ld});
+    return kernels::ProbsLayout::kRowMajor;
   };
   const auto spelled = [&](const float* qh, const float* kh, const float* vh,
                            float* oh, float* ph) {
     spelled_attention(qh, kh, vh, oh, ph, t, s, ld, scale);
+    return kernels::ProbsLayout::kRowMajor;
+  };
+  // Every head's gradients from row-major P, one head at a time.
+  const auto grads_of = [&](const std::vector<float>& probs, auto head) {
+    AttnGrads g = grads0;
+    for (std::int64_t h = 0; h < heads; ++h) {
+      head(q.data() + h * 8, k.data() + h * 8, v.data() + h * 8,
+           dy.data() + h * 8, probs.data() + h * t * s, g.dq.data() + h * 8,
+           g.dk.data() + h * 8, g.dv.data() + h * 8);
+    }
+    return g;
+  };
+  const auto composed_grad = [&](const float* qh, const float* kh,
+                                 const float* vh, const float* gh,
+                                 const float* ph, float* dqh, float* dkh,
+                                 float* dvh) {
+    std::vector<float> dz(static_cast<std::size_t>(t * s), -5.0f);
+    kernels::gemm_at(ph, gh, dvh, s, t, 8, nullptr, true, {s, ld, ld});
+    kernels::gemm_bt(gh, vh, dz.data(), t, 8, s, nullptr, false,
+                     {ld, ld, s});
+    kernels::softmax_jacobian_rows(dz.data(), ph, t, s, scale);
+    kernels::gemm(dz.data(), kh, dqh, t, s, 8, nullptr, true, {s, ld, ld});
+    kernels::gemm_at(dz.data(), qh, dkh, s, t, 8, nullptr, true, {s, ld, ld});
+  };
+  const auto spelled_grad = [&](const float* qh, const float* kh,
+                                const float* vh, const float* gh,
+                                const float* ph, float* dqh, float* dkh,
+                                float* dvh) {
+    spelled_attention_grad(qh, kh, vh, gh, ph, dqh, dkh, dvh, t, s, ld,
+                           scale);
   };
   const kernels::Isa startup = kernels::active_isa();
   for (const kernels::Isa isa : kernels::compiled_isas()) {
     if (!kernels::isa_supported(isa)) continue;
     kernels::set_isa(isa);
-    const AttnOutputs train = run_heads(q, k, v, heads, t, s, true, kernel);
+    ProbsBlocks kept(heads, t, s);
+    const AttnOutputs train =
+        run_heads(q, k, v, heads, t, s, true, kernel, &kept);
     const AttnOutputs infer = run_heads(q, k, v, heads, t, s, false, kernel);
     const AttnOutputs comp = run_heads(q, k, v, heads, t, s, true, composed);
     const std::string where = std::string(kernels::isa_name(isa)) + " h" +
                               std::to_string(heads) + " t" +
                               std::to_string(t) + " s" + std::to_string(s);
+    // The kernel's backward, from the P its forward kept as it kept it.
+    AttnGrads grads = grads0;
+    std::vector<float> scratch(
+        static_cast<std::size_t>(kernels::attention_grad_scratch_floats(t, s)),
+        -9.0f);
+    for (std::int64_t h = 0; h < heads; ++h) {
+      kernels::attention_rows_grad(
+          q.data() + h * 8, k.data() + h * 8, v.data() + h * 8,
+          dy.data() + h * 8, kept.head(h), train.layout,
+          grads.dq.data() + h * 8, grads.dk.data() + h * 8,
+          grads.dv.data() + h * 8, t, s, 8, ld, scale, scratch.data());
+    }
+    const AttnGrads comp_grads = grads_of(train.probs, composed_grad);
+
     bool against_composition = true;
+    bool grads_against_composition = true;
     if (runs_key_major_body(isa)) {
+      ASSERT_EQ(train.layout, kernels::ProbsLayout::kKeyMajor) << where;
       const AttnOutputs ref = run_heads(q, k, v, heads, t, s, true, spelled);
       ASSERT_EQ(train.out, ref.out) << where << " output vs spelled";
       ASSERT_EQ(train.probs, ref.probs) << where << " P vs spelled";
       ASSERT_EQ(infer.out, ref.out) << where << " inference vs spelled";
+      if (t % 4 == 0) {
+        const AttnGrads ref_grads = grads_of(train.probs, spelled_grad);
+        ASSERT_EQ(grads.dq, ref_grads.dq) << where << " dQ vs spelled";
+        ASSERT_EQ(grads.dk, ref_grads.dk) << where << " dK vs spelled";
+        ASSERT_EQ(grads.dv, ref_grads.dv) << where << " dV vs spelled";
+#if !defined(FMNET_RELEASE_CONTRACTION)
+        grads_against_composition = false;
+#endif
+      }
 #if !defined(FMNET_RELEASE_CONTRACTION)
       against_composition = false;
 #endif
+    } else {
+      ASSERT_EQ(train.layout, kernels::ProbsLayout::kRowMajor) << where;
     }
     if (against_composition) {
       ASSERT_EQ(train.out, comp.out) << where << " output vs composition";
       ASSERT_EQ(train.probs, comp.probs) << where << " P vs composition";
       ASSERT_EQ(infer.out, comp.out) << where << " inference vs composition";
     }
+    if (grads_against_composition) {
+      ASSERT_EQ(grads.dq, comp_grads.dq) << where << " dQ vs composition";
+      ASSERT_EQ(grads.dk, comp_grads.dk) << where << " dK vs composition";
+      ASSERT_EQ(grads.dv, comp_grads.dv) << where << " dV vs composition";
+    }
   }
   kernels::set_isa(startup);
 }
 
 // (heads, T, S): the Table-1 window, the serving window, T and S tails
-// mod 16 (36 % 16 == 4: one leftover key quad), and S = 4 (a single quad,
-// T one full 16-row block).
+// mod 16 (36 % 16 == 4: one leftover key quad; T = 37 backward copies P
+// out row-major), and S = 4 (a single quad, T one full 16-row block).
 TEST(AttentionKernel, MatchesCompositionInInferenceAndTraining) {
   fmnet::Rng rng(123);
   check_attention_kernel(2, 300, 300, 1.0f, rng);
@@ -1148,6 +1321,111 @@ TEST(BufferPool, AcquireZeroReturnsZeros) {
   pool::release(std::move(dirty));
   const std::vector<float> z = pool::acquire_zero(n);
   for (const float v : z) ASSERT_EQ(v, 0.0f);
+}
+
+// Buffers released on every lane of a pool sit in those lanes' shards;
+// one clear() must empty them all, so the next acquire allocates.
+TEST(BufferPool, ClearEmptiesEveryLane) {
+  if (!pool::enabled()) GTEST_SKIP() << "pool disabled via env";
+  pool::clear();
+  util::ThreadPool lanes(4);
+  lanes.parallel_for(0, 64, [](std::int64_t) {
+    std::vector<float> a = pool::acquire(pool::kMinPooledFloats * 3);
+    std::vector<float> b = pool::acquire(pool::kMinPooledFloats * 3);
+    pool::release(std::move(a));
+    pool::release(std::move(b));
+  });
+  EXPECT_GT(pool::stats().cached_buffers, 0);
+  pool::clear();
+  const auto before = pool::stats();
+  EXPECT_EQ(before.cached_buffers, 0);
+  EXPECT_EQ(before.cached_bytes, 0);
+  const std::vector<float> again = pool::acquire(pool::kMinPooledFloats * 3);
+  EXPECT_EQ(pool::stats().misses, before.misses + 1);
+}
+
+// The per-class cap is a total over every lane's shard.
+TEST(BufferPool, RetentionWithinCaps) {
+  if (!pool::enabled()) GTEST_SKIP() << "pool disabled via env";
+  pool::clear();
+  util::ThreadPool lanes(4);
+  lanes.parallel_for_lane(0, 4, [](std::size_t, std::int64_t) {
+    for (int i = 0; i < 128; ++i) {
+      pool::release(std::vector<float>(pool::kMinPooledFloats));
+    }
+  });
+  EXPECT_EQ(pool::stats().cached_buffers, 128);
+  pool::clear();
+}
+
+// A buffer another thread released serves this thread's acquire before
+// anything is allocated.
+TEST(BufferPool, AcquireStealsFromOtherLanes) {
+  if (!pool::enabled()) GTEST_SKIP() << "pool disabled via env";
+  pool::clear();
+  const std::size_t n = pool::kMinPooledFloats * 5;
+  const float* storage = nullptr;
+  std::thread other([&] {
+    std::vector<float> buf = pool::acquire(n);
+    storage = buf.data();
+    pool::release(std::move(buf));
+  });
+  other.join();
+  const auto before = pool::stats();
+  const std::vector<float> got = pool::acquire(n);
+  const auto after = pool::stats();
+  EXPECT_EQ(got.data(), storage);
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
+}
+
+// Lanes acquire, steal and release buffers of a few sizes at once. Odd
+// tasks give back their buffers plus fresh ones and even tasks keep
+// theirs, so shards fill on some lanes and drain on others. Every buffer
+// is written and read back whole (TSan watches the hand-offs), every
+// acquire is a hit or a miss, and the totals stay within the caps.
+TEST(BufferPool, ConcurrentAcquireStealRelease) {
+  if (!pool::enabled()) GTEST_SKIP() << "pool disabled via env";
+  pool::clear();
+  const auto before = pool::stats();
+  constexpr std::int64_t kTasks = 512;
+  constexpr int kPerTask = 4;
+  std::atomic<int> bad{0};
+  util::ThreadPool lanes(4);
+  lanes.parallel_for(0, kTasks, [&](std::int64_t i) {
+    const std::size_t n =
+        pool::kMinPooledFloats * static_cast<std::size_t>(1 + i % 3) +
+        static_cast<std::size_t>(i % 7);
+    std::vector<std::vector<float>> held;
+    for (int j = 0; j < kPerTask; ++j) {
+      held.push_back(pool::acquire(n));
+      std::fill(held.back().begin(), held.back().end(),
+                static_cast<float>(i));
+    }
+    for (const auto& buf : held) {
+      if (buf.size() != n ||
+          std::any_of(buf.begin(), buf.end(), [&](float x) {
+            return x != static_cast<float>(i);
+          })) {
+        ++bad;
+      }
+    }
+    if (i % 2 == 1) {
+      for (auto& buf : held) pool::release(std::move(buf));
+      for (int j = 0; j < kPerTask; ++j) {
+        pool::release(std::vector<float>(n));
+      }
+    }
+  });
+  EXPECT_EQ(bad.load(), 0);
+  const auto after = pool::stats();
+  EXPECT_EQ((after.hits - before.hits) + (after.misses - before.misses),
+            kTasks * kPerTask);
+  EXPECT_LE(after.steals - before.steals, after.hits - before.hits);
+  // Two capacity classes (1024..1030 and 2048..3078 floats), 128 each.
+  EXPECT_LE(after.cached_buffers, 2 * 128);
+  pool::clear();
+  EXPECT_EQ(pool::stats().cached_buffers, 0);
 }
 
 TEST(BufferPool, GraphReusesBuffersAcrossSteps) {
