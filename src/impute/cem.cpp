@@ -189,7 +189,7 @@ ConstraintEnforcementModule::correct_interval_smt(
   for (std::int64_t t = 0; t < factor; ++t) {
     const smt::VarId nz = model.new_bool();
     model.add_reified(nz, smt::LinExpr(q[t]), smt::Cmp::kGe, 1);
-    ne = ne + smt::LinExpr(nz);
+    ne.add_term(1, nz);
   }
   model.add_linear(ne, smt::Cmp::kLe, m_out);
   // Objective: Σ |q_t - ref_t| over non-sampled steps.
@@ -199,8 +199,9 @@ ConstraintEnforcementModule::correct_interval_smt(
     const std::int64_t ref =
         std::llround(imputed[static_cast<std::size_t>(t)]);
     const std::int64_t hi = std::max(iabs(ref), iabs(m_max - ref));
-    objective = objective + smt::LinExpr(model.add_abs(
-                                smt::LinExpr(q[t]) - smt::LinExpr(ref), hi));
+    smt::LinExpr deviation(q[t]);
+    deviation.add_constant(-ref);
+    objective.add_term(1, model.add_abs(deviation, hi));
   }
   model.minimize(objective);
 

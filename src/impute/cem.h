@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -67,8 +68,13 @@ enum class CemEngine { kFastRepair, kSmtBranchAndBound };
 
 struct CemConfig {
   CemEngine engine = CemEngine::kFastRepair;
-  /// Budget for the SMT engine, per interval.
-  smt::Budget smt_budget{.max_decisions = 2'000'000, .max_seconds = 30.0};
+  /// Budget for the SMT engine, per interval: decisions only, so a repair
+  /// never depends on machine load (wall time is observed in cem.window_ms,
+  /// never enforced). A window that exhausts it keeps its best incumbent,
+  /// or takes the infeasible fallback when it has none.
+  smt::Budget smt_budget{
+      .max_decisions = 2'000'000,
+      .max_seconds = std::numeric_limits<double>::infinity()};
   /// Serving-path accelerators for the SMT engine (no effect on the fast
   /// engine). All of them preserve the repaired output bit-for-bit: solver
   /// results are canonically extracted (smt/solver.h) and only definitive

@@ -11,17 +11,16 @@ namespace fmnet::smt {
 /// a Model; intended for logging and test diagnostics, not for parsing.
 std::string to_smtlib(const Model& model);
 
-/// Canonical binary serialisation of a model's constraint system, used as
-/// repair-cache key material (solve_cache.h). Two models get the same bytes
-/// iff they pose the same problem to the solver: variable *names* are
-/// excluded, terms are sorted by variable, and constraints/clauses are
-/// sorted lexicographically — safe because bounds-consistency fixpoints
-/// (and therefore the canonical extraction assignment) depend only on the
+/// Content address of a model's constraint system, the repair-cache key
+/// (solve_cache.h): 32 hex digits of a 128-bit digest. Each constraint and
+/// clause gets its own digest with its terms or literals sorted; the
+/// sorted digests are folded with the variable bounds and the objective.
+/// Two models get the same key iff they pose the same problem to the
+/// solver (up to digest collisions, negligible at 128 bits): variable
+/// *names* and the order of constraints, clauses, terms and literals do
+/// not enter it. That is safe because bounds-consistency fixpoints, and
+/// therefore the canonical extraction assignment, depend only on the
 /// constraint set over (domains, objective), never on declaration order.
-std::string canonical_bytes(const Model& model);
-
-/// Content address of canonical_bytes(model): 32 hex digits of
-/// util::stable_key, the same addressing discipline as core/artifact_store.
 std::string repair_key(const Model& model);
 
 }  // namespace fmnet::smt

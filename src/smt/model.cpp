@@ -1,6 +1,7 @@
 #include "smt/model.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.h"
 
@@ -70,23 +71,28 @@ void Model::check_bool(VarId v) const {
               "variable " + names_[v.id] + " is not boolean");
 }
 
-namespace {
-LinearConstraint to_constraint(const LinExpr& expr, Cmp cmp,
-                               std::int64_t rhs) {
+void Model::push_linear(std::int64_t lead_coef, VarId lead,
+                        const LinExpr& expr, std::int64_t expr_sign, Cmp cmp,
+                        std::int64_t rhs, BoolLit guard) {
   LinearConstraint c;
   c.cmp = cmp;
-  c.rhs = rhs - expr.constant();
-  c.terms.reserve(expr.terms().size());
+  c.rhs = rhs - expr_sign * expr.constant();
+  c.guard_var = guard.var.id;
+  c.guard_value = guard.positive;
+  c.begin = static_cast<std::uint32_t>(terms_.size());
+  if (lead_coef != 0) terms_.emplace_back(lead_coef, lead.id);
   for (const auto& [coef, var] : expr.terms()) {
-    if (coef != 0) c.terms.emplace_back(coef, var.id);
+    if (coef != 0) terms_.emplace_back(expr_sign * coef, var.id);
   }
-  return c;
+  FMNET_CHECK(terms_.size() <= std::numeric_limits<std::uint32_t>::max(),
+              "too many constraint terms");
+  c.end = static_cast<std::uint32_t>(terms_.size());
+  linear_.push_back(c);
 }
-}  // namespace
 
 void Model::add_linear(const LinExpr& expr, Cmp cmp, std::int64_t rhs) {
   for (const auto& [coef, var] : expr.terms()) check_var(var);
-  linear_.push_back(to_constraint(expr, cmp, rhs));
+  push_linear(0, VarId{}, expr, 1, cmp, rhs, BoolLit{});
 }
 
 void Model::add_clause(std::vector<BoolLit> lits) {
@@ -99,16 +105,19 @@ void Model::add_implies(BoolLit b, const LinExpr& expr, Cmp cmp,
                         std::int64_t rhs) {
   check_bool(b.var);
   for (const auto& [coef, var] : expr.terms()) check_var(var);
+  implies(b, 0, VarId{}, expr, 1, cmp, rhs);
+}
+
+void Model::implies(BoolLit b, std::int64_t lead_coef, VarId lead,
+                    const LinExpr& expr, std::int64_t expr_sign, Cmp cmp,
+                    std::int64_t rhs) {
   if (cmp == Cmp::kEq) {
-    // b -> (expr = rhs) splits into two guarded inequalities.
-    add_implies(b, expr, Cmp::kLe, rhs);
-    add_implies(b, expr, Cmp::kGe, rhs);
+    // b -> (body = rhs) splits into two guarded inequalities.
+    implies(b, lead_coef, lead, expr, expr_sign, Cmp::kLe, rhs);
+    implies(b, lead_coef, lead, expr, expr_sign, Cmp::kGe, rhs);
     return;
   }
-  LinearConstraint c = to_constraint(expr, cmp, rhs);
-  c.guard_var = b.var.id;
-  c.guard_value = b.positive;
-  linear_.push_back(std::move(c));
+  push_linear(lead_coef, lead, expr, expr_sign, cmp, rhs, b);
 }
 
 void Model::add_reified(VarId b, const LinExpr& expr, Cmp cmp,
@@ -169,10 +178,11 @@ VarId Model::add_abs(const LinExpr& expr, std::int64_t hi, std::string name) {
   // sign boolean: s -> (expr >= 0 and d = expr); !s -> (expr <= -1 and
   // d = -expr).
   const VarId s = new_bool();
-  add_implies(pos(s), expr, Cmp::kGe, 0);
-  add_implies(pos(s), LinExpr(d) - expr, Cmp::kEq, 0);
-  add_implies(neg(s), expr, Cmp::kLe, -1);
-  add_implies(neg(s), LinExpr(d) + expr, Cmp::kEq, 0);
+  for (const auto& [coef, var] : expr.terms()) check_var(var);
+  implies(pos(s), 0, VarId{}, expr, 1, Cmp::kGe, 0);
+  implies(pos(s), 1, d, expr, -1, Cmp::kEq, 0);  // d - expr = 0
+  implies(neg(s), 0, VarId{}, expr, 1, Cmp::kLe, -1);
+  implies(neg(s), 1, d, expr, 1, Cmp::kEq, 0);  // d + expr = 0
   return d;
 }
 

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,9 +73,15 @@ class LinExpr {
   std::int64_t constant_ = 0;
 };
 
+/// One term (coef, var) of a stored linear constraint.
+using Term = std::pair<std::int64_t, std::int32_t>;
+
 /// Internal storage of one linear constraint  expr ⋈ 0  (rhs folded in).
+/// Its terms are Model::terms(c): a range of the model's shared term pool,
+/// so a constraint owns no allocation of its own.
 struct LinearConstraint {
-  std::vector<std::pair<std::int64_t, std::int32_t>> terms;  // (coef, var)
+  std::uint32_t begin = 0;  // term pool range [begin, end)
+  std::uint32_t end = 0;
   std::int64_t rhs = 0;  // Σ coef·var ⋈ rhs
   Cmp cmp = Cmp::kLe;
   /// Enforcement guard: if guard_var >= 0, the constraint only applies when
@@ -132,15 +139,29 @@ class Model {
   const std::vector<LinearConstraint>& linear_constraints() const {
     return linear_;
   }
+  std::span<const Term> terms(const LinearConstraint& c) const {
+    return {terms_.data() + c.begin, terms_.data() + c.end};
+  }
   const std::vector<std::vector<BoolLit>>& clauses() const { return clauses_; }
 
  private:
   void check_var(VarId v) const;
   void check_bool(VarId v) const;
+  /// Stores  lead·x + expr ⋈ rhs  (no lead term when lead_coef is 0),
+  /// guarded by `guard` when its variable is valid. `lead` is a fresh
+  /// variable, never one of expr's, so no terms merge.
+  void push_linear(std::int64_t lead_coef, VarId lead, const LinExpr& expr,
+                   std::int64_t expr_sign, Cmp cmp, std::int64_t rhs,
+                   BoolLit guard);
+  /// add_implies for a body  lead·x + expr_sign·expr ⋈ rhs.
+  void implies(BoolLit b, std::int64_t lead_coef, VarId lead,
+               const LinExpr& expr, std::int64_t expr_sign, Cmp cmp,
+               std::int64_t rhs);
 
   std::vector<std::int64_t> lo_;
   std::vector<std::int64_t> hi_;
   std::vector<std::string> names_;
+  std::vector<Term> terms_;
   std::vector<LinearConstraint> linear_;
   std::vector<std::vector<BoolLit>> clauses_;
   LinExpr objective_;

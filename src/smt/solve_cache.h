@@ -3,8 +3,8 @@
 //
 // CEM repair poses the same constraint system over and over — telemetry
 // violation patterns recur across windows, ports and scenario reruns — so
-// the serving path keys each canonicalised system (format.h repair_key, the
-// same content-addressing discipline as core/artifact_store) and memoises
+// the serving path keys each canonicalised system (format.h repair_key, a
+// 128-bit content address digested straight from the model) and memoises
 // the *definitive* solver answers. Cache safety rests on two invariants:
 //
 //   * only kOptimal / kUnsat results are stored — a budget-limited kSat or

@@ -14,10 +14,16 @@ namespace {
 
 // Exact 128-bit intermediates: every coef·bound product fits in 127 bits,
 // so linear activities are accumulated without the int64 overflow UB the
-// old solver had on wide domains. Results saturate back to int64 only when
-// written as variable bounds, which can only *loosen* a propagated bound —
-// sound, never lossy for feasibility.
+// old solver had on wide domains. A propagated bound always lies inside the
+// variable's current domain, so it fits in int64 as written; only objective
+// values and cap right-hand sides saturate (sat64). Constraints whose
+// activities provably stay below 2^61 take the same arithmetic in int64
+// (propagate_linear).
 using I128 = __int128;
+
+// Below this bound on activities and |rhs|, every activity, room and term
+// width of a constraint is below 2^62 and fits in int64.
+constexpr std::int64_t kSmallLimit = std::int64_t{1} << 61;
 
 std::int64_t sat64(I128 v) {
   constexpr I128 kMax = std::numeric_limits<std::int64_t>::max();
@@ -25,13 +31,6 @@ std::int64_t sat64(I128 v) {
   if (v > kMax) return std::numeric_limits<std::int64_t>::max();
   if (v < kMin) return std::numeric_limits<std::int64_t>::min();
   return static_cast<std::int64_t>(v);
-}
-
-// Floor division for possibly-negative operands (C++ '/' truncates).
-I128 floor_div(I128 a, I128 b) {
-  I128 q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-  return q;
 }
 
 // "Unbounded" rhs for the not-yet-armed objective cap constraints.
@@ -48,7 +47,9 @@ std::uint64_t splitmix64(std::uint64_t x) {
 // Process-wide solver accounting, aggregated across every solve on every
 // thread (CEM windows run concurrently on the pool). One record per
 // user-visible solve/minimize; inner branch-and-bound searches are reported
-// distinctly as smt.searches so per-solve averages stay honest.
+// distinctly as smt.searches so per-solve averages stay honest. Of the
+// decisions, smt.extract.decisions went to canonical extraction, and
+// smt.root_proofs counts minimisations proven optimal by root propagation.
 void record_solve(const SolveResult& r) {
   auto& reg = obs::Registry::global();
   static obs::Counter& solves = reg.counter("smt.solves");
@@ -58,9 +59,14 @@ void record_solve(const SolveResult& r) {
   static obs::Counter& conflicts = reg.counter("smt.conflicts");
   static obs::Counter& timeouts = reg.counter("smt.timeouts");
   static obs::Counter& unsat = reg.counter("smt.unsat");
+  static obs::Counter& root_proofs = reg.counter("smt.root_proofs");
+  static obs::Counter& extract_decisions =
+      reg.counter("smt.extract.decisions");
   solves.add(1);
   searches.add(r.searches);
   decisions.add(r.decisions);
+  extract_decisions.add(r.extract_decisions);
+  if (r.root_proof) root_proofs.add(1);
   propagations.add(r.propagations);
   conflicts.add(r.conflicts);
   if (r.status == Status::kUnknown) timeouts.add(1);
@@ -78,21 +84,39 @@ Solver::Solver(const Model& model, Budget budget, Options options)
     seed_offset_ = splitmix64(options_.branch_seed);
     seed_upper_first_ = (options_.branch_seed & 1) != 0;
   }
+  timed_ = budget_.max_seconds < std::numeric_limits<double>::infinity();
   lo_ = model.lower_bounds();
   hi_ = model.upper_bounds();
+  const std::size_t n = lo_.size();
 
-  // Normalise every linear constraint to <= form (Eq splits into two).
-  for (const LinearConstraint& c : model.linear_constraints()) {
+  // Normalise every linear constraint to <= form (Eq splits into two),
+  // its terms appended to the shared pool.
+  const auto& linear = model.linear_constraints();
+  std::size_t rows = 0;
+  std::size_t terms = 0;
+  for (const LinearConstraint& c : linear) {
+    const std::size_t k = c.cmp == Cmp::kEq ? 2 : 1;
+    rows += k;
+    terms += k * (c.end - c.begin);
+  }
+  terms += 2 * model.objective().terms().size();  // the objective caps
+  FMNET_CHECK(terms <= std::numeric_limits<std::uint32_t>::max(),
+              "too many constraint terms");
+  constraints_.reserve(rows + 2);
+  terms_.reserve(terms);
+  for (const LinearConstraint& c : linear) {
     auto push = [&](bool negate) {
-      NormalisedConstraint n;
-      n.rhs = negate ? -c.rhs : c.rhs;
-      n.guard_var = c.guard_var;
-      n.guard_value = c.guard_value;
-      n.terms.reserve(c.terms.size());
-      for (const auto& [coef, var] : c.terms) {
-        n.terms.emplace_back(negate ? -coef : coef, var);
+      NormalisedConstraint nc;
+      nc.begin = static_cast<std::uint32_t>(terms_.size());
+      for (const auto& [coef, var] : model.terms(c)) {
+        terms_.emplace_back(negate ? -coef : coef, var);
       }
-      constraints_.push_back(std::move(n));
+      nc.end = static_cast<std::uint32_t>(terms_.size());
+      nc.rhs = negate ? -c.rhs : c.rhs;
+      nc.guard_var = c.guard_var;
+      nc.guard_value = c.guard_value;
+      nc.small = small_activity(nc);
+      constraints_.push_back(nc);
     };
     switch (c.cmp) {
       case Cmp::kLe:
@@ -108,24 +132,52 @@ Solver::Solver(const Model& model, Budget budget, Options options)
     }
   }
 
-  var_to_constraints_.resize(lo_.size());
-  for (std::size_t i = 0; i < constraints_.size(); ++i) {
-    for (const auto& [coef, var] : constraints_[i].terms) {
-      var_to_constraints_[var].push_back(i);
+  // CSR occurrence lists: count, prefix-sum, then fill in constraint order.
+  const auto build_csr = [n](std::vector<std::uint32_t>& begin,
+                             std::vector<std::uint32_t>& items,
+                             std::size_t count, const auto& for_each_var) {
+    begin.assign(n + 1, 0);
+    for (std::size_t i = 0; i < count; ++i) {
+      for_each_var(i, [&](std::int32_t v) { ++begin[v + 1]; });
     }
-    if (constraints_[i].guard_var >= 0) {
-      var_to_constraints_[constraints_[i].guard_var].push_back(i);
+    for (std::size_t v = 0; v < n; ++v) begin[v + 1] += begin[v];
+    items.resize(begin[n]);
+    std::vector<std::uint32_t> fill(begin.begin(), begin.end() - 1);
+    for (std::size_t i = 0; i < count; ++i) {
+      for_each_var(i, [&](std::int32_t v) {
+        items[fill[v]++] = static_cast<std::uint32_t>(i);
+      });
     }
-  }
-  var_to_clauses_.resize(lo_.size());
+  };
+  build_csr(var_constraint_begin_, var_constraints_, constraints_.size(),
+            [this](std::size_t i, const auto& visit) {
+              const NormalisedConstraint& c = constraints_[i];
+              for (std::uint32_t k = c.begin; k < c.end; ++k) {
+                visit(terms_[k].second);
+              }
+              if (c.guard_var >= 0) visit(c.guard_var);
+            });
   const auto& clauses = model.clauses();
-  for (std::size_t i = 0; i < clauses.size(); ++i) {
-    for (const BoolLit& l : clauses[i]) {
-      var_to_clauses_[l.var.id].push_back(i);
-    }
-  }
+  build_csr(var_clause_begin_, var_clauses_, clauses.size(),
+            [&clauses](std::size_t i, const auto& visit) {
+              for (const BoolLit& l : clauses[i]) visit(l.var.id);
+            });
+  in_objective_.assign(n, 0);
   constraint_dirty_flag_.assign(constraints_.size(), 0);
   clause_dirty_flag_.assign(clauses.size(), 0);
+}
+
+bool Solver::small_activity(const NormalisedConstraint& c) const {
+  I128 bound = 0;
+  const auto abs128 = [](std::int64_t v) {
+    return v < 0 ? -static_cast<I128>(v) : static_cast<I128>(v);
+  };
+  for (std::uint32_t k = c.begin; k < c.end; ++k) {
+    const auto& [coef, var] = terms_[k];
+    bound += abs128(coef) * std::max(abs128(lo_[var]), abs128(hi_[var]));
+    if (abs128(coef) >= kSmallLimit || bound >= kSmallLimit) return false;
+  }
+  return true;
 }
 
 bool Solver::set_hi(std::int32_t var, std::int64_t value) {
@@ -133,18 +185,7 @@ bool Solver::set_hi(std::int32_t var, std::int64_t value) {
   trail_.push_back({var, true, hi_[var]});
   hi_[var] = value;
   if (lo_[var] > hi_[var]) return false;
-  for (const std::size_t ci : var_to_constraints_[var]) {
-    if (!constraint_dirty_flag_[ci]) {
-      constraint_dirty_flag_[ci] = 1;
-      dirty_constraints_.push_back(ci);
-    }
-  }
-  for (const std::size_t ci : var_to_clauses_[var]) {
-    if (!clause_dirty_flag_[ci]) {
-      clause_dirty_flag_[ci] = 1;
-      dirty_clauses_.push_back(ci);
-    }
-  }
+  wake(var);
   return true;
 }
 
@@ -153,19 +194,28 @@ bool Solver::set_lo(std::int32_t var, std::int64_t value) {
   trail_.push_back({var, false, lo_[var]});
   lo_[var] = value;
   if (lo_[var] > hi_[var]) return false;
-  for (const std::size_t ci : var_to_constraints_[var]) {
-    if (!constraint_dirty_flag_[ci]) {
-      constraint_dirty_flag_[ci] = 1;
-      dirty_constraints_.push_back(ci);
-    }
+  wake(var);
+  return true;
+}
+
+void Solver::wake(std::int32_t var) {
+  const auto v = static_cast<std::size_t>(var);
+  for (std::uint32_t k = var_constraint_begin_[v];
+       k < var_constraint_begin_[v + 1]; ++k) {
+    mark_constraint_dirty(var_constraints_[k]);
   }
-  for (const std::size_t ci : var_to_clauses_[var]) {
+  if (in_objective_[v]) {
+    mark_constraint_dirty(cap_le_idx_);
+    mark_constraint_dirty(cap_ge_idx_);
+  }
+  for (std::uint32_t k = var_clause_begin_[v]; k < var_clause_begin_[v + 1];
+       ++k) {
+    const std::uint32_t ci = var_clauses_[k];
     if (!clause_dirty_flag_[ci]) {
       clause_dirty_flag_[ci] = 1;
       dirty_clauses_.push_back(ci);
     }
   }
-  return true;
 }
 
 void Solver::undo_to(std::size_t mark) {
@@ -177,18 +227,18 @@ void Solver::undo_to(std::size_t mark) {
 }
 
 void Solver::clear_dirty() {
-  for (const std::size_t idx : dirty_constraints_) {
+  for (const std::uint32_t idx : dirty_constraints_) {
     constraint_dirty_flag_[idx] = 0;
   }
   dirty_constraints_.clear();
-  for (const std::size_t idx : dirty_clauses_) clause_dirty_flag_[idx] = 0;
+  for (const std::uint32_t idx : dirty_clauses_) clause_dirty_flag_[idx] = 0;
   dirty_clauses_.clear();
 }
 
 void Solver::mark_constraint_dirty(std::size_t idx) {
   if (!constraint_dirty_flag_[idx]) {
     constraint_dirty_flag_[idx] = 1;
-    dirty_constraints_.push_back(idx);
+    dirty_constraints_.push_back(static_cast<std::uint32_t>(idx));
   }
 }
 
@@ -199,13 +249,23 @@ void Solver::mark_all_dirty() {
   for (std::size_t i = 0; i < model_.clauses().size(); ++i) {
     if (!clause_dirty_flag_[i]) {
       clause_dirty_flag_[i] = 1;
-      dirty_clauses_.push_back(i);
+      dirty_clauses_.push_back(static_cast<std::uint32_t>(i));
     }
   }
 }
 
 bool Solver::propagate_linear(std::size_t idx) {
+  // The same bounds in either width: int64 wherever it is exact, else
+  // 128 bits. Both give the same fixpoints, so the search cannot tell.
   const NormalisedConstraint& c = constraints_[idx];
+  if (c.small && c.rhs > -kSmallLimit && c.rhs < kSmallLimit) {
+    return propagate_linear_as<std::int64_t>(c);
+  }
+  return propagate_linear_as<I128>(c);
+}
+
+template <typename Acc>
+bool Solver::propagate_linear_as(const NormalisedConstraint& c) {
   // Guard handling.
   bool active = true;
   if (c.guard_var >= 0) {
@@ -220,11 +280,17 @@ bool Solver::propagate_linear(std::size_t idx) {
     }
   }
 
-  // Minimum activity of Σ coef·var, exact in 128 bits.
-  I128 min_act = 0;
-  for (const auto& [coef, var] : c.terms) {
-    min_act +=
-        static_cast<I128>(coef) * (coef > 0 ? lo_[var] : hi_[var]);
+  // Minimum activity of Σ coef·var, and the widest term |coef|·(hi − lo).
+  Acc min_act = 0;
+  Acc widest = 0;
+  for (std::uint32_t k = c.begin; k < c.end; ++k) {
+    const auto& [coef, var] = terms_[k];
+    const std::int64_t lo = lo_[var];
+    const std::int64_t hi = hi_[var];
+    const Acc a = coef;
+    const Acc mag = coef > 0 ? a : -a;
+    min_act += a * (coef > 0 ? lo : hi);
+    widest = std::max(widest, mag * (static_cast<Acc>(hi) - lo));
   }
 
   if (!active) {
@@ -240,17 +306,26 @@ bool Solver::propagate_linear(std::size_t idx) {
 
   if (min_act > c.rhs) return false;  // violated
 
-  // Tighten each variable given the others at their minimum.
-  for (const auto& [coef, var] : c.terms) {
-    const I128 contrib_min =
-        static_cast<I128>(coef) * (coef > 0 ? lo_[var] : hi_[var]);
-    const I128 slack = static_cast<I128>(c.rhs) - (min_act - contrib_min);
-    if (coef > 0) {
-      if (!set_hi(var, sat64(floor_div(slack, coef)))) return false;
-    } else {
-      // coef < 0: coef*x <= slack  =>  x >= ceil(slack / coef)
-      if (!set_lo(var, sat64(-floor_div(slack, -coef)))) return false;
-    }
+  // Tighten each variable given the others at their minimum: it may move
+  // floor(room / |coef|) away from its own minimum end, which tightens its
+  // domain only when |coef|·(hi − lo) exceeds the room. Unit coefficients,
+  // all CEM has, need no division.
+  const Acc room = static_cast<Acc>(c.rhs) - min_act;
+  if (widest <= room) return true;  // no bound can move
+  for (std::uint32_t k = c.begin; k < c.end; ++k) {
+    const auto& [coef, var] = terms_[k];
+    const std::int64_t lo = lo_[var];
+    const std::int64_t hi = hi_[var];
+    const Acc a = coef;
+    const Acc mag = coef > 0 ? a : -a;
+    if (mag * (static_cast<Acc>(hi) - lo) <= room) continue;
+    // lo < lo + step < hi here (and likewise for hi − step), so the new
+    // bound fits in int64 in either width.
+    const Acc step = mag == 1 ? room : room / mag;
+    const bool ok = coef > 0
+                        ? set_hi(var, static_cast<std::int64_t>(lo + step))
+                        : set_lo(var, static_cast<std::int64_t>(hi - step));
+    if (!ok) return false;
   }
   return true;
 }
@@ -349,19 +424,23 @@ void Solver::begin(bool minimizing, const WarmStart* warm) {
     // Two pre-wired cap constraints over the objective terms: cap_le_
     // (obj' <= K) drives branch-and-bound; cap_ge_ (-obj' <= K) stays at
     // +inf until canonical extraction pins obj' to the proven optimum.
+    // They are woken through in_objective_, after each variable's own
+    // constraints. Zero-coefficient terms (an objective whose terms
+    // cancelled) constrain nothing and are left out.
     auto add_cap = [&](bool negate) {
       NormalisedConstraint cap;
+      cap.begin = static_cast<std::uint32_t>(terms_.size());
+      for (const auto& [coef, var] : model_.objective().terms()) {
+        if (coef == 0) continue;
+        terms_.emplace_back(negate ? -coef : coef, var.id);
+        in_objective_[static_cast<std::size_t>(var.id)] = 1;
+      }
+      cap.end = static_cast<std::uint32_t>(terms_.size());
       cap.rhs = kCapInfinity;
-      for (const auto& [coef, var] : model_.objective().terms()) {
-        cap.terms.emplace_back(negate ? -coef : coef, var.id);
-      }
-      const std::size_t idx = constraints_.size();
-      constraints_.push_back(std::move(cap));
+      cap.small = small_activity(cap);
+      constraints_.push_back(cap);
       constraint_dirty_flag_.push_back(0);
-      for (const auto& [coef, var] : model_.objective().terms()) {
-        var_to_constraints_[var.id].push_back(idx);
-      }
-      return idx;
+      return constraints_.size() - 1;
     };
     cap_le_idx_ = add_cap(false);
     cap_ge_idx_ = add_cap(true);
@@ -400,16 +479,12 @@ void Solver::try_warm(const WarmStart& warm) {
   // remaining variable to its lower bound and re-propagate. Reaching an
   // all-fixed fixpoint without conflict proves feasibility, because every
   // constraint over a touched variable was re-checked at exact activity and
-  // untouched ones were already consistent at the root fixpoint.
-  while (ok) {
-    std::int32_t var = -1;
-    for (std::size_t v = 0; v < lo_.size(); ++v) {
-      if (lo_[v] != hi_[v]) {
-        var = static_cast<std::int32_t>(v);
-        break;
-      }
-    }
-    if (var < 0) break;
+  // untouched ones were already consistent at the root fixpoint. The dive
+  // only tightens, so the variables before the one just fixed stay fixed
+  // and one pass in index order visits them all.
+  for (std::size_t v = 0; ok && v < lo_.size(); ++v) {
+    if (lo_[v] == hi_[v]) continue;
+    const auto var = static_cast<std::int32_t>(v);
     ok = set_hi(var, lo_[var]) && propagate();
   }
   if (ok) {
@@ -437,6 +512,7 @@ bool Solver::tighten_cap_below_incumbent() {
   mark_constraint_dirty(cap_le_idx_);
   if (!propagate()) {
     clear_dirty();
+    result_.root_proof = true;  // refuted at the root: optimum proven
     return false;
   }
   root_mark_ = trail_.size();
@@ -511,9 +587,15 @@ void Solver::on_tree_exhausted() {
   finish(Status::kUnsat);
 }
 
+void Solver::count_decision() {
+  ++decisions_;
+  if (phase_ == Phase::kExtract) ++extract_decisions_;
+}
+
 void Solver::finish(Status status) {
   result_.status = status;
   result_.decisions = decisions_;
+  result_.extract_decisions = extract_decisions_;
   result_.propagations = propagations_;
   result_.conflicts = conflicts_;
   result_.searches = searches_;
@@ -549,7 +631,7 @@ bool Solver::step(std::int64_t decision_quantum) {
 
   while (true) {
     if (decisions_ > budget_.max_decisions ||
-        clock_.elapsed_seconds() > budget_.max_seconds) {
+        (timed_ && clock_.elapsed_seconds() > budget_.max_seconds)) {
       finish_budget_exhausted();
       return true;
     }
@@ -572,7 +654,7 @@ bool Solver::step(std::int64_t decision_quantum) {
       Frame& f = stack_.back();
       undo_to(f.trail_mark);
       f.tried_alternative = true;
-      ++decisions_;
+      count_decision();
       const bool ok = f.upper_first ? set_hi(f.var, f.split)
                                     : set_lo(f.var, f.split + 1);
       conflict_ = !ok || !propagate();
@@ -596,7 +678,7 @@ bool Solver::step(std::int64_t decision_quantum) {
     const bool upper_first =
         phase_ == Phase::kExtract ? false : seed_upper_first_;
     stack_.push_back({trail_.size(), var, split, false, upper_first});
-    ++decisions_;
+    count_decision();
     const bool ok =
         upper_first ? set_lo(var, split + 1) : set_hi(var, split);
     conflict_ = !ok || !propagate();
@@ -694,10 +776,12 @@ SolveResult minimize_portfolio(const Model& model, Budget budget,
   }
 
   // Charge the work of every lane, not just the winner's.
-  out.decisions = out.propagations = out.conflicts = out.searches = 0;
+  out.decisions = out.extract_decisions = out.propagations = out.conflicts =
+      out.searches = 0;
   out.warm_started = false;
   for (const auto& s : solvers) {
     out.decisions += s->decisions();
+    out.extract_decisions += s->extract_decisions();
     out.propagations += s->propagations();
     out.conflicts += s->conflicts();
     out.searches += s->searches();

@@ -34,7 +34,10 @@ namespace fmnet::smt {
 /// Search limits. Exceeding any limit stops the search with an UNKNOWN /
 /// best-so-far result instead of a definitive answer. Both limits bound the
 /// *whole* solve — a minimize() with max_seconds = S finishes within ~S
-/// total, not S per inner search.
+/// total, not S per inner search. A decision limit makes the outcome a
+/// function of the model alone; a wall limit makes it depend on machine
+/// load. With max_seconds = +infinity the solver never reads the clock to
+/// stop, so the budget is decision-only (CEM's, see impute/cem.h).
 struct Budget {
   std::int64_t max_decisions = 50'000'000;
   double max_seconds = 3600.0;
@@ -61,6 +64,13 @@ struct SolveResult {
   /// extraction pass). A plain solve() is exactly one search.
   std::int64_t searches = 0;
   double seconds = 0.0;
+  /// Decisions spent in canonical extraction (smt.extract.decisions); the
+  /// rest of `decisions` went to finding and improving incumbents.
+  std::int64_t extract_decisions = 0;
+  /// minimize(): the optimum was proven by propagation alone — the cap one
+  /// below the incumbent conflicted at the root, with no search
+  /// (smt.root_proofs).
+  bool root_proof = false;
   /// True when a warm-start hint was accepted and seeded the incumbent.
   bool warm_started = false;
   /// True when the result was served from the repair cache (solve_cache.h)
@@ -133,6 +143,7 @@ class Solver {
   // Live search statistics, valid at any point of a stepped solve (the
   // portfolio driver charges losers' work too, not just the winner's).
   std::int64_t decisions() const { return decisions_; }
+  std::int64_t extract_decisions() const { return extract_decisions_; }
   std::int64_t propagations() const { return propagations_; }
   std::int64_t conflicts() const { return conflicts_; }
   std::int64_t searches() const { return searches_; }
@@ -147,11 +158,18 @@ class Solver {
   };
 
   struct NormalisedConstraint {
-    // Σ coef·var <= rhs, optionally guarded by (guard_var == guard_value).
-    std::vector<std::pair<std::int64_t, std::int32_t>> terms;
+    // Σ coef·var <= rhs over terms_[begin, end), optionally guarded by
+    // (guard_var == guard_value).
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
     std::int64_t rhs = 0;
     std::int32_t guard_var = -1;
     bool guard_value = true;
+    // Σ|coef|·max(|lo|, |hi|) over the initial domains, and every |coef|,
+    // are below 2^61. Domains only shrink, so this bounds every activity the
+    // search can meet: while |rhs| < 2^61 too, propagation is exact in
+    // int64 (see propagate_linear).
+    bool small = false;
   };
 
   struct Frame {
@@ -168,12 +186,17 @@ class Solver {
   bool set_lo(std::int32_t var, std::int64_t value);
   void undo_to(std::size_t mark);
   void clear_dirty();
+  void wake(std::int32_t var);  // marks every constraint over var dirty
   void mark_constraint_dirty(std::size_t idx);
   void mark_all_dirty();
+  bool small_activity(const NormalisedConstraint& c) const;
 
   bool propagate();  // to fixpoint; false on conflict
   bool propagate_linear(std::size_t idx);
+  template <typename Acc>
+  bool propagate_linear_as(const NormalisedConstraint& c);
   bool propagate_clause(std::size_t idx);
+  void count_decision();
 
   std::int32_t pick_variable() const;  // -1 when all fixed
   std::int64_t eval_objective() const;
@@ -195,9 +218,18 @@ class Solver {
 
   std::vector<std::int64_t> lo_;
   std::vector<std::int64_t> hi_;
+  std::vector<Term> terms_;  // every constraint's (coef, var), back to back
   std::vector<NormalisedConstraint> constraints_;
-  std::vector<std::vector<std::size_t>> var_to_constraints_;
-  std::vector<std::vector<std::size_t>> var_to_clauses_;
+  // Occurrence lists in CSR form: the constraints over var v are
+  // var_constraints_[var_constraint_begin_[v] .. var_constraint_begin_[v+1]),
+  // in constraint order (a guard counts as an occurrence); likewise for
+  // clauses. The objective caps are not listed: while minimising they are
+  // woken through in_objective_, after the variable's own constraints.
+  std::vector<std::uint32_t> var_constraint_begin_;
+  std::vector<std::uint32_t> var_constraints_;
+  std::vector<std::uint32_t> var_clause_begin_;
+  std::vector<std::uint32_t> var_clauses_;
+  std::vector<char> in_objective_;
 
   struct TrailEntry {
     std::int32_t var;
@@ -205,9 +237,9 @@ class Solver {
     std::int64_t old_value;
   };
   std::vector<TrailEntry> trail_;
-  std::vector<std::size_t> dirty_constraints_;
+  std::vector<std::uint32_t> dirty_constraints_;
   std::vector<char> constraint_dirty_flag_;
-  std::vector<std::size_t> dirty_clauses_;
+  std::vector<std::uint32_t> dirty_clauses_;
   std::vector<char> clause_dirty_flag_;
 
   // ---- solve lifetime state (stepping machine) ----
@@ -216,6 +248,7 @@ class Solver {
   bool conflict_ = false;
   std::vector<Frame> stack_;
   fmnet::Stopwatch clock_;  // one clock for the whole solve (budget fix)
+  bool timed_ = false;      // budget_.max_seconds is finite
 
   // Objective cap constraints, appended by begin_minimize. cap_le_ enforces
   // obj <= K (the branch-and-bound cap); cap_ge_ enforces obj >= K' and
@@ -239,6 +272,7 @@ class Solver {
 
   SolveResult result_;
   std::int64_t decisions_ = 0;
+  std::int64_t extract_decisions_ = 0;
   std::int64_t propagations_ = 0;
   std::int64_t conflicts_ = 0;
   std::int64_t searches_ = 0;

@@ -11,6 +11,7 @@
 #include "impute/knowledge_imputer.h"
 #include "impute/linear_interp.h"
 #include "impute/transformer_imputer.h"
+#include "obs/metrics.h"
 #include "smt/solve_cache.h"
 #include "telemetry/dataset.h"
 #include "telemetry/monitors.h"
@@ -444,6 +445,60 @@ TEST(CemAccel, PortJointWarmMatchesPlain) {
     EXPECT_EQ(rp.corrected, ra.corrected) << "seed " << seed;
   }
   smt::SolveCache::global().clear();
+}
+
+TEST(CemBudget, DecisionBudgetMakesRepairsDeterministic) {
+  // CEM's SMT budget counts decisions only, so a repair never depends on
+  // machine load. A cold window (no warm start, no cache) whose search
+  // needs `need` decisions is cut at need / 2: the budget-limited repair is
+  // the same on every repeat. With a budget of `need` it is the unlimited
+  // repair.
+  CemConfig cfg;
+  cfg.engine = CemEngine::kSmtBranchAndBound;
+  cfg.use_repair_cache = false;
+  cfg.warm_start = false;
+  EXPECT_FALSE(std::isfinite(cfg.smt_budget.max_seconds));
+
+  const std::int64_t factor = 12;
+  fmnet::Rng rng(777);
+  std::vector<double> imputed;
+  for (std::int64_t t = 0; t < factor; ++t) {
+    imputed.push_back(static_cast<double>(rng.uniform_int(-1, 9)));
+  }
+  PacketInterval interval{.m_max = 6, .m_out = 9, .sample_at = {}};
+  interval.sample_at.assign(static_cast<std::size_t>(factor), -1);
+  interval.sample_at[5] = 4;
+
+  obs::Counter& decisions = obs::Registry::global().counter("smt.decisions");
+  auto repair = [&](std::int64_t max_decisions, std::int64_t* used) {
+    CemConfig c = cfg;
+    c.smt_budget.max_decisions = max_decisions;
+    const std::int64_t before = decisions.value();
+    CemResult r = ConstraintEnforcementModule(c).correct_window(imputed,
+                                                                interval);
+    *used = decisions.value() - before;
+    return r;
+  };
+  std::int64_t need = 0;
+  const CemResult unlimited = repair(cfg.smt_budget.max_decisions, &need);
+  ASSERT_TRUE(unlimited.feasible);
+  ASSERT_GT(need, 40);
+
+  std::int64_t used = 0;
+  const CemResult cut = repair(need / 2, &used);
+  EXPECT_EQ(used, need / 2 + 1);  // stopped by the budget, not finished
+  EXPECT_TRUE(cut.feasible);      // with its best incumbent
+  for (int rep = 0; rep < 20; ++rep) {
+    const CemResult again = repair(need / 2, &used);
+    EXPECT_EQ(again.feasible, cut.feasible) << "repeat " << rep;
+    EXPECT_EQ(again.objective, cut.objective) << "repeat " << rep;
+    EXPECT_EQ(again.corrected, cut.corrected) << "repeat " << rep;
+  }
+
+  const CemResult enough = repair(need, &used);
+  EXPECT_EQ(used, need);
+  EXPECT_EQ(enough.objective, unlimited.objective);
+  EXPECT_EQ(enough.corrected, unlimited.corrected);
 }
 
 TEST(CemPort, JointCorrectionEnforcesDisjunctionC3) {

@@ -6,7 +6,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <map>
+#include <numeric>
+#include <set>
 
 #include "obs/metrics.h"
 #include "smt/format.h"
@@ -554,6 +558,116 @@ TEST(SolverOverflowTest, NegatedHugeCoefficientsUnsatDetected) {
   EXPECT_EQ(s.solve().status, Status::kUnsat);
 }
 
+// The int64 path: a constraint propagates in int64 while
+// Σ|coef|·max(|lo|, |hi|) over its initial domains and |rhs| are below 2^61,
+// and in 128 bits otherwise. Each case sits just below or just above that
+// line, and its bound on x is derived by hand: pinning x at the bound must
+// fix it by propagation alone, and one step past the bound is UNSAT.
+TEST(SolverOverflowTest, Int64BoundaryMatchesHandDerivedBounds) {
+  constexpr std::int64_t k61 = std::int64_t{1} << 61;
+  constexpr std::int64_t k60 = std::int64_t{1} << 60;
+  constexpr std::int64_t k59 = std::int64_t{1} << 59;
+  constexpr std::int64_t k58 = std::int64_t{1} << 58;
+  constexpr std::int64_t k57 = std::int64_t{1} << 57;
+  constexpr std::int64_t kThird = (k60 - 1) / 3;  // 2^60 ≡ 1 (mod 3)
+  struct Case {
+    const char* name;
+    std::int64_t x_hi;  // x in [0, x_hi]
+    std::int64_t y;     // y fixed: domain [y, y]
+    std::int64_t cx;
+    std::int64_t cy;
+    Cmp cmp;
+    std::int64_t rhs;
+    int guard;   // 0: none; +1: b -> body, b = 1; -1: !b -> body, b = 0
+    bool upper;  // the body bounds x from above (else from below)
+    std::int64_t bound;
+  };
+  const std::vector<Case> cases = {
+      // x + y <= 2^60 + 2^59, y = 2^60: x <= 2^59. Bound 2^61 - 1 / 2^61.
+      {"unit_le_below", k60 - 1, k60, 1, 1, Cmp::kLe, k60 + k59, 0, true,
+       k59},
+      {"unit_le_above", k60, k60, 1, 1, Cmp::kLe, k60 + k59, 0, true, k59},
+      {"unit_le_guarded_below", k60 - 1, k60, 1, 1, Cmp::kLe, k60 + k59, 1,
+       true, k59},
+      {"unit_le_guarded_above", k60, k60, 1, 1, Cmp::kLe, k60 + k59, -1, true,
+       k59},
+      // x - y <= 2^60 + 2^59, y = -2^60: x <= 2^59.
+      {"neg_domain_below", k60 - 1, -k60, 1, -1, Cmp::kLe, k60 + k59, 0, true,
+       k59},
+      {"neg_domain_above", k60, -k60, 1, -1, Cmp::kLe, k60 + k59, 0, true,
+       k59},
+      // 2x + y <= 2^60 + 2^58 + 1, y = 2^60: x <= floor((2^58 + 1)/2).
+      // Bound 2^61 - 2 / 2^61.
+      {"coef2_le_below", k59 - 1, k60, 2, 1, Cmp::kLe, k60 + k58 + 1, 0, true,
+       k57},
+      {"coef2_le_above", k59, k60, 2, 1, Cmp::kLe, k60 + k58 + 1, 0, true,
+       k57},
+      // -3x + 2y >= 2^58 + 1, y = 2^59: x <= floor((3·2^58 - 1)/3).
+      // Bound 2^61 - 1 / 2^61 + 2.
+      {"coef_neg3_ge_below", kThird, k59, -3, 2, Cmp::kGe, k58 + 1, 0, true,
+       k58 - 1},
+      {"coef_neg3_ge_above", kThird + 1, k59, -3, 2, Cmp::kGe, k58 + 1, 0,
+       true, k58 - 1},
+      {"coef_neg3_ge_guarded_below", kThird, k59, -3, 2, Cmp::kGe, k58 + 1,
+       -1, true, k58 - 1},
+      {"coef_neg3_ge_guarded_above", kThird + 1, k59, -3, 2, Cmp::kGe, k58 + 1,
+       1, true, k58 - 1},
+      // -3x + 2y <= 2^58 - 1, y = 2^59: x >= ceil((3·2^58 + 1)/3).
+      {"coef_neg3_le_below", kThird, k59, -3, 2, Cmp::kLe, k58 - 1, 0, false,
+       k58 + 1},
+      {"coef_neg3_le_above", kThird + 1, k59, -3, 2, Cmp::kLe, k58 - 1, 0,
+       false, k58 + 1},
+      // rhs at the line: x + y >= 2^61 - 1 with bound 2^61 - 1 fixes x at
+      // x_hi = 2^60 - 1; x + y >= 2^61 with bound 2^61 fixes x = 2^60.
+      {"rhs_below", k60 - 1, k60, 1, 1, Cmp::kGe, k61 - 1, 0, false, k60 - 1},
+      {"rhs_above", k60, k60, 1, 1, Cmp::kGe, k61, 0, false, k60},
+      {"rhs_guarded_below", k60 - 1, k60, 1, 1, Cmp::kGe, k61 - 1, 1, false,
+       k60 - 1},
+      {"rhs_guarded_above", k60, k60, 1, 1, Cmp::kGe, k61, -1, false, k60},
+  };
+  // kPin fixes x at the bound; kPast pins it one step beyond; kUndecided
+  // pins it beyond with the guard left free, which must switch the body off.
+  enum Pin { kPin, kPast, kUndecided };
+  auto build = [](const Case& c, Pin pin, VarId* x_out, VarId* b_out) {
+    Model m;
+    const VarId x = m.new_int(0, c.x_hi, "x");
+    const VarId y = m.new_int(c.y, c.y, "y");
+    const LinExpr body = LinExpr(x) * c.cx + LinExpr(y) * c.cy;
+    VarId b;
+    if (c.guard == 0) {
+      m.add_linear(body, c.cmp, c.rhs);
+    } else {
+      b = m.new_bool("b");
+      const BoolLit g = c.guard > 0 ? pos(b) : neg(b);
+      m.add_implies(g, body, c.cmp, c.rhs);
+      if (pin != kUndecided) m.add_clause({g});
+    }
+    const std::int64_t at =
+        pin == kPin ? c.bound : (c.upper ? c.bound + 1 : c.bound - 1);
+    m.add_linear(LinExpr(x), c.upper ? Cmp::kGe : Cmp::kLe, at);
+    *x_out = x;
+    *b_out = b;
+    return m;
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    VarId x;
+    VarId b;
+    const Model pinned = build(c, kPin, &x, &b);
+    const SolveResult r = Solver(pinned).solve();
+    ASSERT_EQ(r.status, Status::kSat);
+    EXPECT_EQ(r.decisions, 0);
+    EXPECT_EQ(r.value(x), c.bound);
+    EXPECT_EQ(Solver(build(c, kPast, &x, &b)).solve().status, Status::kUnsat);
+    if (c.guard != 0) {
+      const Model free_guard = build(c, kUndecided, &x, &b);
+      const SolveResult rg = Solver(free_guard).solve();
+      ASSERT_EQ(rg.status, Status::kSat);
+      EXPECT_EQ(rg.value(b), c.guard > 0 ? 0 : 1);
+    }
+  }
+}
+
 namespace {
 // P pigeons into P-1 holes with a per-pigeon "unplaced" escape variable;
 // minimising unplaced pigeons has optimum 1 but proving it (the cap-0
@@ -762,6 +876,41 @@ TEST(SolverWarmStartTest, WarmAndColdProduceIdenticalResults) {
   EXPECT_LE(rw.decisions, rc.decisions);
 }
 
+TEST(SolverCounterTest, RootProofsAndExtractionDecisionsAreCounted) {
+  // Warm-started from an optimum of x + y >= 5, the cap x + y <= 4 is
+  // refuted by root propagation (a root proof), so every decision goes to
+  // canonical extraction. smt.root_proofs and smt.extract.decisions add up
+  // each solve's share.
+  auto& reg = obs::Registry::global();
+  obs::Counter& proofs = reg.counter("smt.root_proofs");
+  obs::Counter& extract = reg.counter("smt.extract.decisions");
+  Model m;
+  const VarId x = m.new_int(0, 10, "x");
+  const VarId y = m.new_int(0, 10, "y");
+  m.add_linear(LinExpr(x) + LinExpr(y), Cmp::kGe, 5);
+  m.minimize(LinExpr(x) + LinExpr(y));
+  WarmStart warm;
+  warm.hints = {{x, 5}, {y, 0}};
+  const std::int64_t proofs0 = proofs.value();
+  const std::int64_t extract0 = extract.value();
+  const auto r = Solver(m).minimize(warm);
+  ASSERT_EQ(r.status, Status::kOptimal);
+  EXPECT_EQ(r.objective, 5);
+  EXPECT_TRUE(r.root_proof);
+  EXPECT_GT(r.extract_decisions, 0);
+  EXPECT_EQ(r.extract_decisions, r.decisions);
+  EXPECT_EQ(proofs.value() - proofs0, 1);
+  EXPECT_EQ(extract.value() - extract0, r.extract_decisions);
+
+  // A budget-limited search proves nothing and never reaches extraction.
+  Budget limited;
+  limited.max_decisions = 400;
+  const auto cut = Solver(escape_pigeonhole(12), limited).minimize();
+  ASSERT_EQ(cut.status, Status::kSat);
+  EXPECT_FALSE(cut.root_proof);
+  EXPECT_EQ(cut.extract_decisions, 0);
+}
+
 TEST(SolverWarmStartTest, InfeasibleHintsAreDiscarded) {
   Model m;
   const VarId x = m.new_int(0, 10, "x");
@@ -898,6 +1047,220 @@ TEST(CanonicalKeyTest, ConstraintOrderAndNamesDoNotChangeKey) {
   EXPECT_EQ(build(true, "x", 7), base);
   EXPECT_EQ(build(false, "renamed", 7), base);
   EXPECT_NE(build(false, "x", 8), base);
+}
+
+namespace {
+// Every field the repair key covers, for one small model: two bounded
+// integers and two booleans, an unguarded and a guarded constraint, two
+// clauses and an objective. The reverse_* flags build the same system with
+// terms, literals, clauses or constraints in the opposite order.
+struct KeySpec {
+  std::int64_t x_hi = 10;
+  std::int64_t coef = 2;
+  std::int64_t rhs = 7;
+  Cmp cmp = Cmp::kLe;
+  bool guard_on_b = true;  // the guard variable: b, or else c
+  bool guard_value = true;
+  bool lit_positive = true;
+  std::int64_t obj_coef = 1;
+  std::int64_t obj_constant = 0;
+  bool reverse_terms = false;
+  bool reverse_literals = false;
+  bool reverse_clauses = false;
+  bool reverse_constraints = false;
+};
+
+std::string spec_key(const KeySpec& s) {
+  Model m;
+  const VarId x = m.new_int(0, s.x_hi, "x");
+  const VarId y = m.new_int(-5, 5, "y");
+  const VarId b = m.new_bool("b");
+  const VarId c = m.new_bool("c");
+  LinExpr body;  // coef·x + y, in either order
+  LinExpr objective;
+  objective.add_constant(s.obj_constant);
+  if (s.reverse_terms) {
+    body.add_term(1, y).add_term(s.coef, x);
+    objective.add_term(1, c).add_term(s.obj_coef, x);
+  } else {
+    body.add_term(s.coef, x).add_term(1, y);
+    objective.add_term(s.obj_coef, x).add_term(1, c);
+  }
+  const BoolLit guard{s.guard_on_b ? b : c, s.guard_value};
+  const auto unguarded = [&] { m.add_linear(body, s.cmp, s.rhs); };
+  const auto guarded = [&] {
+    m.add_implies(guard, LinExpr(x) - LinExpr(y), Cmp::kGe, 1);
+  };
+  if (s.reverse_constraints) {
+    guarded();
+    unguarded();
+  } else {
+    unguarded();
+    guarded();
+  }
+  std::vector<BoolLit> first{BoolLit{b, s.lit_positive}, neg(c)};
+  if (s.reverse_literals) std::reverse(first.begin(), first.end());
+  std::vector<std::vector<BoolLit>> clauses{first, {pos(b), pos(c)}};
+  if (s.reverse_clauses) std::reverse(clauses.begin(), clauses.end());
+  for (auto& clause : clauses) m.add_clause(clause);
+  m.minimize(objective);
+  return repair_key(m);
+}
+
+// The inputs of one CEM window model (impute/cem.cpp's encoding). A
+// sampled step's reference is irrelevant to the model, so it is zeroed:
+// equal inputs are exactly the ones that pose the same problem.
+struct CemInput {
+  std::int64_t m_max = 0;
+  std::int64_t m_out = 0;
+  std::vector<std::int64_t> sample;  // -1 = not sampled
+  std::vector<std::int64_t> ref;
+  std::vector<std::int64_t> flat() const {
+    std::vector<std::int64_t> out{m_max, m_out};
+    out.insert(out.end(), sample.begin(), sample.end());
+    out.insert(out.end(), ref.begin(), ref.end());
+    return out;
+  }
+};
+
+// Builds the window model with the variables in CEM's order and, when `rng`
+// is given, the constraints (and the C3 sum's terms) in a shuffled order.
+Model cem_shaped_model(const CemInput& in, fmnet::Rng* rng) {
+  Model m;
+  const std::size_t f = in.sample.size();
+  std::vector<VarId> q;
+  std::vector<VarId> nz;
+  std::vector<std::pair<VarId, VarId>> abs_vars(f);  // (d, s) per step
+  for (std::size_t t = 0; t < f; ++t) q.push_back(m.new_int(0, in.m_max));
+  for (std::size_t t = 0; t < f; ++t) nz.push_back(m.new_bool());
+  for (std::size_t t = 0; t < f; ++t) {
+    if (in.sample[t] >= 0) continue;
+    const std::int64_t hi =
+        std::max(std::abs(in.ref[t]), std::abs(in.m_max - in.ref[t]));
+    abs_vars[t].first = m.new_int(0, hi);
+    abs_vars[t].second = m.new_bool();
+  }
+  std::vector<std::function<void()>> emit;
+  LinExpr objective;
+  LinExpr ne;
+  for (std::size_t t = 0; t < f; ++t) {
+    if (in.sample[t] >= 0) {
+      emit.push_back(
+          [&, t] { m.add_linear(LinExpr(q[t]), Cmp::kEq, in.sample[t]); });
+      continue;
+    }
+    // add_abs's encoding of d = |q - ref|, one emitter per constraint.
+    const VarId d = abs_vars[t].first;
+    const VarId s = abs_vars[t].second;
+    LinExpr dev(q[t]);
+    dev.add_constant(-in.ref[t]);
+    emit.push_back([&m, s, dev] { m.add_implies(pos(s), dev, Cmp::kGe, 0); });
+    emit.push_back([&m, s, d, dev] {
+      m.add_implies(pos(s), LinExpr(d) - dev, Cmp::kEq, 0);
+    });
+    emit.push_back(
+        [&m, s, dev] { m.add_implies(neg(s), dev, Cmp::kLe, -1); });
+    emit.push_back([&m, s, d, dev] {
+      m.add_implies(neg(s), LinExpr(d) + dev, Cmp::kEq, 0);
+    });
+    objective.add_term(1, d);
+  }
+  std::vector<std::size_t> order(f);
+  std::iota(order.begin(), order.end(), 0);
+  if (rng != nullptr) {
+    for (std::size_t i = f; i > 1; --i) {
+      std::swap(order[i - 1], order[static_cast<std::size_t>(
+                                  rng->uniform_int(0, i - 1))]);
+    }
+  }
+  for (const std::size_t t : order) {
+    emit.push_back([&, t] {
+      m.add_reified(nz[t], LinExpr(q[t]), Cmp::kGe, 1);
+    });
+    ne.add_term(1, nz[t]);
+  }
+  emit.push_back([&] { m.add_linear(ne, Cmp::kLe, in.m_out); });
+  if (rng != nullptr) {
+    for (std::size_t i = emit.size(); i > 1; --i) {
+      std::swap(emit[i - 1], emit[static_cast<std::size_t>(
+                                 rng->uniform_int(0, i - 1))]);
+    }
+  }
+  for (const auto& e : emit) e();
+  m.minimize(objective);
+  return m;
+}
+}  // namespace
+
+TEST(CanonicalKeyTest, TermClauseAndLiteralOrderDoNotChangeKey) {
+  const std::string base = spec_key({});
+  KeySpec s;
+  s.reverse_terms = true;
+  EXPECT_EQ(spec_key(s), base);
+  s = {};
+  s.reverse_literals = true;
+  EXPECT_EQ(spec_key(s), base);
+  s = {};
+  s.reverse_clauses = true;
+  EXPECT_EQ(spec_key(s), base);
+  s = {};
+  s.reverse_constraints = true;
+  EXPECT_EQ(spec_key(s), base);
+  s.reverse_terms = s.reverse_literals = s.reverse_clauses = true;
+  EXPECT_EQ(spec_key(s), base);
+  EXPECT_EQ(base.size(), 32u);
+}
+
+TEST(CanonicalKeyTest, EverySingleFieldMutationChangesKey) {
+  const std::vector<std::pair<const char*, void (*)(KeySpec&)>> mutations = {
+      {"bound", [](KeySpec& s) { s.x_hi = 11; }},
+      {"coefficient", [](KeySpec& s) { s.coef = 3; }},
+      {"rhs", [](KeySpec& s) { s.rhs = 8; }},
+      {"cmp", [](KeySpec& s) { s.cmp = Cmp::kGe; }},
+      {"guard variable", [](KeySpec& s) { s.guard_on_b = false; }},
+      {"guard value", [](KeySpec& s) { s.guard_value = false; }},
+      {"literal sign", [](KeySpec& s) { s.lit_positive = false; }},
+      {"objective term", [](KeySpec& s) { s.obj_coef = 2; }},
+      {"objective constant", [](KeySpec& s) { s.obj_constant = 1; }},
+  };
+  std::set<std::string> keys{spec_key({})};
+  for (const auto& [field, mutate] : mutations) {
+    KeySpec s;
+    mutate(s);
+    EXPECT_TRUE(keys.insert(spec_key(s)).second) << field;
+  }
+}
+
+TEST(CanonicalKeyTest, RandomCemModelsCollideExactlyWhenInputsAreEqual) {
+  // Small input ranges, so that many of the 10,000 draws repeat an earlier
+  // input; each draw is also rebuilt in a shuffled constraint order.
+  fmnet::Rng rng(20261018);
+  std::map<std::vector<std::int64_t>, std::string> key_of_input;
+  std::map<std::string, std::vector<std::int64_t>> input_of_key;
+  int repeats = 0;
+  for (int draw = 0; draw < 10'000; ++draw) {
+    CemInput in;
+    const auto f = static_cast<std::size_t>(rng.uniform_int(2, 3));
+    in.m_max = rng.uniform_int(0, 3);
+    in.m_out = rng.uniform_int(0, static_cast<std::int64_t>(f));
+    for (std::size_t t = 0; t < f; ++t) {
+      const bool sampled = rng.bernoulli(0.3);
+      in.sample.push_back(sampled ? rng.uniform_int(0, in.m_max) : -1);
+      in.ref.push_back(sampled ? 0 : rng.uniform_int(-1, 3));
+    }
+    const std::string key = repair_key(cem_shaped_model(in, nullptr));
+    ASSERT_EQ(repair_key(cem_shaped_model(in, &rng)), key) << "draw " << draw;
+    const auto [it, fresh] = key_of_input.emplace(in.flat(), key);
+    if (!fresh) {
+      ++repeats;
+      EXPECT_EQ(it->second, key) << "draw " << draw;
+    }
+    const auto [jt, new_key] = input_of_key.emplace(key, in.flat());
+    EXPECT_TRUE(new_key || jt->second == in.flat())
+        << "distinct inputs share a key at draw " << draw;
+  }
+  EXPECT_GT(repeats, 1000);
+  EXPECT_EQ(key_of_input.size(), input_of_key.size());
 }
 
 std::vector<RandomInstance> make_instances() {
