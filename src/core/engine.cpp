@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "fabric/fabric.h"
+#include "impute/knowledge_imputer.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -338,29 +339,70 @@ impute::BuiltImputer Engine::fit_method_with_key(const Scenario& s,
   return built;
 }
 
+void Engine::impute_methods(const Scenario& s, const PreparedData& data,
+                            const MethodScorer& score) {
+  impute_methods_with_keys(
+      s, data,
+      [&](const std::string& base) { return checkpoint_key(s, base); },
+      score);
+}
+
+void Engine::impute_methods_with_keys(
+    const Scenario& s, const PreparedData& data,
+    const std::function<std::string(const std::string&)>& key_of,
+    const MethodScorer& score) {
+  const impute::MethodParams params = method_params(s, pool_);
+  const std::vector<telemetry::ImputationExample>& test = data.split.test;
+
+  // The last method of each base, after which its model and outputs go.
+  std::map<std::string, std::size_t> last_use;
+  for (std::size_t m = 0; m < s.methods.size(); ++m) {
+    last_use[impute::Registry::base_method(s.methods[m])] = m;
+  }
+
+  // Each *base* is fitted and forwarded at most once: "x" and "x+cem"
+  // share the fitted base and its outputs, with CEM repairing those.
+  struct Base {
+    impute::BuiltImputer built;
+    std::optional<std::vector<std::vector<double>>> outputs;
+  };
+  std::map<std::string, Base> bases;
+  for (std::size_t m = 0; m < s.methods.size(); ++m) {
+    const std::string& method = s.methods[m];
+    const std::string base = impute::Registry::base_method(method);
+    auto it = bases.find(base);
+    if (it == bases.end()) {
+      it = bases
+               .emplace(base, Base{fit_method_with_key(s, base, data,
+                                                       key_of(base)),
+                                   std::nullopt})
+               .first;
+    }
+    Base& b = it->second;
+    obs::ScopedSpan span("engine.evaluate");
+    if (!b.outputs.has_value()) b.outputs = b.built.imputer->impute_batch(test);
+    if (method == base) {
+      score(method, *b.built.imputer, *b.outputs);
+    } else {
+      impute::KnowledgeAugmentedImputer cem(b.built.imputer, params.cem,
+                                            params.pool);
+      score(method, cem, cem.repair_batch(*b.outputs, test));
+    }
+    if (last_use[base] == m) bases.erase(it);
+  }
+}
+
 std::vector<Table1Row> Engine::run(const Scenario& s) {
   const Campaign c = campaign(s.campaign);
   const PreparedData data = prepare(s, c);
   const Table1Evaluator evaluator(c, data, s.burst_threshold_fraction, s.c4);
-  const impute::MethodParams params = method_params(s, pool_);
-
-  // Fit each *base* method at most once: "x" and "x+cem" share the fitted
-  // base, with CEM wrapped around the same instance.
-  std::map<std::string, impute::BuiltImputer> fitted;
   std::vector<Table1Row> rows;
   rows.reserve(s.methods.size());
-  for (const auto& method : s.methods) {
-    const std::string base = impute::Registry::base_method(method);
-    auto it = fitted.find(base);
-    if (it == fitted.end()) {
-      it = fitted.emplace(base, fit_method(s, base, data)).first;
-    }
-    const impute::BuiltImputer built =
-        method == base ? it->second
-                       : impute::Registry::with_cem(it->second, params);
-    obs::ScopedSpan span("engine.evaluate");
-    rows.push_back(evaluator.evaluate(*built.imputer));
-  }
+  impute_methods(s, data,
+                 [&](const std::string&, const impute::Imputer& imputer,
+                     const std::vector<std::vector<double>>& outputs) {
+                   rows.push_back(evaluator.score(imputer.name(), outputs));
+                 });
   return rows;
 }
 
@@ -500,28 +542,18 @@ std::vector<FabricSwitchResult> Engine::run_fabric_switches(
     const Table1Evaluator evaluator(campaigns[static_cast<std::size_t>(i)],
                                     data, sw_s.burst_threshold_fraction,
                                     sw_s.c4);
-    const impute::MethodParams params = method_params(sw_s, pool_);
-
-    std::map<std::string, impute::BuiltImputer> fitted;
     FabricSwitchResult res;
     res.name = fabric::switch_name(s.fabric, i);
     res.rows.reserve(sw_s.methods.size());
-    for (const auto& method : sw_s.methods) {
-      const std::string base = impute::Registry::base_method(method);
-      auto it = fitted.find(base);
-      if (it == fitted.end()) {
-        it = fitted
-                 .emplace(base, fit_method_with_key(
-                                    sw_s, base, data,
-                                    fabric_checkpoint_key(s, i, base)))
-                 .first;
-      }
-      const impute::BuiltImputer built =
-          method == base ? it->second
-                         : impute::Registry::with_cem(it->second, params);
-      obs::ScopedSpan eval_span("engine.evaluate");
-      res.rows.push_back(evaluator.evaluate(*built.imputer));
-    }
+    impute_methods_with_keys(
+        sw_s, data,
+        [&](const std::string& base) {
+          return fabric_checkpoint_key(s, i, base);
+        },
+        [&](const std::string&, const impute::Imputer& imputer,
+            const std::vector<std::vector<double>>& outputs) {
+          res.rows.push_back(evaluator.score(imputer.name(), outputs));
+        });
     return res;
   });
 }

@@ -20,6 +20,7 @@
 // visible in exported metrics on both cold and warm paths.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,25 @@ class Engine {
   impute::BuiltImputer fit_method(const Scenario& s,
                                   const std::string& method,
                                   const PreparedData& data);
+
+  /// Receives one method's imputations of the test split: `method` is its
+  /// scenario name, `imputer` the method as the registry builds it (its
+  /// name() is the Table-1 column), outputs[i] its series for test example
+  /// i in packets.
+  using MethodScorer = std::function<void(
+      const std::string& method, const impute::Imputer& imputer,
+      const std::vector<std::vector<double>>& outputs)>;
+
+  /// The method loop behind run, run_fabric_switches and the robustness
+  /// sweep. Walks s.methods in order and fits each base once (fit_method);
+  /// forwards each base once over data.split.test with one impute_batch;
+  /// scores "x" from those outputs and "x+cem" from
+  /// KnowledgeAugmentedImputer::repair_batch of them — the outputs and CEM
+  /// counters evaluating each method's own imputer would give. Calls
+  /// `score` once per method, in order, and releases a base (model and
+  /// outputs) after the last method that uses it.
+  void impute_methods(const Scenario& s, const PreparedData& data,
+                      const MethodScorer& score);
 
   /// The full staged DAG: one Table-1 row per scenario method, in order.
   std::vector<Table1Row> run(const Scenario& s);
@@ -126,6 +146,11 @@ class Engine {
                                            const std::string& method,
                                            const PreparedData& data,
                                            const std::string& key);
+  /// impute_methods with base checkpoints keyed by `key_of(base)`.
+  void impute_methods_with_keys(
+      const Scenario& s, const PreparedData& data,
+      const std::function<std::string(const std::string&)>& key_of,
+      const MethodScorer& score);
 
   ArtifactStore store_;
   util::ThreadPool* pool_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <utility>
 
 #include "constraints/constraints.h"
 #include "tasks/metrics.h"
@@ -40,17 +41,20 @@ Table1Evaluator::Table1Evaluator(const Campaign& campaign,
 }
 
 Table1Row Table1Evaluator::evaluate(impute::Imputer& imputer) const {
+  // One batched call, so imputers spread the test split over the pool.
+  return score(imputer.name(), imputer.impute_batch(data_.split.test));
+}
+
+Table1Row Table1Evaluator::score(
+    std::string method, const std::vector<std::vector<double>>& all) const {
   Table1Row row;
-  row.method = imputer.name();
+  row.method = std::move(method);
 
   constraints::Checker checker;
   const std::size_t queues = campaign_.gt.queue_len.size();
   std::vector<std::vector<double>> stitched(queues);
 
-  // One batched call, so model-backed imputers spread the test split over
-  // the pool; the reductions below stay serial, in window order.
-  const std::vector<std::vector<double>> all =
-      imputer.impute_batch(data_.split.test);
+  // The reductions stay serial, in window order.
   FMNET_CHECK_EQ(all.size(), data_.split.test.size());
   for (std::size_t w = 0; w < all.size(); ++w) {
     const auto& ex = data_.split.test[w];

@@ -47,8 +47,13 @@ class Table1Evaluator {
 
   /// Imputes every test example with `imputer` (one impute_batch call over
   /// the test split — equal, by the Imputer contract, to the per-window
-  /// impute() loop) and fills a Table1Row.
+  /// impute() loop) and scores it: score(imputer.name(), outputs).
   Table1Row evaluate(impute::Imputer& imputer) const;
+
+  /// Fills method `method`'s Table1Row from its imputations of the test
+  /// split: outputs[i] is test example i's series in packets.
+  Table1Row score(std::string method,
+                  const std::vector<std::vector<double>>& outputs) const;
 
   double burst_threshold() const { return burst_threshold_; }
 

@@ -1,13 +1,12 @@
 #include "core/robustness.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <utility>
 
-#include "impute/registry.h"
 #include "obs/span.h"
 #include "util/check.h"
 
@@ -22,10 +21,9 @@ std::string fmt_real(double v) {
 }
 
 /// Per-example (emd, mae) in packets against the clean ground truth.
-std::pair<double, double> score_example(impute::Imputer& imputer,
+std::pair<double, double> score_example(const std::vector<double>& imputed,
                                         const telemetry::ImputationExample&
                                             ex) {
-  const std::vector<double> imputed = imputer.impute(ex);
   FMNET_CHECK_EQ(imputed.size(), ex.target.size());
   double cum = 0.0;
   double emd = 0.0;
@@ -57,38 +55,32 @@ RobustnessCurves run_robustness_sweep(
   curves.methods = s.methods;
 
   const Campaign campaign = engine.campaign(s.campaign);
-  const impute::MethodParams params = method_params(s, engine.pool());
 
   for (const double severity : severities) {
     Scenario sv = s;
     sv.faults = s.faults.at_severity(severity);
     const PreparedData data = engine.prepare(sv, campaign);
+    const std::vector<telemetry::ImputationExample>& test = data.split.test;
 
-    // Fit each *base* method once per severity (a method and its +cem
-    // form share the fitted base, exactly like Engine::run).
-    std::map<std::string, impute::BuiltImputer> fitted;
-    for (const auto& method : s.methods) {
-      const std::string base = impute::Registry::base_method(method);
-      auto it = fitted.find(base);
-      if (it == fitted.end()) {
-        it = fitted.emplace(base, engine.fit_method(sv, base, data)).first;
-      }
-      const impute::BuiltImputer built =
-          method == base ? it->second
-                         : impute::Registry::with_cem(it->second, params);
-
-      double emd = 0.0;
-      double mae = 0.0;
-      for (const auto& ex : data.split.test) {
-        const auto [e, m] = score_example(*built.imputer, ex);
-        emd += e;
-        mae += m;
-      }
-      const auto n =
-          static_cast<double>(std::max<std::size_t>(1, data.split.test.size()));
-      curves.points.push_back(
-          RobustnessPoint{method, severity, emd / n, mae / n});
-    }
+    // Engine::run's method loop: each base fitted and forwarded once per
+    // severity, a method and its +cem form sharing the forward.
+    engine.impute_methods(
+        sv, data,
+        [&](const std::string& method, const impute::Imputer&,
+            const std::vector<std::vector<double>>& outputs) {
+          FMNET_CHECK_EQ(outputs.size(), test.size());
+          double emd = 0.0;
+          double mae = 0.0;
+          for (std::size_t w = 0; w < test.size(); ++w) {
+            const auto [e, m] = score_example(outputs[w], test[w]);
+            emd += e;
+            mae += m;
+          }
+          const auto n =
+              static_cast<double>(std::max<std::size_t>(1, test.size()));
+          curves.points.push_back(
+              RobustnessPoint{method, severity, emd / n, mae / n});
+        });
   }
   return curves;
 }

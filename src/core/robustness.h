@@ -48,8 +48,10 @@ struct RobustnessCurves {
 };
 
 /// Runs the sweep. The campaign is simulated (or cache-loaded) once;
-/// each severity re-prepares the dataset and refits every base method.
-/// `severities` must be non-empty; values must be >= 0.
+/// each severity re-prepares the dataset and runs the engine's method
+/// loop (Engine::impute_methods): every base refit and forwarded once,
+/// batched, with "x+cem" repaired from x's outputs. `severities` must be
+/// non-empty; values must be >= 0.
 RobustnessCurves run_robustness_sweep(Engine& engine, const Scenario& s,
                                       const std::vector<double>& severities);
 

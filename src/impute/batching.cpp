@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/metrics.h"
 #include "tensor/pool.h"
 #include "util/check.h"
 
@@ -46,6 +47,11 @@ Tensor stack_targets(const std::vector<ImputationExample>& examples,
 std::vector<std::vector<double>> impute_sharded(
     const std::vector<ImputationExample>& batch, util::ThreadPool* pool,
     const std::function<Tensor(const Tensor&)>& forward) {
+  // Every window a model forward runs, so a run's forward work is an exact
+  // count in exported metrics.
+  static obs::Counter& forwarded =
+      obs::Registry::global().counter("impute.forward.windows");
+  forwarded.add(static_cast<std::int64_t>(batch.size()));
   std::vector<std::vector<std::size_t>> shards;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const std::size_t window = batch[i].window;

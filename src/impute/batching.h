@@ -32,7 +32,7 @@ inline constexpr std::size_t kShardRows = 1600;
 /// inline). out[i] is window i's prediction in packets, clamped at zero.
 /// A window's rows never mix with another window's inside `forward` (the
 /// batch ≡ loop contract), so the result equals forwarding each window
-/// alone, bit for bit.
+/// alone, bit for bit. Counts the batch in `impute.forward.windows`.
 std::vector<std::vector<double>> impute_sharded(
     const std::vector<ImputationExample>& batch, util::ThreadPool* pool,
     const std::function<tensor::Tensor(const tensor::Tensor&)>& forward);

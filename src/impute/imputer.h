@@ -57,6 +57,20 @@ class Imputer {
     for (const ImputationExample& ex : batch) out.push_back(impute(ex));
     return out;
   }
+
+ protected:
+  /// impute() of every window of `batch`, windows spread over `pool`
+  /// (null = global pool) and results stored by index — the impute_batch
+  /// of an imputer whose impute() is a thread-safe function of its window
+  /// alone, which therefore equals the loop above at any lane count.
+  std::vector<std::vector<double>> impute_each(
+      const std::vector<ImputationExample>& batch, util::ThreadPool* pool) {
+    return util::parallel_map<std::vector<double>>(
+        util::ThreadPool::resolve(pool),
+        static_cast<std::int64_t>(batch.size()), [&](std::int64_t i) {
+          return impute(batch[static_cast<std::size_t>(i)]);
+        });
+  }
 };
 
 /// An Imputer whose learned state lives in exactly one nn::Module, so the

@@ -19,14 +19,22 @@ struct IterativeImputerConfig {
 
 class IterativeImputer : public Imputer {
  public:
-  explicit IterativeImputer(IterativeImputerConfig config = {})
-      : config_(config) {}
+  /// `pool` spreads impute_batch's windows (null = global pool); it must
+  /// outlive the imputer.
+  explicit IterativeImputer(IterativeImputerConfig config = {},
+                            util::ThreadPool* pool = nullptr)
+      : config_(config), pool_(pool) {}
 
   std::string name() const override { return "IterImputer"; }
   std::vector<double> impute(const ImputationExample& ex) override;
+  std::vector<std::vector<double>> impute_batch(
+      const std::vector<ImputationExample>& batch) override {
+    return impute_each(batch, pool_);
+  }
 
  private:
   IterativeImputerConfig config_;
+  util::ThreadPool* pool_;
 };
 
 }  // namespace fmnet::impute

@@ -22,20 +22,26 @@ std::vector<double> KnowledgeAugmentedImputer::impute(
 std::vector<std::vector<double>> KnowledgeAugmentedImputer::impute_batch(
     const std::vector<ImputationExample>& batch) {
   obs::ScopedSpan span("impute_batch");
-  std::vector<std::vector<double>> out = base_->impute_batch(batch);
+  return repair_batch(base_->impute_batch(batch), batch);
+}
+
+std::vector<std::vector<double>> KnowledgeAugmentedImputer::repair_batch(
+    const std::vector<std::vector<double>>& base_outputs,
+    const std::vector<ImputationExample>& batch) {
+  FMNET_CHECK_EQ(base_outputs.size(), batch.size());
   // Windows repair concurrently; each correct() still fans its intervals
   // out on the same pool, recruiting only idle lanes.
   std::vector<CemResult> results = util::parallel_map<CemResult>(
       util::ThreadPool::resolve(pool_),
       static_cast<std::int64_t>(batch.size()), [&](std::int64_t i) {
-        const ImputationExample& ex = batch[static_cast<std::size_t>(i)];
-        return cem_.correct(out[static_cast<std::size_t>(i)], ex.constraints,
-                            ex.qlen_scale, pool_);
+        const auto w = static_cast<std::size_t>(i);
+        return cem_.correct(base_outputs[w], batch[w].constraints,
+                            batch[w].qlen_scale, pool_);
       });
   // Counters reduce in window order, exactly as the per-window loop adds.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    out[i] = tally(std::move(results[i]));
-  }
+  std::vector<std::vector<double>> out;
+  out.reserve(batch.size());
+  for (CemResult& r : results) out.push_back(tally(std::move(r)));
   return out;
 }
 

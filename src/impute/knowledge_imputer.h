@@ -33,8 +33,18 @@ class KnowledgeAugmentedImputer : public Imputer {
   /// Batches the base model's forward pass (one lane-parallel call when
   /// the base supports it), then CEM-corrects the windows concurrently on
   /// the pool. Outputs and counters equal the per-window impute() loop's.
+  /// Same as repair_batch(base->impute_batch(batch), batch).
   std::vector<std::vector<double>> impute_batch(
       const std::vector<ImputationExample>& batch) override;
+
+  /// CEM repair of outputs the base already produced: base_outputs[i] is
+  /// the base's imputation of batch[i]. Windows repair concurrently on the
+  /// pool and the counters advance in window order, so a caller that has
+  /// forwarded the base once can score both "x" and "x+cem" from that one
+  /// forward with impute_batch's exact outputs and counters.
+  std::vector<std::vector<double>> repair_batch(
+      const std::vector<std::vector<double>>& base_outputs,
+      const std::vector<ImputationExample>& batch);
 
   /// Wall-clock seconds spent inside CEM across all impute() and
   /// impute_batch() windows, and the window count — used by

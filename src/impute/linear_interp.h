@@ -12,8 +12,20 @@ namespace fmnet::impute {
 
 class LinearInterpImputer : public Imputer {
  public:
+  /// `pool` spreads impute_batch's windows (null = global pool); it must
+  /// outlive the imputer.
+  explicit LinearInterpImputer(util::ThreadPool* pool = nullptr)
+      : pool_(pool) {}
+
   std::string name() const override { return "LinearInterp"; }
   std::vector<double> impute(const ImputationExample& ex) override;
+  std::vector<std::vector<double>> impute_batch(
+      const std::vector<ImputationExample>& batch) override {
+    return impute_each(batch, pool_);
+  }
+
+ private:
+  util::ThreadPool* pool_;
 };
 
 }  // namespace fmnet::impute

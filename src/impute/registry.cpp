@@ -35,6 +35,10 @@ class FmOnlyImputer : public Imputer {
     return cem.correct(zeros, ex.constraints, ex.qlen_scale, pool_)
         .corrected;
   }
+  std::vector<std::vector<double>> impute_batch(
+      const std::vector<ImputationExample>& batch) override {
+    return impute_each(batch, pool_);
+  }
 
  private:
   CemConfig cem_config_;
@@ -87,8 +91,13 @@ std::shared_ptr<Imputer> build_base(const std::string& base,
                                     const MethodParams& params,
                                     std::shared_ptr<CheckpointableImputer>*
                                         trainable) {
-  if (base == "linear") return std::make_shared<LinearInterpImputer>();
-  if (base == "iterative") return std::make_shared<IterativeImputer>();
+  if (base == "linear") {
+    return std::make_shared<LinearInterpImputer>(params.pool);
+  }
+  if (base == "iterative") {
+    return std::make_shared<IterativeImputer>(IterativeImputerConfig{},
+                                              params.pool);
+  }
   if (base == "fm") {
     return std::make_shared<FmOnlyImputer>(params.cem, params.pool);
   }

@@ -47,9 +47,10 @@ struct MethodParams {
   /// length (the engine sets it from the scenario's data.window-ms).
   AutoencoderConfig autoencoder;
   CemConfig cem;
-  /// Forwarded to the model-backed imputers' batched inference and to CEM
-  /// wrappers, so windows are imputed and corrected concurrently; must
-  /// outlive the imputer. null = global pool.
+  /// Forwarded to every method's batched inference (model forwards and
+  /// the analytical baselines' per-window loops) and to CEM wrappers, so
+  /// windows are imputed and corrected concurrently; must outlive the
+  /// imputer. null = global pool.
   util::ThreadPool* pool = nullptr;
 };
 

@@ -35,8 +35,18 @@ std::string stable_key(std::string_view bytes) {
 }
 
 void StreamHasher::update(const char* data, std::size_t n) {
-  a_ = fnv_step(a_, data, n);
-  b_ = fnv_step(b_, data, n);
+  // Both lanes advance in one pass over the bytes, so their two
+  // multiply chains overlap instead of running back to back; the digest
+  // is the same as hashing each lane separately.
+  std::uint64_t a = a_;
+  std::uint64_t b = b_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto c = static_cast<unsigned char>(data[i]);
+    a = (a ^ c) * kPrime;
+    b = (b ^ c) * kPrime;
+  }
+  a_ = a;
+  b_ = b;
 }
 
 std::string StreamHasher::hex() const { return hex32(a_, b_); }

@@ -19,6 +19,14 @@ namespace {
 // promises — per-lane scratch is per-region state.
 thread_local bool t_in_pool_task = false;
 
+// The pool slot of the current worker thread (its index in the pool that
+// spawned it). Busy and idle time are recorded per thread, under this
+// slot, and only for the outermost region the thread is in: a worker's
+// helper task, or an outside caller's top-level region (slot 0). Nested
+// regions add no time of their own — the enclosing interval already
+// covers them — so no lane's time is counted twice.
+thread_local std::size_t t_worker_slot = 0;
+
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -48,9 +56,12 @@ struct ThreadPool::ForState {
   std::mutex err_mu;
   std::exception_ptr error;
 
-  void run_lane(std::size_t lane) {
+  /// Drains indices as region lane `lane`. `timed` is the pool slot that
+  /// records the busy time, or null when the thread is already timing an
+  /// enclosing region.
+  void run_lane(std::size_t lane, LaneCounters* timed) {
     in_flight.fetch_add(1);
-    const std::int64_t t0 = now_ns();
+    const std::int64_t t0 = timed != nullptr ? now_ns() : 0;
     std::int64_t executed = 0;
     for (;;) {
       const std::int64_t i = next.fetch_add(1);
@@ -74,7 +85,9 @@ struct ThreadPool::ForState {
       LaneCounters& lc = lanes[lane];
       lc.tasks.fetch_add(executed, std::memory_order_relaxed);
       lc.regions.fetch_add(1, std::memory_order_relaxed);
-      lc.busy_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
+      if (timed != nullptr) {
+        timed->busy_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
+      }
     }
     if (in_flight.fetch_sub(1) == 1) {
       std::lock_guard<std::mutex> lock(done_mu);  // pairs with waiter
@@ -108,6 +121,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::worker_loop(std::size_t worker_index) {
   // "Idle" for a worker is time blocked on the queue between helper
   // tasks — the closest analogue of steal-wait in a work-stealing pool.
+  t_worker_slot = worker_index;
   LaneCounters& lc = lane_counters_[worker_index];
   for (;;) {
     std::function<void()> task;
@@ -158,19 +172,24 @@ void ThreadPool::parallel_for_lane(
   const std::size_t helpers =
       std::min<std::size_t>(max_helpers, static_cast<std::size_t>(n - 1));
 
+  // Only a caller outside every region times this one (as slot 0); a
+  // nested caller is inside an interval its own lane already times.
+  LaneCounters* const timed = nested ? nullptr : &lane_counters_[0];
+
   // Inline when there is nothing to fan out to: a pool of one, a single
   // index, or a nested region with every worker busy. Lane 0 is then the
   // caller's exclusive lane.
   if (num_threads_ == 1 || n == 1 || helpers == 0) {
-    const bool was_in_task = t_in_pool_task;
     t_in_pool_task = true;
-    const std::int64_t t0 = now_ns();
+    const std::int64_t t0 = timed != nullptr ? now_ns() : 0;
     for (std::int64_t i = 0; i < n; ++i) shifted(0, i);
     LaneCounters& lc = lane_counters_[0];
     lc.tasks.fetch_add(n, std::memory_order_relaxed);
     lc.regions.fetch_add(1, std::memory_order_relaxed);
-    lc.busy_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
-    t_in_pool_task = was_in_task;
+    if (timed != nullptr) {
+      timed->busy_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
+    }
+    t_in_pool_task = nested;
     return;
   }
 
@@ -181,26 +200,30 @@ void ThreadPool::parallel_for_lane(
 
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Helpers run on workers, outside every region: each times its lane
+    // under its own slot.
     for (std::size_t h = 0; h < helpers; ++h) {
-      tasks_.emplace_back([state, lane = h + 1] { state->run_lane(lane); });
+      tasks_.emplace_back([state, lane = h + 1] {
+        state->run_lane(lane, &state->lanes[t_worker_slot]);
+      });
     }
   }
   task_ready_.notify_all();
 
   // The caller participates as lane 0 (marked as in-region so the nested
   // path above engages for deeper calls), then waits for straggler lanes.
-  // Save/restore rather than set/clear: a nested caller must leave the
-  // outer region's flag intact.
-  const bool was_in_task = t_in_pool_task;
+  // Restore rather than clear: a nested caller must leave the outer
+  // region's flag intact.
   t_in_pool_task = true;
-  state->run_lane(0);
-  t_in_pool_task = was_in_task;
+  state->run_lane(0, timed);
+  t_in_pool_task = nested;
   {
-    const std::int64_t w0 = now_ns();
+    const std::int64_t w0 = timed != nullptr ? now_ns() : 0;
     std::unique_lock<std::mutex> lock(state->done_mu);
     state->done_cv.wait(lock, [&] { return state->finished(); });
-    lane_counters_[0].idle_ns.fetch_add(now_ns() - w0,
-                                        std::memory_order_relaxed);
+    if (timed != nullptr) {
+      timed->idle_ns.fetch_add(now_ns() - w0, std::memory_order_relaxed);
+    }
   }
   if (state->error) std::rethrow_exception(state->error);
 }

@@ -39,10 +39,14 @@ struct LaneStatsSnapshot {
   /// Parallel regions this lane participated in: every region for lane 0
   /// (the caller), the regions it executed an index of for a helper lane.
   std::int64_t regions = 0;
-  /// Seconds spent inside region bodies on this lane.
+  /// Seconds this slot's thread spent inside regions: lane 0 is the
+  /// calling thread, lane k >= 1 is worker k. Each thread counts only the
+  /// outermost region it is in, so nested regions are never counted twice
+  /// and the lanes' sum never exceeds size() x wall time.
   double busy_s = 0.0;
-  /// Lane 0: caller wait for straggler lanes at region ends. Lanes >= 1:
-  /// worker time blocked on the task queue ("steal/idle" time).
+  /// Lane 0: caller wait for straggler lanes at the end of its outermost
+  /// regions. Lanes >= 1: worker time blocked on the task queue
+  /// ("steal/idle" time).
   double idle_s = 0.0;
 };
 
@@ -103,11 +107,11 @@ class ThreadPool {
   }
 
   /// Cumulative per-lane utilisation telemetry, one entry per lane.
-  /// Counters are advanced with relaxed atomics on the hot path (one add
-  /// per claimed index, two clock reads per lane per region), so the cost
-  /// is negligible against any real region body. Telemetry is a pure
-  /// observer: it never influences scheduling, so outputs stay
-  /// bit-identical with or without readers.
+  /// Counters are advanced with relaxed atomics, a few adds per lane per
+  /// region, and the clock is read only around each thread's outermost
+  /// region, so the cost is negligible against any real region body.
+  /// Telemetry is a pure observer: it never influences scheduling, so
+  /// outputs stay bit-identical with or without readers.
   std::vector<LaneStatsSnapshot> lane_stats() const;
   void reset_lane_stats();
 

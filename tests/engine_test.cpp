@@ -3,10 +3,13 @@
 // cold-vs-warm bit-identical results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "core/engine.h"
 #include "core/evaluation.h"
 #include "core/scenario.h"
+#include "impute/registry.h"
 #include "obs/metrics.h"
 #include "util/hash.h"
 
@@ -98,6 +102,40 @@ TEST(Hash, StreamHasherMatchesOneShot) {
     h.update(bytes.data() + i, n);
   }
   EXPECT_EQ(h.hex(), util::stable_key(bytes));
+}
+
+TEST(Hash, StreamHasherMatchesTwoLaneReferenceAcrossChunks) {
+  // The artifact digest: 200,000 bytes (more than one 64 KiB read chunk of
+  // digest_file) fed in uneven chunks must give exactly the two separate
+  // FNV-1a lanes computed one after the other, so every .sum sidecar
+  // already on disk keeps verifying.
+  std::string bytes(200'000, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>((i * 131 + (i >> 8)) & 0xff);
+  }
+  const auto lane = [&](std::uint64_t h) {
+    for (const char c : bytes) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  };
+  char want[33];
+  std::snprintf(want, sizeof(want), "%016llx%016llx",
+                static_cast<unsigned long long>(lane(0xcbf29ce484222325ULL)),
+                static_cast<unsigned long long>(lane(0x84222325cbf29ce4ULL)));
+  EXPECT_EQ(std::string(want), "fe4b78251bdc05a5d0d2551c0f3f5ce4");
+
+  util::StreamHasher h;
+  const std::size_t chunks[] = {1, 7, 65'536, 3, 65'537, 4'096};
+  std::size_t at = 0;
+  for (std::size_t k = 0; at < bytes.size(); ++k) {
+    const std::size_t n = std::min(chunks[k % 6], bytes.size() - at);
+    h.update(bytes.data() + at, n);
+    at += n;
+  }
+  EXPECT_EQ(h.hex(), want);
+  EXPECT_EQ(util::stable_key(bytes), want);
 }
 
 TEST(Engine, CacheKeysChainThroughStages) {
@@ -294,6 +332,109 @@ TEST(Engine, WarmRunServesFromCacheBitIdentically) {
   // A cache-less engine produces the same table as both.
   core::Engine plain{core::ArtifactStore()};
   EXPECT_EQ(table_to_string(plain.run(s)), table_to_string(cold_rows));
+}
+
+/// Bit-for-bit equality of two Table-1 row sets, every row and field.
+void expect_same_rows(const std::vector<core::Table1Row>& got,
+                      const std::vector<core::Table1Row>& want,
+                      const std::string& who) {
+  ASSERT_EQ(got.size(), want.size()) << who;
+  const auto fields = [](const core::Table1Row& r) {
+    return std::vector<double>{
+        r.max_constraint,     r.periodic_constraint, r.sent_constraint,
+        r.burst_detection,    r.burst_height,        r.burst_frequency,
+        r.burst_interarrival, r.empty_queue_freq,    r.concurrent_bursts,
+        r.c4_backlog};
+  };
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].method, want[i].method) << who << " row " << i;
+    const std::vector<double> g = fields(got[i]);
+    const std::vector<double> w = fields(want[i]);
+    EXPECT_EQ(std::memcmp(g.data(), w.data(), g.size() * sizeof(double)), 0)
+        << who << " row " << i << " (" << want[i].method << ")";
+  }
+}
+
+/// The per-method evaluation the shared method loop replaces: each base
+/// fitted once, "x+cem" as Registry::with_cem around the fitted base, and
+/// every method imputed on its own by Table1Evaluator::evaluate.
+std::vector<core::Table1Row> evaluate_each_method(
+    core::Engine& engine, const core::Scenario& s, const core::Campaign& c,
+    const core::PreparedData& data) {
+  const core::Table1Evaluator evaluator(c, data, s.burst_threshold_fraction,
+                                        s.c4);
+  std::map<std::string, impute::BuiltImputer> fitted;
+  std::vector<core::Table1Row> rows;
+  for (const auto& method : s.methods) {
+    const std::string base = impute::Registry::base_method(method);
+    if (fitted.count(base) == 0) {
+      fitted.emplace(base, engine.fit_method(s, base, data));
+    }
+    const impute::BuiltImputer& b = fitted.at(base);
+    rows.push_back(evaluator.evaluate(
+        method == base
+            ? *b.imputer
+            : *impute::Registry::with_cem(b, core::method_params(s)).imputer));
+  }
+  return rows;
+}
+
+std::int64_t counter_value(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+TEST(Engine, RunForwardsEachBaseOnceAndMatchesPerMethodEvaluation) {
+  core::Scenario s = small_scenario();
+  s.methods = {"linear", "iterative", "transformer+kal",
+               "transformer+kal+cem"};
+  core::Engine engine{core::ArtifactStore()};
+
+  const std::int64_t fwd0 = counter_value("impute.forward.windows");
+  const std::int64_t cem0 = counter_value("cem.windows");
+  const std::vector<core::Table1Row> rows = engine.run(s);
+  const std::int64_t forwarded = counter_value("impute.forward.windows") - fwd0;
+  const std::int64_t repaired = counter_value("cem.windows") - cem0;
+
+  const core::Campaign c = engine.campaign(s.campaign);
+  const core::PreparedData data = engine.prepare(s, c);
+  const auto test_windows = static_cast<std::int64_t>(data.split.test.size());
+  // One model base, forwarded once for both of its columns.
+  EXPECT_EQ(forwarded, test_windows);
+
+  const std::int64_t cem1 = counter_value("cem.windows");
+  expect_same_rows(rows, evaluate_each_method(engine, s, c, data), "run");
+  // CEM repaired as many intervals as evaluating the +cem method alone.
+  EXPECT_GT(repaired, 0);
+  EXPECT_EQ(repaired, counter_value("cem.windows") - cem1);
+}
+
+TEST(Engine, FabricRunMatchesPerMethodEvaluationOnEverySwitch) {
+  core::Scenario s = small_scenario();
+  s.name = "engine-fabric-test";
+  s.fabric.leaves = 2;
+  s.fabric.spines = 1;
+  s.fabric.hosts_per_leaf = 2;
+  s.campaign.buffer_size = 150;
+  s.campaign.shard_ms = 0;
+  core::Engine engine{core::ArtifactStore()};
+
+  const std::int64_t fwd0 = counter_value("impute.forward.windows");
+  const std::vector<core::FabricSwitchResult> results = engine.run_fabric(s);
+  const std::int64_t forwarded = counter_value("impute.forward.windows") - fwd0;
+
+  const std::vector<core::Campaign> campaigns = engine.fabric_campaigns(s);
+  ASSERT_EQ(results.size(), campaigns.size());
+  std::int64_t test_windows = 0;
+  for (std::size_t i = 0; i < campaigns.size(); ++i) {
+    const core::Scenario sw =
+        core::Engine::fabric_switch_scenario(s, static_cast<std::int64_t>(i));
+    const core::PreparedData data = engine.prepare(sw, campaigns[i]);
+    test_windows += static_cast<std::int64_t>(data.split.test.size());
+    expect_same_rows(results[i].rows,
+                     evaluate_each_method(engine, sw, campaigns[i], data),
+                     results[i].name);
+  }
+  EXPECT_EQ(forwarded, test_windows);
 }
 
 TEST(ArtifactStore, StaleTempFilesNeverShadowAPut) {

@@ -4,12 +4,15 @@
 // `robustness`: the CI robustness job runs exactly this suite.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/robustness.h"
 #include "core/scenario.h"
+#include "impute/registry.h"
 
 namespace fmnet {
 namespace {
@@ -131,6 +134,62 @@ TEST(Robustness, LinearErrorIsMonotoneInSeverity) {
   // And the degradation is real, not flat.
   EXPECT_GT(point_at(curves, "linear", 1.0, true),
             point_at(curves, "linear", 0.0, true));
+}
+
+TEST(Robustness, SweepEqualsPerWindowImputeScoring) {
+  // The sweep scores batched outputs from one forward per base; every
+  // point must equal scoring each test window through impute() on its
+  // own, with "+cem" wrapped around the fitted base as Registry::with_cem
+  // does.
+  core::Scenario s = smoke_scenario();
+  s.methods = {"rate+cem", "linear", "rate"};
+  const std::vector<double> severities = {0.0, 1.0};
+  core::Engine engine{core::ArtifactStore()};
+  const core::RobustnessCurves curves =
+      core::run_robustness_sweep(engine, s, severities);
+  ASSERT_EQ(curves.points.size(), severities.size() * s.methods.size());
+
+  const core::Campaign campaign = engine.campaign(s.campaign);
+  std::size_t k = 0;
+  for (const double severity : severities) {
+    core::Scenario sv = s;
+    sv.faults = s.faults.at_severity(severity);
+    const core::PreparedData data = engine.prepare(sv, campaign);
+    std::map<std::string, impute::BuiltImputer> fitted;
+    for (const auto& method : s.methods) {
+      const std::string base = impute::Registry::base_method(method);
+      if (fitted.count(base) == 0) {
+        fitted.emplace(base, engine.fit_method(sv, base, data));
+      }
+      const impute::BuiltImputer built =
+          method == base ? fitted.at(base)
+                         : impute::Registry::with_cem(
+                               fitted.at(base), core::method_params(sv));
+      double emd = 0.0;
+      double mae = 0.0;
+      for (const auto& ex : data.split.test) {
+        const std::vector<double> imputed = built.imputer->impute(ex);
+        double cum = 0.0;
+        double e = 0.0;
+        double m = 0.0;
+        for (std::size_t t = 0; t < imputed.size(); ++t) {
+          const double diff =
+              imputed[t] - static_cast<double>(ex.target[t]) * ex.qlen_scale;
+          cum += diff;
+          e += std::abs(cum);
+          m += std::abs(diff);
+        }
+        emd += e / static_cast<double>(imputed.size());
+        mae += m / static_cast<double>(imputed.size());
+      }
+      const auto n = static_cast<double>(data.split.test.size());
+      const core::RobustnessPoint& p = curves.points[k++];
+      EXPECT_EQ(p.method, method);
+      EXPECT_EQ(p.severity, severity);
+      EXPECT_EQ(p.emd, emd / n) << method << " @ " << severity;
+      EXPECT_EQ(p.mae, mae / n) << method << " @ " << severity;
+    }
+  }
 }
 
 TEST(Robustness, JsonCarriesSchemaAndAllPoints) {

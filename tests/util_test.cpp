@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -429,6 +430,44 @@ TEST(ThreadPool, NestedRegionsPreserveOuterFlagAcrossFanOut) {
     pool.parallel_for(0, 4, [&](std::int64_t) { ++count; });
   });
   EXPECT_EQ(count.load(), 2 * (4 * 8 + 4));
+}
+
+TEST(ThreadPool, NestedRegionsCountEachThreadsTimeOnce) {
+  // 20 outer regions of 4 indices, each opening a nested region of four
+  // 0.5 ms spins: 160 ms of work. Each thread records busy and idle time
+  // once, for the outermost region it is in, under its own slot (lane 0:
+  // the caller; lane k: worker k). So no slot can hold more time than
+  // passed on the wall clock, and the lanes together hold all of the work
+  // but at most lanes x wall.
+  const auto spin = [] {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(500);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  const auto t0 = std::chrono::steady_clock::now();
+  util::ThreadPool pool(4);
+  for (int r = 0; r < 20; ++r) {
+    pool.parallel_for(0, 4, [&](std::int64_t) {
+      pool.parallel_for(0, 4, [&](std::int64_t) { spin(); });
+    });
+  }
+  const auto stats = pool.lane_stats();
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  ASSERT_EQ(stats.size(), 4u);
+  double busy = 0.0;
+  std::int64_t tasks = 0;
+  for (std::size_t l = 0; l < stats.size(); ++l) {
+    EXPECT_LE(stats[l].busy_s + stats[l].idle_s, wall) << "lane " << l;
+    busy += stats[l].busy_s;
+    tasks += stats[l].tasks;
+  }
+  EXPECT_GE(busy, 20 * 4 * 4 * 0.0005);
+  EXPECT_LE(busy, 4.0 * wall);
+  // Task counts stay per region lane: every outer and inner index.
+  EXPECT_EQ(tasks, 20 * 4 + 20 * 4 * 4);
 }
 
 TEST(Clock, WallClockIsMonotonicAndSharedAcrossResolve) {
