@@ -9,14 +9,14 @@
 //     usage, cold and with the serving-path accelerators.
 //
 //  2. The overlapping-window serving workload: a window of one coarse
-//     interval advanced by half an interval per step, repaired with the
-//     smtlite engine under four configurations — cold, warm-started from
-//     the previous window's solution (incremental solving), a seed-varied
-//     portfolio, and the content-addressed repair cache. All four must
-//     produce byte-identical repairs (the bench exits non-zero otherwise —
-//     CI's cache-correctness check), and the per-window medians feed the
+//     interval advanced by half an interval per step, each window repaired
+//     on its own (correct_window) with the smtlite engine under three
+//     configurations — cold, warm-started from the window's fast repair,
+//     and the content-addressed repair cache. All three must produce
+//     byte-identical repairs (the bench exits non-zero otherwise — CI's
+//     cache-correctness check), and the per-window medians feed the
 //     BENCH_cem.json perf gate:
-//       bench.cem.{cold,warm,portfolio,cache}.win_per_s
+//       bench.cem.{cold,warm,cache}.win_per_s
 //       bench.cem.warm_speedup / bench.cem.cache_speedup
 #include <algorithm>
 #include <cstdio>
@@ -39,7 +39,6 @@ namespace {
 struct Window {
   std::vector<double> imputed;
   impute::PacketInterval interval;
-  bool series_start = false;  // first window of an example (no overlap)
 };
 
 double median_ms(std::vector<double> ms) {
@@ -131,7 +130,6 @@ int main() {
          begin += stride) {
       if (workload.size() >= target_windows) break;
       Window w;
-      w.series_start = begin == 0;
       w.imputed.assign(imputed.begin() + begin,
                        imputed.begin() + begin + factor);
       w.interval.sample_at.assign(sample_at.begin() + begin,
@@ -156,8 +154,6 @@ int main() {
   impute::CemConfig cold_cfg = smt_cold_cfg;
   impute::CemConfig warm_cfg = smt_cold_cfg;
   warm_cfg.warm_start = true;
-  impute::CemConfig portfolio_cfg = warm_cfg;
-  portfolio_cfg.portfolio = 4;
   impute::CemConfig cache_cfg = smt_cold_cfg;
   cache_cfg.use_repair_cache = true;
 
@@ -171,10 +167,9 @@ int main() {
     std::vector<std::vector<double>> repaired;
   };
   ConfigResult cold{"cold", 0.0, {}}, warm{"warm", 0.0, {}},
-      portfolio{"portfolio", 0.0, {}}, cache{"cache", 0.0, {}};
+      cache{"cache", 0.0, {}};
 
-  auto run_cold_like = [&](const impute::CemConfig& cfg,
-                           ConfigResult& out) {
+  auto run = [&](const impute::CemConfig& cfg, ConfigResult& out) {
     const impute::ConstraintEnforcementModule cem(cfg);
     for (int rep = 0; rep < reps; ++rep) {
       std::vector<double> ms;
@@ -193,30 +188,8 @@ int main() {
     }
   };
 
-  auto run_streaming = [&](const impute::CemConfig& cfg,
-                           ConfigResult& out) {
-    for (int rep = 0; rep < reps; ++rep) {
-      impute::StreamingCemRepair streaming(cfg, stride);
-      std::vector<double> ms;
-      ms.reserve(n);
-      std::vector<std::vector<double>> repaired(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const Window& w = workload[i];
-        if (w.series_start) streaming.reset();
-        fmnet::Stopwatch clock;
-        auto r = streaming.repair(w.imputed, w.interval);
-        ms.push_back(clock.elapsed_ms());
-        repaired[i] = std::move(r.corrected);
-      }
-      const double med = median_ms(std::move(ms));
-      if (rep == 0 || med < out.median) out.median = med;
-      out.repaired = std::move(repaired);
-    }
-  };
-
-  run_cold_like(cold_cfg, cold);
-  run_streaming(warm_cfg, warm);
-  run_streaming(portfolio_cfg, portfolio);
+  run(cold_cfg, cold);
+  run(warm_cfg, warm);
   // Cache: prime once (miss path), then measure the hit path.
   smt::SolveCache::global().clear();
   {
@@ -225,12 +198,12 @@ int main() {
       cem.correct_window(w.imputed, w.interval);
     }
   }
-  run_cold_like(cache_cfg, cache);
+  run(cache_cfg, cache);
 
   // Byte-identity across every configuration (the cache-correctness
-  // assertion CI relies on): warm, portfolio and cached repairs must equal
-  // the cold repair exactly.
-  for (const ConfigResult* cfg : {&warm, &portfolio, &cache}) {
+  // assertion CI relies on): warm and cached repairs must equal the cold
+  // repair exactly.
+  for (const ConfigResult* cfg : {&warm, &cache}) {
     for (std::size_t i = 0; i < n; ++i) {
       if (cfg->repaired[i] != cold.repaired[i]) {
         std::fprintf(stderr,
@@ -240,13 +213,13 @@ int main() {
       }
     }
   }
-  std::printf("\n%zu overlapping windows: warm/portfolio/cache repairs "
-              "byte-identical to cold\n",
+  std::printf("\n%zu overlapping windows: warm/cache repairs byte-identical "
+              "to cold\n",
               n);
 
   auto& reg = obs::Registry::global();
   Table t2({"config", "median ms/window", "windows/s", "speedup vs cold"});
-  for (const ConfigResult* cfg : {&cold, &warm, &portfolio, &cache}) {
+  for (const ConfigResult* cfg : {&cold, &warm, &cache}) {
     const double wps = 1e3 / cfg->median;
     const double speedup = cold.median / cfg->median;
     std::string gauge("bench.cem.");
@@ -270,7 +243,7 @@ int main() {
       "never terminated. Both engines here enforce the identical optimum "
       "(cross-checked in tests); the specialised engine shows the cost is "
       "in the solver generality, not the constraint system — and the "
-      "warm-start/cache path shows the solver cost amortises across "
-      "overlapping windows and recurring violation patterns.\n");
+      "warm-start/cache path shows how much of the solver cost a feasible "
+      "seed and recurring violation patterns save.\n");
   return 0;
 }

@@ -12,7 +12,7 @@ One protocol for every bench job (CEM repair, kernels, batched inference):
   machine-independent — speedup ratios, hit rates — straight from the
   current document.
 * Absolute ceilings (--ceiling KEY:MAX) gate quantities that must stay
-  small, e.g. the int8-vs-fp32 EMD accuracy delta.
+  small, e.g. the serving p99 latency against its interval budget.
 * --require-counter NAME asserts a counter fired at all (e.g. the repair
   cache actually served hits during the bench).
 

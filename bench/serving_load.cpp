@@ -14,8 +14,7 @@
 //
 // Knobs: FMNET_SERVE_SESSIONS (default 1000; FMNET_FAST shrinks training
 // and tick count but NOT the session count — the 1000-session claim is the
-// point), FMNET_SERVE_TICKS, FMNET_SERVE_INT8=1 to serve the int8-quantised
-// inference path (PR-8) instead of fp32.
+// point), FMNET_SERVE_TICKS.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -26,7 +25,6 @@
 
 #include "bench_common.h"
 #include "impute/registry.h"
-#include "impute/transformer_imputer.h"
 #include "serve/serve.h"
 #include "util/clock.h"
 #include "util/stats.h"
@@ -109,17 +107,6 @@ int main() {
   const core::PreparedData data = engine.prepare(s, campaign);
   const auto built = engine.fit_method(s, "transformer+kal", data);
 
-  const bool int8 = bench::env_int("FMNET_SERVE_INT8", 0) != 0;
-  if (int8) {
-    auto* tf =
-        dynamic_cast<impute::TransformerImputer*>(built.imputer.get());
-    if (tf != nullptr) {
-      impute::InferConfig ic;
-      ic.quantize_int8 = true;
-      tf->set_infer_config(ic);
-    }
-  }
-
   const std::size_t window_intervals = s.window_ms / s.factor;
   const auto queues_per_port = campaign.switch_config.queues_per_port;
 
@@ -197,7 +184,6 @@ int main() {
   Table table({"metric", "value"});
   table.add_row({"sessions", std::to_string(load.sessions)});
   table.add_row({"ticks", std::to_string(load.ticks)});
-  table.add_row({"inference path", int8 ? "int8" : "fp32"});
   table.add_row({"raw windows", std::to_string(st.windows_raw)});
   table.add_row({"repaired windows", std::to_string(st.windows_repaired)});
   table.add_row({"degraded windows", std::to_string(st.windows_degraded)});

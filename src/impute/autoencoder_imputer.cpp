@@ -40,22 +40,6 @@ std::vector<Tensor> AutoencoderNet::parameters() const {
   return params;
 }
 
-void AutoencoderNet::set_training(bool training) {
-  Module::set_training(training);
-  enc1_.set_training(training);
-  enc2_.set_training(training);
-  dec1_.set_training(training);
-  dec2_.set_training(training);
-}
-
-void AutoencoderNet::set_precision(nn::Precision precision) {
-  Module::set_precision(precision);
-  enc1_.set_precision(precision);
-  enc2_.set_precision(precision);
-  dec1_.set_precision(precision);
-  dec2_.set_precision(precision);
-}
-
 AutoencoderImputer::AutoencoderImputer(AutoencoderConfig config,
                                        TrainConfig train_config,
                                        util::ThreadPool* pool)

@@ -45,8 +45,6 @@ class AutoencoderNet : public nn::Module {
 
   tensor::Tensor forward(const tensor::Tensor& x) const;  // [B,T,C]->[B,T]
   std::vector<tensor::Tensor> parameters() const override;
-  void set_training(bool training) override;
-  void set_precision(nn::Precision precision) override;
 
  private:
   std::int64_t window_;

@@ -76,34 +76,21 @@ struct CemConfig {
       .max_decisions = 2'000'000,
       .max_seconds = std::numeric_limits<double>::infinity()};
   /// Serving-path accelerators for the SMT engine (no effect on the fast
-  /// engine). All of them preserve the repaired output bit-for-bit: solver
+  /// engine). Both preserve the repaired output bit-for-bit: solver
   /// results are canonically extracted (smt/solver.h) and only definitive
   /// answers are cached (smt/solve_cache.h).
   /// Memoise solved windows in the process-wide repair cache, keyed by the
   /// canonicalised constraint system (recurring violation patterns skip
   /// the solver).
   bool use_repair_cache = true;
-  /// Seed each window's branch-and-bound with a feasible repair candidate
-  /// (the fast-repair solution, or the caller's warm values) instead of
-  /// discovering a first incumbent by search.
+  /// Seed each window's branch-and-bound with the window's fast repair, a
+  /// feasible candidate, instead of discovering a first incumbent by search.
   bool warm_start = true;
-  /// Portfolio members racing seed-varied branching orders per window
-  /// (1 = single canonical solver; see smt::minimize_portfolio).
-  int portfolio = 1;
-  std::int64_t portfolio_quantum = 2048;
 };
 
 struct CemResult {
   std::vector<double> corrected;  // packets, same length as input
   /// Σ |corrected - round(imputed)| over non-sampled steps (integer).
-  std::int64_t objective = 0;
-  bool feasible = true;
-  double seconds = 0.0;
-};
-
-/// Result of the port-level joint correction.
-struct PortCemResult {
-  std::vector<std::vector<double>> corrected;  // [queue][t], packets
   std::int64_t objective = 0;
   bool feasible = true;
   double seconds = 0.0;
@@ -116,43 +103,25 @@ class ConstraintEnforcementModule {
 
   /// Corrects one window (in packets) against its record, whose queue
   /// lengths are normalised by `qlen_scale`. `imputed` length must be
-  /// factor * #intervals. Throws CheckError on malformed constraints;
-  /// returns feasible=false when the constraint system is contradictory
-  /// (cannot happen for measurements produced by a real switch).
-  /// Intervals are corrected concurrently on `pool` (null = global pool);
-  /// the result is identical at every thread count.
+  /// factor * #intervals. Throws CheckError on malformed constraints.
+  /// Telemetry faults (value corruption, e.g. a noised sample above its
+  /// interval's noised LANZ maximum) can make an interval's constraints
+  /// contradictory: that interval then falls back to the input clamped at
+  /// 0, is counted in cem.infeasible_windows, and the result reports
+  /// feasible=false (ROADMAP item 1 plans a repair that distrusts facts
+  /// instead). Intervals are corrected concurrently on `pool` (null =
+  /// global pool); the result is identical at every thread count.
   CemResult correct(const std::vector<double>& imputed,
                     const constraints::ExampleConstraints& c,
                     double qlen_scale,
                     util::ThreadPool* pool = nullptr) const;
 
-  /// Port-level joint correction: the paper's exact C3 semantics, where
-  /// the non-empty indicator is the *disjunction over all queues of the
-  /// port* (Fig. 3 / §3, NE_i). Corrects every queue of the port
-  /// simultaneously so that Σ_t [∨_q Q̂c[q][t] > 0] <= m_out per interval,
-  /// in addition to per-queue C1/C2. All per-queue constraint records must
-  /// share coarse_factor and horizon; per_queue[0].port_sent carries the
-  /// port budget. Solved with the smtlite engine (the joint problem has no
-  /// independent-cost structure for the fast repair).
-  /// Windows are solved concurrently on `pool` (null = global pool) with a
-  /// deterministic in-order stitch.
-  PortCemResult correct_port(
-      const std::vector<std::vector<double>>& imputed,
-      const std::vector<constraints::ExampleConstraints>& per_queue,
-      double qlen_scale, util::ThreadPool* pool = nullptr) const;
-
   /// The window repair: corrects one interval, of length
   /// `interval.sample_at.size()` (== factor), and does the cem.* accounting
   /// for it. An infeasible interval comes back as the input clamped to
-  /// >= 0. `warm_values`, when given, is a repair candidate for the window
-  /// — e.g. the overlapping part of the previous window's solution — used
-  /// to warm-start the SMT engine (it is first made feasible by the fast
-  /// repair, so it never has to be exactly feasible itself). The returned
-  /// repair is identical with or without warm values whenever the solve
-  /// completes. `imputed` must have length factor.
-  CemResult correct_window(
-      const std::vector<double>& imputed, const PacketInterval& interval,
-      const std::vector<std::int64_t>* warm_values = nullptr) const;
+  /// >= 0. `imputed` must have length factor.
+  CemResult correct_window(const std::vector<double>& imputed,
+                           const PacketInterval& interval) const;
 
  private:
   struct IntervalResult {
@@ -170,38 +139,9 @@ class ConstraintEnforcementModule {
                                       std::int64_t m_max, std::int64_t m_out,
                                       const std::vector<std::int64_t>&
                                           sample_at,
-                                      std::int64_t factor,
-                                      const std::vector<std::int64_t>*
-                                          warm_values = nullptr) const;
+                                      std::int64_t factor) const;
 
   CemConfig config_;
-};
-
-/// Incremental repair of a sliding window advancing by `stride` steps at a
-/// time (stride < factor ⇒ consecutive windows overlap). Each repair
-/// warm-starts the solver from the previous window's solution shifted by
-/// the stride: overlapping telemetry rarely changes the optimal repair of
-/// the shared suffix, so the previous solution is usually an
-/// immediately-feasible incumbent. Results are bit-identical to repairing
-/// each window cold (see correct_window). With stride >= factor no windows
-/// overlap and every repair is cold.
-class StreamingCemRepair {
- public:
-  explicit StreamingCemRepair(CemConfig config, std::int64_t stride)
-      : cem_(config), stride_(stride) {}
-
-  /// Repairs the current window (length = interval.sample_at.size()); call
-  /// with consecutive windows advanced by `stride` steps each.
-  CemResult repair(const std::vector<double>& imputed,
-                   const PacketInterval& interval);
-
-  /// Forgets the previous window (e.g. at a series boundary).
-  void reset() { prev_.clear(); }
-
- private:
-  ConstraintEnforcementModule cem_;
-  std::int64_t stride_;
-  std::vector<std::int64_t> prev_;  // previous window's repaired values
 };
 
 }  // namespace fmnet::impute

@@ -78,7 +78,7 @@ std::shared_ptr<CheckpointableImputer> build_learned(
     TrainConfig cfg = params.train;
     cfg.use_kal = base == "transformer+kal";
     return std::make_shared<TransformerImputer>(params.model, cfg,
-                                                InferConfig{}, params.pool);
+                                                params.pool);
   }
   if (base == "autoencoder") {
     return std::make_shared<AutoencoderImputer>(params.autoencoder,

@@ -10,11 +10,9 @@ using tensor::Tensor;
 
 TransformerImputer::TransformerImputer(nn::TransformerConfig model_config,
                                        TrainConfig train_config,
-                                       InferConfig infer_config,
                                        util::ThreadPool* pool)
     : model_config_(model_config),
       train_config_(train_config),
-      infer_config_(infer_config),
       pool_(pool),
       rng_(train_config.seed) {
   FMNET_CHECK_EQ(model_config_.input_channels,
@@ -49,30 +47,14 @@ TrainStats TransformerImputer::train(
   return stats;
 }
 
-void TransformerImputer::set_infer_config(const InferConfig& infer_config) {
-  infer_config_ = infer_config;
-}
-
-void TransformerImputer::apply_infer_precision() {
-  // Module state is written only on a transition, so overlapping inference
-  // calls (which only read it) never race.
-  if (model_->training()) model_->set_training(false);
-  const nn::Precision want = infer_config_.quantize_int8
-                                 ? nn::Precision::kInt8
-                                 : nn::Precision::kFp32;
-  // set_precision(kInt8) re-snapshots the weights, so only call it on an
-  // actual transition (training resets the model to kFp32, which makes
-  // this re-trigger after every train()).
-  if (model_->precision() != want) model_->set_precision(want);
-}
-
 std::vector<double> TransformerImputer::impute(const ImputationExample& ex) {
   return impute_batch({ex}).front();
 }
 
 std::vector<std::vector<double>> TransformerImputer::impute_batch(
     const std::vector<ImputationExample>& batch) {
-  apply_infer_precision();
+  // Written only on a transition, so overlapping calls never race on it.
+  if (model_->training()) model_->set_training(false);
   return impute_sharded(batch, pool_, [this](const Tensor& x) {
     fmnet::Rng eval_rng(0);  // dropout disabled at eval; rng unused
     return model_->forward(x, eval_rng);

@@ -45,14 +45,4 @@ std::vector<Tensor> MultiHeadSelfAttention::parameters() const {
   return ps;
 }
 
-void MultiHeadSelfAttention::set_training(bool training) {
-  Module::set_training(training);
-  for (auto* lin : {&wq_, &wk_, &wv_, &wo_}) lin->set_training(training);
-}
-
-void MultiHeadSelfAttention::set_precision(Precision precision) {
-  Module::set_precision(precision);
-  for (auto* lin : {&wq_, &wk_, &wv_, &wo_}) lin->set_precision(precision);
-}
-
 }  // namespace fmnet::nn

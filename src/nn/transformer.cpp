@@ -42,16 +42,6 @@ std::vector<Tensor> TransformerEncoderLayer::parameters() const {
 void TransformerEncoderLayer::set_training(bool training) {
   Module::set_training(training);
   dropout_.set_training(training);
-  attn_.set_training(training);
-  ff1_.set_training(training);
-  ff2_.set_training(training);
-}
-
-void TransformerEncoderLayer::set_precision(Precision precision) {
-  Module::set_precision(precision);
-  attn_.set_precision(precision);
-  ff1_.set_precision(precision);
-  ff2_.set_precision(precision);
 }
 
 ImputationTransformer::ImputationTransformer(const TransformerConfig& config,
@@ -91,16 +81,7 @@ std::vector<Tensor> ImputationTransformer::parameters() const {
 
 void ImputationTransformer::set_training(bool training) {
   Module::set_training(training);
-  input_proj_.set_training(training);
   for (const auto& layer : layers_) layer->set_training(training);
-  head_.set_training(training);
-}
-
-void ImputationTransformer::set_precision(Precision precision) {
-  Module::set_precision(precision);
-  input_proj_.set_precision(precision);
-  for (const auto& layer : layers_) layer->set_precision(precision);
-  head_.set_precision(precision);
 }
 
 }  // namespace fmnet::nn

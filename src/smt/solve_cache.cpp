@@ -64,11 +64,8 @@ SolveResult repair_minimize(const Model& model, const RepairOptions& options,
     key = repair_key(model);
     if (auto hit = SolveCache::global().find(key)) return *std::move(hit);
   }
-  PortfolioOptions po;
-  po.members = options.portfolio_members;
-  po.quantum = options.portfolio_quantum;
-  po.pool = options.pool;
-  SolveResult r = minimize_portfolio(model, options.budget, po, warm);
+  Solver solver(model, options.budget);
+  SolveResult r = warm != nullptr ? solver.minimize(*warm) : solver.minimize();
   if (options.use_cache) SolveCache::global().put(key, r);
   return r;
 }

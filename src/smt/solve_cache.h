@@ -28,10 +28,6 @@
 
 #include "smt/solver.h"
 
-namespace fmnet::util {
-class ThreadPool;
-}  // namespace fmnet::util
-
 namespace fmnet::smt {
 
 /// Thread-safe in-memory map from repair_key to definitive SolveResult.
@@ -67,23 +63,18 @@ class SolveCache {
   std::unordered_map<std::string, Entry> map_;
 };
 
-/// Knobs for the cached/warm/portfolio repair path. Defaults reproduce a
-/// plain cold minimize().
+/// Knobs for the cached/warm repair path. Defaults reproduce a plain cold
+/// minimize().
 struct RepairOptions {
   Budget budget{};
   /// Consult and fill SolveCache::global().
   bool use_cache = false;
-  /// Portfolio members (1 = single canonical solver; see
-  /// minimize_portfolio).
-  int portfolio_members = 1;
-  std::int64_t portfolio_quantum = 2048;
-  util::ThreadPool* pool = nullptr;  // nullptr = global pool
 };
 
-/// Front door for CEM repair solves: cache lookup, then (on miss) a warm /
-/// portfolio minimize, then cache fill. The returned assignment is
-/// bit-identical across every option combination whenever the solve
-/// completes (canonical extraction + definitive-only caching).
+/// Front door for CEM repair solves: cache lookup, then (on miss) a cold or
+/// warm minimize, then cache fill. The returned assignment is
+/// bit-identical with or without the cache and the warm start whenever the
+/// solve completes (canonical extraction + definitive-only caching).
 SolveResult repair_minimize(const Model& model, const RepairOptions& options,
                             const WarmStart* warm = nullptr);
 

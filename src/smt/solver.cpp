@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "obs/metrics.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace fmnet::smt {
 
@@ -36,13 +34,6 @@ std::int64_t sat64(I128 v) {
 // "Unbounded" rhs for the not-yet-armed objective cap constraints.
 constexpr std::int64_t kCapInfinity =
     std::numeric_limits<std::int64_t>::max() / 4;
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 // Process-wide solver accounting, aggregated across every solve on every
 // thread (CEM windows run concurrently on the pool). One record per
@@ -76,14 +67,7 @@ void record_solve(const SolveResult& r) {
 }  // namespace
 
 Solver::Solver(const Model& model, Budget budget)
-    : Solver(model, budget, Options{}) {}
-
-Solver::Solver(const Model& model, Budget budget, Options options)
-    : model_(model), budget_(budget), options_(options) {
-  if (options_.branch_seed != 0) {
-    seed_offset_ = splitmix64(options_.branch_seed);
-    seed_upper_first_ = (options_.branch_seed & 1) != 0;
-  }
+    : model_(model), budget_(budget) {
   timed_ = budget_.max_seconds < std::numeric_limits<double>::infinity();
   lo_ = model.lower_bounds();
   hi_ = model.upper_bounds();
@@ -381,15 +365,8 @@ std::int32_t Solver::pick_variable() const {
   if (n == 0) return -1;
   std::int32_t best = -1;
   std::uint64_t best_size = 0;
-  // First-fail (smallest domain). Canonical order scans from index 0;
-  // non-zero branch seeds rotate the scan start so equal-size ties break
-  // differently per portfolio member. Canonical extraction always uses the
-  // canonical order regardless of seed.
-  const bool canonical = seed_offset_ == 0 || phase_ == Phase::kExtract;
-  const std::size_t start =
-      canonical ? 0 : static_cast<std::size_t>(seed_offset_ % n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t v = start + k < n ? start + k : start + k - n;
+  // First-fail (smallest domain); ties go to the lowest index.
+  for (std::size_t v = 0; v < n; ++v) {
     if (lo_[v] == hi_[v]) continue;
     const std::uint64_t size = static_cast<std::uint64_t>(hi_[v]) -
                                static_cast<std::uint64_t>(lo_[v]);
@@ -407,12 +384,6 @@ std::int64_t Solver::eval_objective() const {
     obj += static_cast<I128>(coef) * lo_[var.id];
   }
   return sat64(obj);
-}
-
-void Solver::begin_solve() { begin(/*minimizing=*/false, nullptr); }
-
-void Solver::begin_minimize(const WarmStart* warm) {
-  begin(/*minimizing=*/true, warm);
 }
 
 void Solver::begin(bool minimizing, const WarmStart* warm) {
@@ -520,9 +491,9 @@ bool Solver::tighten_cap_below_incumbent() {
 }
 
 void Solver::enter_extract() {
-  // Optimum proven: re-derive the assignment canonically (seed-0 branching
-  // under objective == optimum) so the result is independent of branching
-  // seed, warm start and portfolio scheduling.
+  // Optimum proven: re-derive the assignment canonically (the same
+  // branching from the root fixpoint under objective == optimum) so the
+  // result is independent of the warm start and of the incumbents found.
   phase_ = Phase::kExtract;
   ++searches_;
   stack_.clear();
@@ -609,7 +580,7 @@ void Solver::finish_budget_exhausted() {
   if (minimizing_ && have_incumbent_) {
     // Feasible but not certified within budget. Even when the proof had
     // completed, an unfinished canonical extraction reports kSat so that
-    // kOptimal always implies a seed-independent assignment.
+    // kOptimal always implies the canonically extracted assignment.
     result_.assignment = incumbent_;
     result_.objective = incumbent_objective_;
     finish(Status::kSat);
@@ -618,24 +589,13 @@ void Solver::finish_budget_exhausted() {
   finish(Status::kUnknown);
 }
 
-bool Solver::step(std::int64_t decision_quantum) {
-  if (phase_ == Phase::kDone) return true;
-  FMNET_CHECK(phase_ == Phase::kSearch || phase_ == Phase::kExtract,
-              "step() before begin_solve()/begin_minimize()");
-  const std::int64_t headroom =
-      std::numeric_limits<std::int64_t>::max() - decisions_;
-  const std::int64_t stop_at =
-      decision_quantum < headroom
-          ? decisions_ + decision_quantum
-          : std::numeric_limits<std::int64_t>::max();
-
-  while (true) {
+void Solver::search() {
+  while (phase_ != Phase::kDone) {
     if (decisions_ > budget_.max_decisions ||
         (timed_ && clock_.elapsed_seconds() > budget_.max_seconds)) {
       finish_budget_exhausted();
-      return true;
+      return;
     }
-    if (decisions_ >= stop_at && !conflict_) return false;  // quantum spent
 
     if (conflict_) {
       ++conflicts_;
@@ -648,147 +608,46 @@ bool Solver::step(std::int64_t decision_quantum) {
       if (stack_.empty()) {
         conflict_ = false;
         on_tree_exhausted();
-        if (phase_ == Phase::kDone) return true;
         continue;
       }
       Frame& f = stack_.back();
       undo_to(f.trail_mark);
       f.tried_alternative = true;
       count_decision();
-      const bool ok = f.upper_first ? set_hi(f.var, f.split)
-                                    : set_lo(f.var, f.split + 1);
-      conflict_ = !ok || !propagate();
+      conflict_ = !set_lo(f.var, f.split + 1) || !propagate();
       continue;
     }
 
     const std::int32_t var = pick_variable();
     if (var < 0) {
       on_all_fixed();
-      if (phase_ == Phase::kDone) return true;
       continue;
     }
 
-    // Decision: split the domain. Canonical order takes the lower half
-    // first; odd branch seeds take the upper half first (extraction is
-    // always canonical).
+    // Decision: split the domain, lower half first.
     const std::uint64_t width = static_cast<std::uint64_t>(hi_[var]) -
                                 static_cast<std::uint64_t>(lo_[var]);
     const std::int64_t split =
         lo_[var] + static_cast<std::int64_t>(width / 2);
-    const bool upper_first =
-        phase_ == Phase::kExtract ? false : seed_upper_first_;
-    stack_.push_back({trail_.size(), var, split, false, upper_first});
+    stack_.push_back({trail_.size(), var, split, false});
     count_decision();
-    const bool ok =
-        upper_first ? set_lo(var, split + 1) : set_hi(var, split);
-    conflict_ = !ok || !propagate();
+    conflict_ = !set_hi(var, split) || !propagate();
   }
 }
 
-namespace {
-constexpr std::int64_t kOneShotQuantum = 1 << 20;
-}  // namespace
-
-SolveResult Solver::solve() {
-  begin_solve();
-  while (!step(kOneShotQuantum)) {
-  }
+SolveResult Solver::run(bool minimizing, const WarmStart* warm) {
+  begin(minimizing, warm);
+  search();
   record_solve(result_);
   return result_;
 }
 
-SolveResult Solver::minimize() {
-  begin_minimize(nullptr);
-  while (!step(kOneShotQuantum)) {
-  }
-  record_solve(result_);
-  return result_;
-}
+SolveResult Solver::solve() { return run(/*minimizing=*/false, nullptr); }
+
+SolveResult Solver::minimize() { return run(/*minimizing=*/true, nullptr); }
 
 SolveResult Solver::minimize(const WarmStart& warm) {
-  begin_minimize(&warm);
-  while (!step(kOneShotQuantum)) {
-  }
-  record_solve(result_);
-  return result_;
-}
-
-SolveResult minimize_portfolio(const Model& model, Budget budget,
-                               const PortfolioOptions& options,
-                               const WarmStart* warm) {
-  const int members = std::max(1, options.members);
-  if (members == 1) {
-    Solver s(model, budget);
-    return warm != nullptr ? s.minimize(*warm) : s.minimize();
-  }
-  const std::int64_t quantum = std::max<std::int64_t>(1, options.quantum);
-  std::vector<std::unique_ptr<Solver>> solvers;
-  solvers.reserve(static_cast<std::size_t>(members));
-  for (int m = 0; m < members; ++m) {
-    Solver::Options so;
-    so.branch_seed = static_cast<std::uint64_t>(m);
-    solvers.push_back(std::make_unique<Solver>(model, budget, so));
-    solvers.back()->begin_minimize(warm);
-  }
-
-  // Deterministic lock-step race: every live member advances by the same
-  // decision quantum per round; the winner is the lowest-index member
-  // definitive in the earliest round. Members are stepped concurrently on
-  // the pool (inline when nested inside another parallel region), but the
-  // round structure — and therefore the winner — is thread-count
-  // independent.
-  util::ThreadPool& pool = util::ThreadPool::resolve(options.pool);
-  std::vector<char> done(static_cast<std::size_t>(members), 0);
-  int winner = -1;
-  while (winner < 0) {
-    pool.parallel_for(0, members, [&](std::int64_t m) {
-      const auto idx = static_cast<std::size_t>(m);
-      if (!done[idx]) done[idx] = solvers[idx]->step(quantum) ? 1 : 0;
-    });
-    bool all_done = true;
-    for (int m = 0; m < members; ++m) {
-      const auto idx = static_cast<std::size_t>(m);
-      if (done[idx] && solvers[idx]->definitive()) {
-        winner = m;
-        break;
-      }
-      all_done = all_done && done[idx] != 0;
-    }
-    if (all_done) break;
-  }
-
-  SolveResult out;
-  if (winner >= 0) {
-    out = solvers[static_cast<std::size_t>(winner)]->result();
-  } else {
-    // Every member exhausted its budget: prefer the best incumbent
-    // (smallest objective, then lowest member index).
-    std::size_t pick = 0;
-    for (std::size_t m = 1; m < solvers.size(); ++m) {
-      const SolveResult& a = solvers[pick]->result();
-      const SolveResult& b = solvers[m]->result();
-      if (b.has_solution() &&
-          (!a.has_solution() || b.objective < a.objective)) {
-        pick = m;
-      }
-    }
-    out = solvers[pick]->result();
-  }
-
-  // Charge the work of every lane, not just the winner's.
-  out.decisions = out.extract_decisions = out.propagations = out.conflicts =
-      out.searches = 0;
-  out.warm_started = false;
-  for (const auto& s : solvers) {
-    out.decisions += s->decisions();
-    out.extract_decisions += s->extract_decisions();
-    out.propagations += s->propagations();
-    out.conflicts += s->conflicts();
-    out.searches += s->searches();
-    out.warm_started = out.warm_started || s->warm_started();
-  }
-  record_solve(out);
-  return out;
+  return run(/*minimizing=*/true, &warm);
 }
 
 }  // namespace fmnet::smt

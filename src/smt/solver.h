@@ -1,20 +1,15 @@
 // smtlite solver: bounds-consistency propagation + complete DFS search
 // with chronological backtracking, and branch-and-bound minimisation.
+// Branching is first-fail (smallest domain, lowest index on ties), lower
+// half of the split first.
 //
-// The solver is a resumable state machine so that several seed-varied
-// instances can be raced in deterministic lock-step rounds (portfolio
-// mode, see minimize_portfolio below) and so a caller can interleave
-// solves with other work. begin_solve()/begin_minimize() arm the search;
-// step(quantum) advances it by a bounded number of decisions and reports
-// whether it finished. solve()/minimize() remain the one-shot fronts.
-//
-// Determinism contract (the "portfolio determinism rule"): whenever
+// Determinism contract (the "canonical extraction rule"): whenever
 // minimisation completes with a proven optimum, the returned assignment is
-// re-derived by a final *canonical extraction* search — seed-0 branching
-// under the constraint objective == optimum — so the assignment depends
-// only on the model and the optimal value, never on the branching seed,
-// warm-start hints, or which portfolio member finished first. Cold, warm,
-// cached and portfolio solves of the same model are therefore bit-identical.
+// re-derived by a final *canonical extraction* search — the same branching
+// from the root fixpoint under the constraint objective == optimum — so the
+// assignment depends only on the model and the optimal value, never on
+// warm-start hints or the incumbents branch-and-bound passed through. Cold,
+// warm and cached solves of the same model are therefore bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +19,6 @@
 
 #include "smt/model.h"
 #include "util/stopwatch.h"
-
-namespace fmnet::util {
-class ThreadPool;
-}  // namespace fmnet::util
 
 namespace fmnet::smt {
 
@@ -84,7 +75,7 @@ struct SolveResult {
 };
 
 /// Warm-start hint for minimize(): a (possibly partial) assignment expected
-/// to be feasible — e.g. the previous overlapping CEM window's solution.
+/// to be feasible — e.g. CEM's fast repair of the window.
 /// Hinted variables are fixed, propagation completes the rest; if that
 /// yields a feasible assignment it seeds the incumbent and the initial
 /// objective cap, so branch-and-bound starts at "prove or beat this" instead
@@ -96,20 +87,10 @@ struct WarmStart {
 };
 
 /// Complete solver over a Model. The Model must outlive the Solver.
-/// Single-use: one solve()/minimize() (or one begin_* + step loop) per
-/// instance.
+/// Single-use: one solve()/minimize() per instance.
 class Solver {
  public:
-  struct Options {
-    /// Branching seed. 0 is the canonical first-fail order; non-zero seeds
-    /// rotate tie-breaking and flip split direction to diversify portfolio
-    /// members. The seed never affects the reported optimum or (thanks to
-    /// canonical extraction) the returned assignment.
-    std::uint64_t branch_seed = 0;
-  };
-
   explicit Solver(const Model& model, Budget budget = {});
-  Solver(const Model& model, Budget budget, Options options);
 
   /// Finds one feasible assignment (ignores the objective).
   SolveResult solve();
@@ -119,35 +100,6 @@ class Solver {
   /// the incumbent (see WarmStart).
   SolveResult minimize();
   SolveResult minimize(const WarmStart& warm);
-
-  // ---- stepping interface (used by portfolio mode) ----
-
-  /// Arms a feasibility search / minimisation. Must be called exactly once,
-  /// before step().
-  void begin_solve();
-  void begin_minimize(const WarmStart* warm = nullptr);
-
-  /// Advances the armed search by at most `decision_quantum` decisions.
-  /// Returns true when the solve has finished (result() is valid).
-  bool step(std::int64_t decision_quantum);
-
-  bool finished() const { return phase_ == Phase::kDone; }
-  /// True when the finished result is a definitive answer (kOptimal/kUnsat
-  /// — not a budget-limited kSat/kUnknown).
-  bool definitive() const {
-    return finished() && (result_.status == Status::kOptimal ||
-                          result_.status == Status::kUnsat);
-  }
-  const SolveResult& result() const { return result_; }
-
-  // Live search statistics, valid at any point of a stepped solve (the
-  // portfolio driver charges losers' work too, not just the winner's).
-  std::int64_t decisions() const { return decisions_; }
-  std::int64_t extract_decisions() const { return extract_decisions_; }
-  std::int64_t propagations() const { return propagations_; }
-  std::int64_t conflicts() const { return conflicts_; }
-  std::int64_t searches() const { return searches_; }
-  bool warm_started() const { return result_.warm_started; }
 
  private:
   enum class Phase {
@@ -175,10 +127,8 @@ class Solver {
   struct Frame {
     std::size_t trail_mark;
     std::int32_t var;
-    std::int64_t split;  // first branch var<=split (or var>split when
-                         // upper_first); alternative is the other half
+    std::int64_t split;  // first branch var<=split; alternative var>split
     bool tried_alternative;
-    bool upper_first;
   };
 
   // Bound updates with trail recording; return false on empty domain.
@@ -201,7 +151,10 @@ class Solver {
   std::int32_t pick_variable() const;  // -1 when all fixed
   std::int64_t eval_objective() const;
 
+  // One solve: arm, search to the end, record the solver counters.
+  SolveResult run(bool minimizing, const WarmStart* warm);
   void begin(bool minimizing, const WarmStart* warm);
+  void search();  // until result_ is valid
   void try_warm(const WarmStart& warm);
   bool tighten_cap_below_incumbent();
   void enter_extract();
@@ -212,9 +165,6 @@ class Solver {
 
   const Model& model_;
   Budget budget_;
-  Options options_;
-  std::uint64_t seed_offset_ = 0;  // pick_variable scan rotation
-  bool seed_upper_first_ = false;  // split direction for this seed
 
   std::vector<std::int64_t> lo_;
   std::vector<std::int64_t> hi_;
@@ -242,7 +192,7 @@ class Solver {
   std::vector<std::uint32_t> dirty_clauses_;
   std::vector<char> clause_dirty_flag_;
 
-  // ---- solve lifetime state (stepping machine) ----
+  // ---- solve lifetime state ----
   Phase phase_ = Phase::kIdle;
   bool minimizing_ = false;
   bool conflict_ = false;
@@ -250,7 +200,7 @@ class Solver {
   fmnet::Stopwatch clock_;  // one clock for the whole solve (budget fix)
   bool timed_ = false;      // budget_.max_seconds is finite
 
-  // Objective cap constraints, appended by begin_minimize. cap_le_ enforces
+  // Objective cap constraints, appended when minimising. cap_le_ enforces
   // obj <= K (the branch-and-bound cap); cap_ge_ enforces obj >= K' and
   // stays disabled (rhs at +inf) until canonical extraction pins obj to the
   // proven optimum.
@@ -277,24 +227,5 @@ class Solver {
   std::int64_t conflicts_ = 0;
   std::int64_t searches_ = 0;
 };
-
-/// Portfolio minimisation: race `members` seed-varied Solvers over the same
-/// model in deterministic lock-step rounds of `quantum` decisions each
-/// (member 0 uses the canonical seed). The winner is the lowest-index
-/// member that reached a definitive answer in the earliest round, so the
-/// outcome — already seed-independent thanks to canonical extraction — has
-/// a deterministic stats attribution too, at any thread count. Reported
-/// decisions/propagations/conflicts/searches sum over every member (the
-/// real work spent), and the per-member budget is `budget` (decision
-/// budgets are enforced per member).
-struct PortfolioOptions {
-  int members = 1;
-  std::int64_t quantum = 2048;  // decisions per member per round
-  util::ThreadPool* pool = nullptr;  // nullptr = global pool
-};
-
-SolveResult minimize_portfolio(const Model& model, Budget budget,
-                               const PortfolioOptions& options,
-                               const WarmStart* warm = nullptr);
 
 }  // namespace fmnet::smt

@@ -79,8 +79,8 @@ void attention_grad_composed(const float* q, const float* k, const float* v,
 // ---- panel kernel, compiled per ISA ---------------------------------------
 
 // The body lives in kernels_panel.inc and is textually included once per
-// instruction set. `baseline` is whatever the build targets (plain builds:
-// the SSE2 x86-64 floor; FMNET_NATIVE builds: the host ISA). On GCC x86-64
+// instruction set. `baseline` is whatever the build targets (the SSE2
+// x86-64 floor unless the compiler flags raise it). On GCC x86-64
 // builds whose baseline lacks AVX2+FMA we additionally compile an
 // AVX2+FMA clone of the same body (~2.5x more GEMM throughput on post-2013
 // cores), and whose baseline lacks AVX-512F an AVX-512 clone (wider FMA
@@ -94,7 +94,6 @@ void attention_grad_composed(const float* q, const float* k, const float* v,
 namespace baseline {
 #include "tensor/kernels_elementwise.inc"
 #include "tensor/kernels_panel.inc"
-#include "tensor/kernels_quant.inc"
 #include "tensor/kernels_skinny.inc"
 }  // namespace baseline
 
@@ -104,7 +103,6 @@ namespace baseline {
 namespace avx2 {
 #include "tensor/kernels_elementwise.inc"
 #include "tensor/kernels_panel.inc"
-#include "tensor/kernels_quant.inc"
 #include "tensor/kernels_skinny.inc"
 }  // namespace avx2
 #pragma GCC pop_options
@@ -120,33 +118,9 @@ namespace avx2 {
 namespace avx512 {
 #include "tensor/kernels_elementwise.inc"
 #include "tensor/kernels_panel.inc"
-#include "tensor/kernels_quant.inc"
 #include "tensor/kernels_skinny.inc"
 #include "tensor/kernels_avx512.inc"
 }  // namespace avx512
-#pragma GCC diagnostic pop
-#pragma GCC pop_options
-#endif
-
-// The VNNI clone exists for its integer-domain quantised linear
-// (kernels_quant_vnni.inc); the float kernels are the same source compiled
-// with VNNI merely enabled. Requires the intrinsics, hence GCC-only like
-// the other clones.
-#ifdef FMNET_GEMM_AVX512VNNI_CLONE
-#pragma GCC push_options
-#pragma GCC target("avx512f,avx512vl,avx512bw,avx512dq,avx512vnni,avx2,fma")
-// _mm512_undefined_ps inside _mm512_cvtepi32_ps and _mm512_max_ps trips
-// GCC's -Wmaybe-uninitialized (the header's deliberate `__Y = __Y`).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-namespace avx512vnni {
-#include "tensor/kernels_elementwise.inc"
-#include "tensor/kernels_panel.inc"
-#include "tensor/kernels_quant.inc"
-#include "tensor/kernels_quant_vnni.inc"
-#include "tensor/kernels_skinny.inc"
-#include "tensor/kernels_avx512.inc"
-}  // namespace avx512vnni
 #pragma GCC diagnostic pop
 #pragma GCC pop_options
 #endif
@@ -157,10 +131,6 @@ using PanelFn = void (*)(const float*, std::int64_t, std::int64_t,
 using SkinnyFn = void (*)(const float*, std::int64_t, std::int64_t,
                           const float*, float*, std::int64_t, std::int64_t,
                           std::int64_t, std::int64_t, bool);
-using QuantLinearFn = void (*)(const float*, std::int64_t, std::int64_t,
-                               std::int64_t, const std::int8_t*,
-                               const float*, const float*, float*, float*,
-                               float*, int);
 using SoftmaxFn = void (*)(float*, std::int64_t, std::int64_t, float);
 using GeluFn = void (*)(float*, std::int64_t, std::int64_t);
 using AttentionFn = ProbsLayout (*)(const float*, const float*,
@@ -178,10 +148,6 @@ PanelFn fn_for(Isa isa) {
     case Isa::kAvx512:
       return avx512::panel_update;
 #endif
-#ifdef FMNET_GEMM_AVX512VNNI_CLONE
-    case Isa::kAvx512Vnni:
-      return avx512vnni::panel_update;
-#endif
     default:
       return baseline::panel_update;
   }
@@ -197,31 +163,8 @@ SkinnyFn skinny_fn_for(Isa isa) {
     case Isa::kAvx512:
       return avx512::skinny_run_avx512;
 #endif
-#ifdef FMNET_GEMM_AVX512VNNI_CLONE
-    case Isa::kAvx512Vnni:
-      return avx512vnni::skinny_run_avx512;
-#endif
     default:
       return baseline::skinny_run;
-  }
-}
-
-QuantLinearFn quant_linear_fn_for(Isa isa) {
-  switch (isa) {
-#ifdef FMNET_GEMM_AVX2_CLONE
-    case Isa::kAvx2:
-      return avx2::quant_linear_rows_impl;
-#endif
-#ifdef FMNET_GEMM_AVX512_CLONE
-    case Isa::kAvx512:
-      return avx512::quant_linear_rows_impl;
-#endif
-#ifdef FMNET_GEMM_AVX512VNNI_CLONE
-    case Isa::kAvx512Vnni:
-      return avx512vnni::quant_linear_rows_vnni_impl;
-#endif
-    default:
-      return baseline::quant_linear_rows_impl;
   }
 }
 
@@ -234,10 +177,6 @@ SoftmaxFn softmax_fn_for(Isa isa) {
 #ifdef FMNET_GEMM_AVX512_CLONE
     case Isa::kAvx512:
       return avx512::softmax_rows_impl;
-#endif
-#ifdef FMNET_GEMM_AVX512VNNI_CLONE
-    case Isa::kAvx512Vnni:
-      return avx512vnni::softmax_rows_impl;
 #endif
     default:
       return baseline::softmax_rows_impl;
@@ -254,10 +193,6 @@ GeluFn gelu_fn_for(Isa isa) {
     case Isa::kAvx512:
       return avx512::gelu_rows_impl;
 #endif
-#ifdef FMNET_GEMM_AVX512VNNI_CLONE
-    case Isa::kAvx512Vnni:
-      return avx512vnni::gelu_rows_impl;
-#endif
     default:
       return baseline::gelu_rows_impl;
   }
@@ -268,10 +203,6 @@ AttentionFn attention_fn_for(Isa isa) {
 #ifdef FMNET_GEMM_AVX512_CLONE
     case Isa::kAvx512:
       return avx512::attention_rows_avx512;
-#endif
-#ifdef FMNET_GEMM_AVX512VNNI_CLONE
-    case Isa::kAvx512Vnni:
-      return avx512vnni::attention_rows_avx512;
 #endif
     default:
       return attention_composed;
@@ -295,16 +226,8 @@ bool cpu_executes(Isa isa) {
 #else
       return false;
 #endif
-    case Isa::kAvx512Vnni:
-#if defined(__x86_64__) && defined(__GNUC__)
-      return __builtin_cpu_supports("avx512vnni") &&
-             __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512vl") &&
-             __builtin_cpu_supports("avx512bw") &&
-             __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
+    case Isa::kAvx512Vnni:  // never compiled (see kernels.h)
       return false;
-#endif
   }
   return false;
 }
@@ -312,8 +235,7 @@ bool cpu_executes(Isa isa) {
 Isa resolve_initial() {
   const char* env = std::getenv("FMNET_KERNEL_ISA");
   if (env != nullptr) {
-    for (const Isa pin :
-         {Isa::kPortable, Isa::kAvx2, Isa::kAvx512, Isa::kAvx512Vnni}) {
+    for (const Isa pin : {Isa::kPortable, Isa::kAvx2, Isa::kAvx512}) {
       if (std::strcmp(env, isa_name(pin)) == 0 && isa_supported(pin)) {
         return pin;
       }
@@ -484,9 +406,6 @@ std::vector<Isa> compiled_isas() {
 #ifdef FMNET_GEMM_AVX512_CLONE
   out.push_back(Isa::kAvx512);
 #endif
-#ifdef FMNET_GEMM_AVX512VNNI_CLONE
-  out.push_back(Isa::kAvx512Vnni);
-#endif
   return out;
 }
 
@@ -517,15 +436,6 @@ void softmax_rows(float* v, std::int64_t rows, std::int64_t len,
 void gelu_rows(float* v, std::int64_t rows, std::int64_t len) {
   if (rows == 0 || len == 0) return;
   gelu_fn_for(active_isa_slow())(v, rows, len);
-}
-
-void quant_linear_rows(const float* x, std::int64_t rows, std::int64_t k,
-                       std::int64_t n, const std::int8_t* wq,
-                       const float* wscale, const float* bias, float* y,
-                       float* xq_scratch, float* wq_scratch, int act) {
-  if (rows == 0 || n == 0) return;
-  quant_linear_fn_for(active_isa_slow())(x, rows, k, n, wq, wscale, bias, y,
-                                         xq_scratch, wq_scratch, act);
 }
 
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
@@ -625,9 +535,6 @@ void attention_rows_grad(const float* q, const float* k, const float* v,
 #if defined(FMNET_GEMM_AVX512_CLONE)
   avx512::attention_grad_avx512(q, k, v, dy, probs, dq, dk, dv, t, s, ld,
                                 scale, scratch);
-#elif defined(FMNET_GEMM_AVX512VNNI_CLONE)
-  avx512vnni::attention_grad_avx512(q, k, v, dy, probs, dq, dk, dv, t, s, ld,
-                                    scale, scratch);
 #else
   FMNET_CHECK(false, "key-major attention probs without an AVX-512 body");
 #endif

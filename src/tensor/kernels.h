@@ -56,20 +56,16 @@ class ThreadPool;
 namespace fmnet::tensor::kernels {
 
 /// Instruction-set variants of the panel kernel. kPortable is whatever the
-/// build baseline targets; kAvx2 / kAvx512 / kAvx512Vnni are
-/// runtime-dispatched clones compiled on x86-64 GCC builds whose baseline
-/// lacks them. FMA contracts a*b+c into one rounding, so variants may
-/// differ from each other (and from the references) in the last ulp —
-/// each variant is individually bit-deterministic at any lane count. The
-/// quantised linear is tighter: its MAC is exact integer arithmetic for
-/// k <= kQuantExactMacK on every variant (including the VNNI
-/// integer-domain kernel), so variants can differ only in the final
-/// dequant rounding (FMA-contracted on the clones, two roundings on a
-/// non-FMA baseline).
+/// build baseline targets; kAvx2 / kAvx512 are runtime-dispatched clones
+/// compiled on x86-64 GCC builds whose baseline lacks them. FMA contracts
+/// a*b+c into one rounding, so variants may differ from each other (and
+/// from the references) in the last ulp — each variant is individually
+/// bit-deterministic at any lane count.
+/// kAvx512Vnni is never compiled, dispatched or accepted as a pin; it is
+/// kept only because the benchmark harness (benchmark/roofline.cpp) names it.
 enum class Isa { kPortable = 0, kAvx2 = 1, kAvx512 = 2, kAvx512Vnni = 3 };
 
-/// "portable" / "avx2" / "avx512" / "avx512vnni" — the FMNET_KERNEL_ISA
-/// spellings.
+/// "portable" / "avx2" / "avx512" — the FMNET_KERNEL_ISA spellings.
 const char* isa_name(Isa isa);
 
 /// Variants compiled into this binary (always includes kPortable; clones
@@ -97,10 +93,6 @@ inline constexpr std::int64_t kKC = 256;
 /// Widest n served by the skinny register-accumulating kernel: one AVX-512
 /// register / two AVX2 registers per C row.
 inline constexpr std::int64_t kSkinnyMaxN = 16;
-/// Largest k for which the quantised linear's fp32 MAC over int8-grid
-/// values is exactly the int32 result: |sum| <= 127 * 127 * k must stay
-/// under 2^24 (the fp32 exact-integer range).
-inline constexpr std::int64_t kQuantExactMacK = (1 << 24) / (127 * 127);
 /// Rows per parallel work item (a multiple of kMR so row quads never
 /// straddle lanes).
 inline constexpr std::int64_t kRowBlock = 64;
@@ -261,20 +253,6 @@ void layer_norm_grad_rows(const float* dy, const float* x,
                           const float* stats, const float* gamma,
                           std::int64_t rows, std::int64_t f, float inv_f,
                           float* dx, float* dgamma, float* dbeta);
-
-/// Fused int8 linear row kernel: per-row dynamic quantisation of x onto
-/// the int8 grid, MAC against the int8 weights, fp32 dequant with
-/// per-output-channel weight scales, bias, and activation (act:
-/// 0 = identity, 1 = relu, 2 = gelu). Rounding is bit-compatible with
-/// nearbyintf (round-half-to-even) via the magic-number shift. The MAC
-/// runs in fp32 over the quantised small-integer values — exactly the
-/// int32 result for k <= kQuantExactMacK, at fp32-FMA speed (see
-/// kernels_quant.inc). `xq_scratch` ([k]) and `wq_scratch` ([k*n]) are
-/// caller-provided so repeated calls reuse one allocation.
-void quant_linear_rows(const float* x, std::int64_t rows, std::int64_t k,
-                       std::int64_t n, const std::int8_t* wq,
-                       const float* wscale, const float* bias, float* y,
-                       float* xq_scratch, float* wq_scratch, int act);
 
 // Naive i-k-j reference implementations (single-threaded, no blocking).
 // Used by the kernel tests as ground truth; same accumulate-into-C

@@ -25,8 +25,6 @@ namespace avx2 {
 #pragma GCC pop_options
 #endif
 
-// One AVX-512 clone serves the avx512 and avx512vnni dispatch slots:
-// these kernels have no integer work for VNNI to change.
 #ifdef FMNET_GEMM_AVX512_CLONE
 #pragma GCC push_options
 #pragma GCC target("avx512f,avx512vl,avx512bw,avx512dq,avx2,fma")
@@ -59,7 +57,6 @@ BackwardFns fns() {
 #endif
 #ifdef FMNET_GEMM_AVX512_CLONE
     case Isa::kAvx512:
-    case Isa::kAvx512Vnni:
       return FMNET_BACKWARD_FNS(avx512);
 #endif
     default:

@@ -12,7 +12,4 @@
 #if !defined(__AVX512F__)
 #define FMNET_GEMM_AVX512_CLONE 1
 #endif
-#if !defined(__AVX512VNNI__)
-#define FMNET_GEMM_AVX512VNNI_CLONE 1
-#endif
 #endif

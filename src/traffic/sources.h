@@ -13,7 +13,6 @@
 //   IncastSource    — synchronized fan-in events: F flows × S packets all
 //                     aimed at one victim port
 //   CompositeSource — superposition
-//   TraceSource     — deterministic replay (see trace.h)
 //
 // All randomness flows through an explicit Rng for reproducibility.
 #pragma once

@@ -163,7 +163,7 @@ TEST(Evaluation, BatchedEvaluationMatchesPerWindowPath) {
   impute::TrainConfig train;
   train.epochs = 0;  // the deterministic initial weights are enough
   auto model = std::make_shared<impute::TransformerImputer>(
-      nn::TransformerConfig{}, train, impute::InferConfig{}, &pool);
+      nn::TransformerConfig{}, train, &pool);
   impute::KnowledgeAugmentedImputer corrected(model, impute::CemConfig{},
                                               &pool);
   for (impute::Imputer* imputer :

@@ -97,26 +97,6 @@ TEST(Determinism, CemCorrectionIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Determinism, CemPortCorrectionIdenticalAcrossThreadCounts) {
-  const std::int64_t windows = 8;
-  const std::int64_t factor = 6;
-  const auto c = multi_window_constraints(windows, factor);
-  Rng rng(23);
-  std::vector<std::vector<double>> imputed(
-      2, std::vector<double>(static_cast<std::size_t>(windows * factor)));
-  for (auto& q : imputed) {
-    for (auto& v : q) v = rng.uniform(0.0, 20.0);
-  }
-  impute::ConstraintEnforcementModule cem;
-  util::ThreadPool one(1);
-  util::ThreadPool eight(8);
-  const auto a = cem.correct_port(imputed, {c, c}, 1.0, &one);
-  const auto b = cem.correct_port(imputed, {c, c}, 1.0, &eight);
-  EXPECT_EQ(a.feasible, b.feasible);
-  EXPECT_EQ(a.objective, b.objective);
-  EXPECT_EQ(a.corrected, b.corrected);
-}
-
 TEST(Determinism, MetricsCollectionDoesNotPerturbOutputs) {
   // The observability layer (obs/) must be a pure observer: running the
   // instrumented stages with collection ON must produce bit-identical

@@ -323,8 +323,8 @@ INSTANTIATE_TEST_SUITE_P(RandomWindows, CemCrossCheck,
                          });
 
 // ---------------------------------------------------------------------------
-// Serving-path accelerators: warm start, repair cache, portfolio. All of
-// them must preserve the repaired output bit-for-bit.
+// Serving-path accelerators: warm start and repair cache. Both must
+// preserve the repaired output bit-for-bit.
 // ---------------------------------------------------------------------------
 
 TEST(CemAccel, AcceleratedConfigMatchesColdExactly) {
@@ -337,7 +337,6 @@ TEST(CemAccel, AcceleratedConfigMatchesColdExactly) {
   accel_cfg.engine = CemEngine::kSmtBranchAndBound;
   accel_cfg.use_repair_cache = true;
   accel_cfg.warm_start = true;
-  accel_cfg.portfolio = 2;
   const ConstraintEnforcementModule cold(cold_cfg);
   const ConstraintEnforcementModule accel(accel_cfg);
 
@@ -368,81 +367,6 @@ TEST(CemAccel, AcceleratedConfigMatchesColdExactly) {
     const auto rcached = accel.correct(imputed, c, 1.0);
     EXPECT_EQ(rcached.corrected, ra.corrected) << "seed " << seed;
     EXPECT_EQ(rcached.objective, ra.objective) << "seed " << seed;
-  }
-  smt::SolveCache::global().clear();
-}
-
-TEST(CemAccel, StreamingRepairMatchesBatchCold) {
-  // A sliding window advancing by factor/2 must produce, window by window,
-  // exactly the repair a cold per-window solve produces — the warm start
-  // from the previous window's solution is invisible in the output.
-  CemConfig cold_cfg;
-  cold_cfg.engine = CemEngine::kSmtBranchAndBound;
-  cold_cfg.use_repair_cache = false;
-  cold_cfg.warm_start = false;
-  CemConfig warm_cfg = cold_cfg;
-  warm_cfg.warm_start = true;
-  const ConstraintEnforcementModule cold(cold_cfg);
-
-  const std::int64_t factor = 6;
-  const std::int64_t stride = factor / 2;
-  StreamingCemRepair streaming(warm_cfg, stride);
-  fmnet::Rng rng(4242);
-  std::vector<double> series;
-  for (std::int64_t t = 0; t < 10 * factor; ++t) {
-    series.push_back(static_cast<double>(rng.uniform_int(-1, 9)));
-  }
-  for (std::int64_t begin = 0;
-       begin + factor <= static_cast<std::int64_t>(series.size());
-       begin += stride) {
-    std::vector<double> window(series.begin() + begin,
-                               series.begin() + begin + factor);
-    PacketInterval interval{.m_max = 5, .m_out = 4, .sample_at = {}};
-    interval.sample_at.assign(static_cast<std::size_t>(factor), -1);
-    if (begin % (3 * stride) == 0) {
-      interval.sample_at[2] = rng.uniform_int(0, 4);
-    }
-    const auto rs = streaming.repair(window, interval);
-    const auto rc = cold.correct_window(window, interval);
-    ASSERT_EQ(rs.feasible, rc.feasible) << "begin " << begin;
-    EXPECT_EQ(rs.objective, rc.objective) << "begin " << begin;
-    EXPECT_EQ(rs.corrected, rc.corrected) << "begin " << begin;
-  }
-}
-
-TEST(CemAccel, PortJointWarmMatchesPlain) {
-  smt::SolveCache::global().clear();
-  CemConfig plain_cfg;
-  plain_cfg.engine = CemEngine::kSmtBranchAndBound;
-  plain_cfg.use_repair_cache = false;
-  plain_cfg.warm_start = false;
-  CemConfig accel_cfg;
-  accel_cfg.engine = CemEngine::kSmtBranchAndBound;
-  accel_cfg.use_repair_cache = true;
-  accel_cfg.warm_start = true;
-  const ConstraintEnforcementModule plain(plain_cfg);
-  const ConstraintEnforcementModule accel(accel_cfg);
-
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    fmnet::Rng rng(seed * 17 + 3);
-    const std::int64_t factor = 4;
-    const std::size_t nq = 2;
-    std::vector<std::vector<double>> imputed(nq);
-    std::vector<constraints::ExampleConstraints> per_queue(nq);
-    for (std::size_t q = 0; q < nq; ++q) {
-      per_queue[q].coarse_factor = factor;
-      per_queue[q].window_max = {static_cast<float>(rng.uniform_int(1, 5))};
-      per_queue[q].port_sent = {
-          static_cast<float>(rng.uniform_int(1, factor))};
-      for (std::int64_t t = 0; t < factor; ++t) {
-        imputed[q].push_back(static_cast<double>(rng.uniform_int(-1, 6)));
-      }
-    }
-    const auto rp = plain.correct_port(imputed, per_queue, 1.0);
-    const auto ra = accel.correct_port(imputed, per_queue, 1.0);
-    ASSERT_EQ(rp.feasible, ra.feasible) << "seed " << seed;
-    EXPECT_EQ(rp.objective, ra.objective) << "seed " << seed;
-    EXPECT_EQ(rp.corrected, ra.corrected) << "seed " << seed;
   }
   smt::SolveCache::global().clear();
 }
@@ -499,71 +423,6 @@ TEST(CemBudget, DecisionBudgetMakesRepairsDeterministic) {
   EXPECT_EQ(used, need);
   EXPECT_EQ(enough.objective, unlimited.objective);
   EXPECT_EQ(enough.corrected, unlimited.corrected);
-}
-
-TEST(CemPort, JointCorrectionEnforcesDisjunctionC3) {
-  // Each queue alone satisfies NE <= 2, but the port-level disjunction has
-  // 4 non-empty steps over a budget of 2: per-queue CEM would pass this
-  // through; the joint correction must empty some steps.
-  constraints::ExampleConstraints q0 = toy_cem(4);
-  q0.window_max = {5};
-  q0.port_sent = {2};
-  constraints::ExampleConstraints q1 = q0;
-  ConstraintEnforcementModule cem;
-
-  // Per-queue correction: untouched (sound but weaker).
-  EXPECT_EQ(cem.correct({5, 5, 0, 0}, q0, 1.0).objective, 0);
-  EXPECT_EQ(cem.correct({0, 0, 5, 5}, q1, 1.0).objective, 0);
-
-  const auto joint = cem.correct_port({{5, 5, 0, 0}, {0, 0, 5, 5}},
-                                      {q0, q1}, 1.0);
-  ASSERT_TRUE(joint.feasible);
-  EXPECT_GT(joint.objective, 0);
-  std::int64_t union_ne = 0;
-  double max0 = 0;
-  double max1 = 0;
-  for (std::size_t t = 0; t < 4; ++t) {
-    if (joint.corrected[0][t] > 0 || joint.corrected[1][t] > 0) ++union_ne;
-    max0 = std::max(max0, joint.corrected[0][t]);
-    max1 = std::max(max1, joint.corrected[1][t]);
-  }
-  EXPECT_LE(union_ne, 2);
-  EXPECT_LE(max0, 5.0);  // C1 upper bound still holds per queue
-  EXPECT_LE(max1, 5.0);
-}
-
-TEST(CemPort, SingleQueueJointMatchesPerQueueOptimum) {
-  constraints::ExampleConstraints c = toy_cem(4);
-  c.window_max = {10};
-  c.port_sent = {2};
-  c.sample_idx = {0};
-  c.sample_val = {1};
-  const std::vector<double> imputed{1, 4, 7, 2};
-  ConstraintEnforcementModule cem;
-  const auto single = cem.correct(imputed, c, 1.0);
-  const auto joint = cem.correct_port({imputed}, {c}, 1.0);
-  ASSERT_TRUE(single.feasible);
-  ASSERT_TRUE(joint.feasible);
-  EXPECT_EQ(single.objective, joint.objective);
-}
-
-TEST(CemPort, JointBudgetZeroesCheaperQueue) {
-  // With a joint budget of 1 non-empty step and C1 as an upper bound, the
-  // cheapest repair empties one queue's single burst (cost 4) rather than
-  // relocating its mass onto the survivor's step (cost 8).
-  constraints::ExampleConstraints q0 = toy_cem(3);
-  q0.window_max = {4};
-  q0.port_sent = {1};
-  constraints::ExampleConstraints q1 = q0;
-  ConstraintEnforcementModule cem;
-  const auto joint = cem.correct_port({{4, 0, 0}, {0, 0, 4}}, {q0, q1}, 1.0);
-  ASSERT_TRUE(joint.feasible);
-  std::int64_t union_ne = 0;
-  for (std::size_t t = 0; t < 3; ++t) {
-    if (joint.corrected[0][t] > 0 || joint.corrected[1][t] > 0) ++union_ne;
-  }
-  EXPECT_EQ(union_ne, 1);
-  EXPECT_EQ(joint.objective, 4);
 }
 
 // ---------------------------------------------------------------------------

@@ -830,19 +830,21 @@ TEST(SolverStatusTest, BudgetLimitedMinimizeIsSatNotOptimal) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm starts, portfolio determinism, the repair cache and canonical keys.
+// Warm starts, canonical extraction, the repair cache and canonical keys.
 // ---------------------------------------------------------------------------
 
 namespace {
-Model small_repair_model() {
+Model small_repair_model(std::vector<VarId>* queue = nullptr) {
   // A CEM-shaped miniature: values with per-step targets, an upper bound
-  // and a nonzero-count cap; minimise total deviation.
+  // and a nonzero-count cap; minimise total deviation. `queue`, when given,
+  // receives the per-step value variables.
   Model m;
   const std::vector<std::int64_t> target{3, 0, 5, 2, 0, 4};
   LinExpr dev;
   LinExpr nonzero;
   for (std::size_t t = 0; t < target.size(); ++t) {
     const VarId q = m.new_int(0, 6);
+    if (queue != nullptr) queue->push_back(q);
     dev = dev + LinExpr(m.add_abs(LinExpr(q) - LinExpr(target[t]), 12));
     const VarId ne = m.new_bool();
     m.add_reified(ne, LinExpr(q), Cmp::kGe, 1);
@@ -855,10 +857,12 @@ Model small_repair_model() {
 }  // namespace
 
 TEST(SolverWarmStartTest, WarmAndColdProduceIdenticalResults) {
-  const Model m = small_repair_model();
+  std::vector<VarId> queue;
+  const Model m = small_repair_model(&queue);
   Solver cold(m);
   const auto rc = cold.minimize();
   ASSERT_EQ(rc.status, Status::kOptimal);
+  EXPECT_EQ(rc.objective, 5);
 
   // Warm-start from the cold solution: same status, objective and
   // assignment, with the flag set and no extra incumbent search.
@@ -874,6 +878,19 @@ TEST(SolverWarmStartTest, WarmAndColdProduceIdenticalResults) {
   EXPECT_EQ(rw.objective, rc.objective);
   EXPECT_EQ(rw.assignment, rc.assignment);
   EXPECT_LE(rw.decisions, rc.decisions);
+
+  // A feasible but non-optimal hint — every queue step empty, objective 14
+  // — is accepted, proves nothing at the root, and branch-and-bound still
+  // ends at the cold objective and (by canonical extraction) assignment.
+  WarmStart empty;
+  for (const VarId q : queue) empty.hints.emplace_back(q, 0);
+  Solver e(m);
+  const auto re = e.minimize(empty);
+  ASSERT_EQ(re.status, Status::kOptimal);
+  EXPECT_TRUE(re.warm_started);
+  EXPECT_FALSE(re.root_proof);
+  EXPECT_EQ(re.objective, rc.objective);
+  EXPECT_EQ(re.assignment, rc.assignment);
 }
 
 TEST(SolverCounterTest, RootProofsAndExtractionDecisionsAreCounted) {
@@ -942,53 +959,6 @@ TEST(SolverWarmStartTest, PartialHintsAreCompletedByPropagation) {
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_TRUE(r.warm_started);
   EXPECT_EQ(r.objective, 7);  // x=0, y=7
-}
-
-TEST(SolverPortfolioTest, AnyMemberCountMatchesSingleSolver) {
-  const Model m = small_repair_model();
-  Solver single(m);
-  const auto base = single.minimize();
-  ASSERT_EQ(base.status, Status::kOptimal);
-  for (const int members : {2, 4, 7}) {
-    PortfolioOptions po;
-    po.members = members;
-    po.quantum = 64;
-    const auto r = minimize_portfolio(m, Budget{}, po, nullptr);
-    ASSERT_EQ(r.status, Status::kOptimal) << members << " members";
-    EXPECT_EQ(r.objective, base.objective) << members << " members";
-    EXPECT_EQ(r.assignment, base.assignment) << members << " members";
-  }
-}
-
-TEST(SolverPortfolioTest, UnsatIsUnsatAtAnyMemberCount) {
-  Model m;
-  const VarId x = m.new_int(0, 3, "x");
-  m.add_linear(LinExpr(x), Cmp::kGe, 5);
-  m.minimize(LinExpr(x));
-  PortfolioOptions po;
-  po.members = 4;
-  const auto r = minimize_portfolio(m, Budget{}, po, nullptr);
-  EXPECT_EQ(r.status, Status::kUnsat);
-  EXPECT_FALSE(r.has_solution());
-}
-
-TEST(SolverPortfolioTest, SeededBranchingStillExtractsCanonicalAssignment) {
-  // Different branch seeds explore in different orders but kOptimal
-  // results are canonically extracted: the assignment depends only on the
-  // model and the optimum, never on the seed.
-  const Model m = small_repair_model();
-  Solver canonical(m);
-  const auto base = canonical.minimize();
-  ASSERT_EQ(base.status, Status::kOptimal);
-  for (const std::uint64_t seed : {1ULL, 5ULL, 99ULL}) {
-    Solver::Options so;
-    so.branch_seed = seed;
-    Solver s(m, Budget{}, so);
-    const auto r = s.minimize();
-    ASSERT_EQ(r.status, Status::kOptimal) << "seed " << seed;
-    EXPECT_EQ(r.objective, base.objective) << "seed " << seed;
-    EXPECT_EQ(r.assignment, base.assignment) << "seed " << seed;
-  }
 }
 
 TEST(SolveCacheTest, HitReturnsIdenticalResultAndCounts) {

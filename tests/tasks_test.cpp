@@ -6,7 +6,6 @@
 
 #include "constraints/constraints.h"
 #include "tasks/bursts.h"
-#include "tasks/delay.h"
 #include "tasks/metrics.h"
 #include "tasks/netcalc.h"
 #include "util/check.h"
@@ -234,49 +233,6 @@ TEST(ConcurrentBursts, ZeroWhenIdentical) {
       {0, 9, 9, 0},
   };
   EXPECT_NEAR(concurrent_burst_error(queues, queues, 5.0), 0.0, 1e-12);
-}
-
-TEST(Delay, QueueingDelayFromLittleLikeRelation) {
-  const auto d = queueing_delay({0, 90, 45}, 90.0);
-  EXPECT_DOUBLE_EQ(d[0], 0.0);
-  EXPECT_DOUBLE_EQ(d[1], 1.0);  // full service interval of backlog
-  EXPECT_DOUBLE_EQ(d[2], 0.5);
-  EXPECT_THROW(queueing_delay({1}, 0.0), CheckError);
-}
-
-TEST(Delay, BufferBoundCertification) {
-  // buffer 600, rate 90/step -> bound 6.67 steps.
-  const double bound = max_delay_bound(600, 90.0);
-  EXPECT_NEAR(bound, 600.0 / 90.0, 1e-12);
-
-  // A sound series certifies cleanly.
-  const auto ok = certify_delays({0.0, 3.0, bound}, 600, 90.0);
-  EXPECT_TRUE(ok.sound);
-  EXPECT_EQ(ok.violations, 0u);
-
-  // An ML-style prediction exceeding the physical bound is flagged.
-  const auto bad = certify_delays({2.0, bound + 5.0, -1.0}, 600, 90.0);
-  EXPECT_FALSE(bad.sound);
-  EXPECT_EQ(bad.violations, 2u);
-  EXPECT_NEAR(bad.worst_excess, 5.0, 1e-12);
-}
-
-TEST(Delay, EnforcementClampsIntoCertifiedRange) {
-  const double bound = max_delay_bound(100, 10.0);
-  const auto fixed = enforce_delay_bounds({-2.0, 5.0, 99.0}, 100, 10.0);
-  EXPECT_DOUBLE_EQ(fixed[0], 0.0);
-  EXPECT_DOUBLE_EQ(fixed[1], 5.0);
-  EXPECT_DOUBLE_EQ(fixed[2], bound);
-  // Enforced output always certifies.
-  EXPECT_TRUE(certify_delays(fixed, 100, 10.0).sound);
-}
-
-TEST(Delay, ImputedQueueDelaysRespectBufferBoundByConstruction) {
-  // Queue lengths can never exceed the buffer, so delays derived from any
-  // (even corrected) imputation are automatically certified.
-  std::vector<double> qlen{0, 55, 100, 12};
-  const auto delays = queueing_delay(qlen, 10.0);
-  EXPECT_TRUE(certify_delays(delays, 100, 10.0).sound);
 }
 
 }  // namespace

@@ -346,70 +346,6 @@ TEST(GemmKernels, RowStridesMatchDenseBlocks) {
   kernels::set_isa(startup);
 }
 
-// The quantised linear's MAC is exact integer arithmetic on every variant
-// for k <= kQuantExactMacK (fp32 over small-integer values on
-// portable/avx2/avx512, native int32 dpbusd on avx512vnni) — only the
-// final dequant `acc * scale + bias` rounds, and it contracts into an FMA
-// on the FMA-capable variants but not the SSE2 baseline. To pin the MAC
-// itself bit-for-bit across ALL variants, this sweep constructs inputs
-// whose dequant is exact too: integer-valued activations with absmax
-// exactly 127 (xscale == 1), unit weight scales, integer bias — every
-// output is then an exact small integer any rounding order reproduces.
-// A MAC that is off by even one (a dropped quad in the VNNI repack, a
-// wrong u8 bias compensation) shifts the output by a whole scale step.
-// Sweeps templated widths, the variable fallback, non-multiple-of-16
-// widths (the VNNI masked tail), and identity + relu (gelu is a float
-// approximation whose own contraction may differ per ISA).
-TEST(QuantKernels, AllIsaVariantsAgreeOnExactIntegerMac) {
-  const kernels::Isa startup = kernels::active_isa();
-  fmnet::Rng rng(117);
-  const std::int64_t rows = 9;
-  const std::int64_t k = 70;  // not a multiple of 4: VNNI padded tail
-  ASSERT_LE(k, kernels::kQuantExactMacK);
-  for (const std::int64_t n : {std::int64_t{16}, std::int64_t{7},
-                               std::int64_t{33}, std::int64_t{64}}) {
-    std::vector<float> x(static_cast<std::size_t>(rows * k));
-    for (std::int64_t i = 0; i < rows; ++i) {
-      for (std::int64_t q = 0; q < k; ++q) {
-        x[static_cast<std::size_t>(i * k + q)] =
-            static_cast<float>(rng.uniform_int(-127, 127));
-      }
-      x[static_cast<std::size_t>(i * k + (i % k))] = 127.0f;  // xscale = 1
-    }
-    const std::vector<float> wscale(static_cast<std::size_t>(n), 1.0f);
-    std::vector<float> bias(static_cast<std::size_t>(n));
-    for (auto& b : bias) b = static_cast<float>(rng.uniform_int(-8, 8));
-    std::vector<std::int8_t> wq(static_cast<std::size_t>(k * n));
-    for (auto& w : wq) {
-      w = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-    }
-    std::vector<float> xq_scratch(static_cast<std::size_t>(k));
-    std::vector<float> wq_scratch(static_cast<std::size_t>(k * n));
-    for (const int act : {0, 1}) {
-      std::vector<float> ref;
-      for (const kernels::Isa isa : kernels::compiled_isas()) {
-        if (!kernels::isa_supported(isa)) continue;
-        kernels::set_isa(isa);
-        std::vector<float> y(static_cast<std::size_t>(rows * n), -7.0f);
-        kernels::quant_linear_rows(x.data(), rows, k, n, wq.data(),
-                                   wscale.data(), bias.data(), y.data(),
-                                   xq_scratch.data(), wq_scratch.data(),
-                                   act);
-        if (ref.empty()) {
-          ref = y;
-          continue;
-        }
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-          EXPECT_EQ(y[i], ref[i])
-              << kernels::isa_name(isa) << " n=" << n << " act=" << act
-              << " element " << i;
-        }
-      }
-    }
-  }
-  kernels::set_isa(startup);
-}
-
 // ---- fast math helpers ----------------------------------------------------
 
 TEST(FastMath, ExpMatchesLibmWithinTolerance) {
@@ -648,8 +584,9 @@ TEST(FusedOps, AttentionGradients) {
 // kernels_backward.cpp is compiled without FMA contraction, so on every ISA
 // each kernel must return exactly what the plain scalar loop below returns
 // when it, too, rounds every multiply and add: the SSE2 baseline build has
-// no FMA to contract into. A baseline that has FMA (an FMNET_NATIVE build)
-// may fuse the reference loops, which then stop being that reference.
+// no FMA to contract into. A baseline that has FMA (a build whose compiler
+// flags target such a CPU) may fuse the reference loops, which then stop
+// being that reference.
 #if defined(__FMA__)
 #define FMNET_SKIP_IF_REFERENCE_CONTRACTS() \
   GTEST_SKIP() << "baseline has FMA: the scalar reference may contract"
@@ -1101,7 +1038,7 @@ struct AttnGrads {
 };
 
 bool runs_key_major_body(kernels::Isa isa) {
-  return isa == kernels::Isa::kAvx512 || isa == kernels::Isa::kAvx512Vnni;
+  return isa == kernels::Isa::kAvx512;
 }
 
 void check_attention_kernel(std::int64_t heads, std::int64_t t,

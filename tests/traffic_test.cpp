@@ -1,13 +1,11 @@
 // Tests for workload generators: rates, determinism, flow mechanics,
-// incast fan-in shape, trace record/replay/persistence.
+// incast fan-in shape.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 #include <set>
 
 #include "traffic/sources.h"
-#include "traffic/trace.h"
 #include "util/check.h"
 
 namespace fmnet::traffic {
@@ -172,44 +170,6 @@ TEST(PaperWorkloadTest, ProducesBothClassesAndReasonableLoad) {
   const double load = static_cast<double>(out.size()) / (90000.0 * 8.0);
   EXPECT_GT(load, 0.05);
   EXPECT_LT(load, 1.0);
-}
-
-TEST(TraceTest, RecordReplayIdentical) {
-  PoissonSource src(0.4, 4, 0, fmnet::Rng(12));
-  const Trace trace = record_trace(src, 500);
-  TraceSource replay(trace);
-  std::vector<Arrival> out;
-  for (int s = 0; s < 500; ++s) replay.generate(s, out);
-  EXPECT_EQ(static_cast<std::int64_t>(out.size()), trace.total_packets());
-}
-
-TEST(TraceTest, SaveLoadRoundTrip) {
-  PoissonSource src(0.4, 4, 1, fmnet::Rng(13));
-  const Trace trace = record_trace(src, 200);
-  const std::string path = ::testing::TempDir() + "/fmnet_trace_test.txt";
-  save_trace(trace, path);
-  const Trace loaded = load_trace(path, 200);
-  ASSERT_EQ(loaded.slots.size(), trace.slots.size());
-  EXPECT_EQ(loaded.total_packets(), trace.total_packets());
-  for (std::size_t s = 0; s < trace.slots.size(); ++s) {
-    ASSERT_EQ(loaded.slots[s].size(), trace.slots[s].size());
-    for (std::size_t i = 0; i < trace.slots[s].size(); ++i) {
-      EXPECT_EQ(loaded.slots[s][i].dst_port, trace.slots[s][i].dst_port);
-      EXPECT_EQ(loaded.slots[s][i].queue_class,
-                trace.slots[s][i].queue_class);
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceTest, ReplayBeyondLengthIsEmpty) {
-  Trace t;
-  t.slots.resize(3);
-  t.slots[1].push_back({0, 0});
-  TraceSource src(t);
-  std::vector<Arrival> out;
-  src.generate(10, out);
-  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace
