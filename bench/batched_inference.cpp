@@ -1,8 +1,8 @@
 // Batched inference throughput: windows/s of the per-window serving loop
-// vs stacking B windows into one [B, T, C] forward
-// (impute::TransformerImputer::impute_batch). Also asserts, with exit
-// status, the correctness contract the CI gate leans on: batched fp32 ==
-// per-window loop bit-for-bit (any B).
+// vs stacking B windows into one [B, T, C] forward (impute_batch of the
+// registry's "transformer"). Also asserts, with exit status, the
+// correctness contract the CI gate leans on: batched fp32 == per-window
+// loop bit-for-bit (any B).
 //
 // Gauges (best-of-run via set_max; the speedup via set):
 //   bench.batched.loop.win_per_s    per-window fp32 loop
@@ -56,20 +56,23 @@ int main() {
       static_cast<std::size_t>(bench::env_int("FMNET_BATCH_REPS",
                                               fast ? 3 : 5));
 
-  impute::TransformerImputer imputer(bench::default_model(),
-                                     bench::default_training(false));
+  impute::MethodParams params;
+  params.model = bench::default_model();
+  params.train = bench::default_training();
+  const std::shared_ptr<impute::Imputer> imputer =
+      impute::Registry::create("transformer", params);
   const auto windows = make_windows(num_windows, window);
 
   // ---- correctness: batched fp32 must equal the loop bit-for-bit --------
   std::vector<std::vector<double>> loop_out;
   loop_out.reserve(num_windows);
-  for (const auto& ex : windows) loop_out.push_back(imputer.impute(ex));
+  for (const auto& ex : windows) loop_out.push_back(imputer->impute(ex));
   for (const std::size_t b : {std::size_t{4}, std::size_t{16}}) {
     for (std::size_t begin = 0; begin < num_windows; begin += b) {
       const std::vector<telemetry::ImputationExample> chunk(
           windows.begin() + static_cast<std::ptrdiff_t>(begin),
           windows.begin() + static_cast<std::ptrdiff_t>(begin + b));
-      const auto batched = imputer.impute_batch(chunk);
+      const auto batched = imputer->impute_batch(chunk);
       for (std::size_t i = 0; i < b; ++i) {
         if (batched[i] != loop_out[begin + i]) {
           std::fprintf(stderr,
@@ -87,13 +90,13 @@ int main() {
     fmnet::Stopwatch clock;
     for (std::size_t r = 0; r < reps; ++r) {
       if (batch <= 1) {
-        for (const auto& ex : windows) (void)imputer.impute(ex);
+        for (const auto& ex : windows) (void)imputer->impute(ex);
       } else {
         for (std::size_t begin = 0; begin < num_windows; begin += batch) {
           const std::vector<telemetry::ImputationExample> chunk(
               windows.begin() + static_cast<std::ptrdiff_t>(begin),
               windows.begin() + static_cast<std::ptrdiff_t>(begin + batch));
-          (void)imputer.impute_batch(chunk);
+          (void)imputer->impute_batch(chunk);
         }
       }
     }

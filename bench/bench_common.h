@@ -11,7 +11,7 @@
 #include "core/evaluation.h"
 #include "core/pipeline.h"
 #include "core/scenario.h"
-#include "impute/transformer_imputer.h"
+#include "impute/registry.h"
 #include "obs/export.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -77,21 +77,18 @@ inline nn::TransformerConfig default_model() {
   return cfg;
 }
 
-inline impute::TrainConfig default_training(bool use_kal,
-                                            std::uint64_t seed = 1) {
+inline impute::TrainConfig default_training(std::uint64_t seed = 1) {
   impute::TrainConfig cfg;
   cfg.epochs = static_cast<int>(env_int("FMNET_EPOCHS",
                                         fast_mode() ? 4 : 30));
   cfg.batch_size = 8;
   cfg.lr = 3e-3f;
-  cfg.use_kal = use_kal;
   cfg.seed = seed;
   return cfg;
 }
 
 /// The bench defaults bundled as a Scenario, ready for core::Engine: the
-/// default campaign plus the default model/training hyper-parameters
-/// (use_kal is selected per method by the imputer registry, not here).
+/// default campaign plus the default model/training hyper-parameters.
 /// Callers set `methods` themselves. With FMNET_ARTIFACT_DIR set, bench
 /// re-runs then serve simulation and transformer training from the
 /// artifact cache.
@@ -101,7 +98,7 @@ inline core::Scenario default_scenario(std::uint64_t seed = 42,
   s.name = "bench";
   s.campaign = default_campaign(seed, full_ms);
   s.model = default_model();
-  s.train = default_training(/*use_kal=*/false);
+  s.train = default_training();
   return s;
 }
 

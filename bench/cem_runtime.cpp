@@ -6,7 +6,10 @@
 //
 //  1. Engine comparison on the campaign test split — the specialised exact
 //     repair vs the smtlite branch-and-bound that mirrors the paper's Z3
-//     usage, cold and with the serving-path accelerators.
+//     usage, cold and with the serving-path accelerators — over an input
+//     that violates the constraints (inconsistent_input), so every engine
+//     has real repair work. All three must move the same, non-zero number
+//     of packets (the bench exits non-zero otherwise).
 //
 //  2. The overlapping-window serving workload: a window of one coarse
 //     interval advanced by half an interval per step, each window repaired
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "constraints/constraints.h"
 #include "impute/cem.h"
 #include "impute/linear_interp.h"
 #include "obs/metrics.h"
@@ -46,6 +50,31 @@ double median_ms(std::vector<double> ms) {
   return ms[ms.size() / 2];
 }
 
+/// Part 1's input: the linear baseline (consistent with C1–C3) with, in
+/// each interval, every sampled step and the middle step raised one packet
+/// above the LANZ max (C1, and off the sampled value, C2), and every empty
+/// step filled with one packet (C1 where the LANZ max is 0; C3 wherever the
+/// port sent fewer packets than the interval has steps — this bench's ports
+/// never do, so its C3 mass is 0 and no input could raise it).
+std::vector<double> inconsistent_input(impute::Imputer& base,
+                                       const telemetry::ImputationExample& ex,
+                                       std::int64_t factor) {
+  std::vector<double> q = base.impute(ex);
+  for (double& v : q) v = std::max(v, 1.0);
+  for (std::int64_t i = 0; i * factor < static_cast<std::int64_t>(q.size());
+       ++i) {
+    const impute::PacketInterval p =
+        impute::packet_interval(ex.constraints, ex.qlen_scale, i);
+    const auto above_max = static_cast<double>(p.m_max.value_or(0) + 1);
+    for (std::int64_t k = 0; k < factor; ++k) {
+      if (p.sample_at[static_cast<std::size_t>(k)] >= 0 || k == factor / 2) {
+        q[static_cast<std::size_t>(i * factor + k)] = above_max;
+      }
+    }
+  }
+  return q;
+}
+
 }  // namespace
 
 int main() {
@@ -58,14 +87,29 @@ int main() {
   const core::PreparedData data = eng.prepare(s, campaign);
   const std::int64_t factor = data.dataset_config.factor;
 
-  // A deliberately-inconsistent input: the naive baseline, which violates
-  // all three constraints, so CEM has real work to do.
+  // The naive baseline: Part 2 repairs its overlapping windows, Part 1 an
+  // inconsistent version of its whole windows.
   impute::LinearInterpImputer base;
 
   // ---- Part 1: engine comparison (whole test-split windows) ----
   const std::size_t max_windows = fast_mode() ? 20 : 100;
+  std::vector<std::vector<double>> inputs;  // one per leading test window
+  constraints::Checker input_violations;
+  std::size_t input_intervals = 0;
+  for (const auto& ex : data.split.test) {
+    if (input_intervals >= max_windows) break;
+    input_intervals += ex.window / static_cast<std::size_t>(factor);
+    inputs.push_back(inconsistent_input(base, ex, factor));
+    std::vector<double> normalised = inputs.back();
+    for (double& v : normalised) v /= ex.qlen_scale;
+    input_violations.add(normalised, ex.constraints);
+  }
+  std::printf("input violation mass: C1 %.3f, C2 %.3f, C3 %.3f\n",
+              input_violations.c1.violation, input_violations.c2.violation,
+              input_violations.c3.violation);
   Table table({"engine", "windows (50ms)", "total (s)", "mean per 50ms (ms)",
                "objective (pkts moved)"});
+  std::vector<std::int64_t> objectives;
 
   struct EngineRow {
     const char* name;
@@ -87,10 +131,9 @@ int main() {
     double total_seconds = 0.0;
     std::int64_t total_objective = 0;
     std::size_t windows = 0;
-    for (const auto& ex : data.split.test) {
-      if (windows >= max_windows) break;
-      const auto imputed = base.impute(ex);
-      const auto r = cem.correct(imputed, ex.constraints, ex.qlen_scale);
+    for (std::size_t w = 0; w < inputs.size(); ++w) {
+      const auto& ex = data.split.test[w];
+      const auto r = cem.correct(inputs[w], ex.constraints, ex.qlen_scale);
       total_seconds += r.seconds;
       total_objective += r.objective;
       windows += ex.window / factor;
@@ -101,8 +144,17 @@ int main() {
                                   static_cast<double>(windows),
                               4),
                    std::to_string(total_objective)});
+    objectives.push_back(total_objective);
   }
   table.print(std::cout);
+  if (objectives.front() <= 0 ||
+      std::count(objectives.begin(), objectives.end(), objectives.front()) !=
+          static_cast<std::ptrdiff_t>(objectives.size())) {
+    std::fprintf(stderr,
+                 "FAIL: the engines must move the same, non-zero number of "
+                 "packets\n");
+    return 1;
+  }
 
   // ---- Part 2: overlapping-window serving workload ----
   // Slide a one-interval window by half an interval per repair. Each

@@ -58,7 +58,7 @@ core::Scenario fabric_scenario() {
   s.window_ms = fast ? 150 : 300;
   s.factor = 50;
   s.model = bench::default_model();
-  s.train = bench::default_training(/*use_kal=*/false);
+  s.train = bench::default_training();
   s.train.epochs = static_cast<int>(bench::env_int("FMNET_EPOCHS",
                                                    fast ? 2 : 6));
   s.methods = {"transformer+kal"};

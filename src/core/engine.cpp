@@ -324,7 +324,9 @@ impute::BuiltImputer Engine::fit_method_with_key(const Scenario& s,
           loaded = true;
         } catch (const CheckError&) {
           // Architecture drift under an unchanged key should be impossible
-          // (the key hashes the model config); fall through and retrain.
+          // (the key hashes the model config). A rejected load leaves the
+          // model untouched, so the retrain below starts from the weights
+          // a cold run starts from.
         }
       }
       if (loaded) return built;

@@ -524,7 +524,7 @@ const std::vector<OptionDef>& option_defs() {
                       return fmt_int(s.serve.repair ? 1 : 0);
                     }});
 
-    // --- autoencoder architecture (impute/autoencoder_imputer.h) ---
+    // --- autoencoder architecture (impute/networks.h) ---
     // Appended after every pre-existing key (same discipline as faults,
     // fabric and serve): canonical_training splices these in only for
     // autoencoder-family methods, so transformer checkpoints and every

@@ -36,8 +36,8 @@
 #include "core/pipeline.h"
 #include "fabric/fabric.h"
 #include "faults/faults.h"
-#include "impute/autoencoder_imputer.h"
 #include "impute/cem.h"
+#include "impute/networks.h"
 #include "impute/registry.h"
 #include "impute/training.h"
 #include "nn/transformer.h"

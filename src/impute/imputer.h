@@ -14,10 +14,6 @@
 #include "telemetry/dataset.h"
 #include "util/thread_pool.h"
 
-namespace fmnet::nn {
-class Module;
-}  // namespace fmnet::nn
-
 namespace fmnet::impute {
 
 using telemetry::ImputationExample;
@@ -71,16 +67,6 @@ class Imputer {
           return impute(batch[static_cast<std::size_t>(i)]);
         });
   }
-};
-
-/// An Imputer whose learned state lives in exactly one nn::Module, so the
-/// scenario engine can checkpoint it through nn/serialize under a
-/// content-addressed key. The module must be fully constructed (correct
-/// architecture, deterministic init) straight from configuration: a warm
-/// engine run loads weights into model() without ever calling fit().
-class CheckpointableImputer : public Imputer {
- public:
-  virtual nn::Module& model() = 0;
 };
 
 }  // namespace fmnet::impute

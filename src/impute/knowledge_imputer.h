@@ -7,7 +7,6 @@
 
 #include "impute/cem.h"
 #include "impute/imputer.h"
-#include "impute/transformer_imputer.h"
 
 namespace fmnet::impute {
 
@@ -48,7 +47,7 @@ class KnowledgeAugmentedImputer : public Imputer {
 
   /// Wall-clock seconds spent inside CEM across all impute() and
   /// impute_batch() windows, and the window count — used by
-  /// bench/cem_runtime.
+  /// bench/table1_downstream.
   double total_cem_seconds() const { return total_cem_seconds_; }
   std::int64_t cem_calls() const { return cem_calls_; }
   /// Number of windows whose constraint system was infeasible (should stay

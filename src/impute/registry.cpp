@@ -2,11 +2,12 @@
 
 #include <algorithm>
 
-#include "impute/alt_models.h"
 #include "impute/iterative_imputer.h"
 #include "impute/knowledge_imputer.h"
 #include "impute/linear_interp.h"
-#include "impute/rate_imputer.h"
+#include "nn/gru.h"
+#include "nn/kal.h"
+#include "tensor/ops.h"
 #include "util/check.h"
 
 namespace fmnet::impute {
@@ -63,34 +64,156 @@ ParsedName parse_name(const std::string& name) {
   return p;
 }
 
-/// The learned bases, each checkpointable; null for any other name.
-std::shared_ptr<CheckpointableImputer> build_learned(
-    const std::string& base, const MethodParams& params) {
+using tensor::Tensor;
+
+constexpr auto kChannels =
+    static_cast<std::int64_t>(telemetry::kNumInputChannels);
+
+/// Largest |net inflow| per fine step of the rate family, in normalised
+/// queue units: the port-rate physical bound.
+constexpr float kMaxStepDelta = 0.5f;
+
+/// The forward of a family whose network is `Net`, called as net.forward(x).
+template <class Net>
+Tensor plain_forward(const nn::Module& net, const Tensor& x,
+                     const std::vector<ImputationExample>&,
+                     const std::vector<std::size_t>&, fmnet::Rng&) {
+  return static_cast<const Net&>(net).forward(x);
+}
+
+Tensor transformer_forward(const nn::Module& net, const Tensor& x,
+                           const std::vector<ImputationExample>&,
+                           const std::vector<std::size_t>&,
+                           fmnet::Rng& dropout) {
+  return static_cast<const nn::ImputationTransformer&>(net).forward(x,
+                                                                   dropout);
+}
+
+/// The rate family (§5's "other means of integrating network knowledge"):
+/// the transformer predicts an intermediate physical quantity, the per-step
+/// net inflow 0.5·tanh(net(x)), and the queue follows from the known
+/// queue-evolution law, a Lindley recursion:
+///
+///     q[0] = the window's first periodic sample (0 without one),
+///     q[t+1] = max(0, q[t] + inflow[t]).
+///
+/// Non-negativity and bounded slope then hold by construction rather than
+/// being learned, and gradients flow through the recursion in training.
+Tensor rate_forward(const nn::Module& net, const Tensor& x,
+                    const std::vector<ImputationExample>& examples,
+                    const std::vector<std::size_t>& rows,
+                    fmnet::Rng& dropout) {
+  const std::int64_t b = x.dim(0);
+  const std::int64_t t_len = x.dim(1);
+  std::vector<float> q0;
+  q0.reserve(rows.size());
+  for (const std::size_t i : rows) {
+    const std::vector<float>& samples = examples[i].constraints.sample_val;
+    q0.push_back(samples.empty() ? 0.0f : samples.front());
+  }
+  const Tensor rates = tensor::mul_scalar(
+      tensor::tanh(transformer_forward(net, x, examples, rows, dropout)),
+      kMaxStepDelta);  // [B, T]
+
+  Tensor q = Tensor::from_vector(std::move(q0), {b, 1});
+  std::vector<Tensor> steps;
+  steps.reserve(static_cast<std::size_t>(t_len));
+  steps.push_back(q);  // q[0] is the (known) sampled initial state
+  for (std::int64_t t = 0; t + 1 < t_len; ++t) {
+    const Tensor net_t = tensor::slice(rates, 1, t, t + 1);  // [B, 1]
+    q = tensor::relu(q + net_t);
+    steps.push_back(q);
+  }
+  return tensor::reshape(tensor::cat(steps, 1), {b, t_len});
+}
+
+/// The learned bases, one ModelImputer per family; null for any other
+/// name. Network sizes and the order of their parameters are checkpoint
+/// material: a change here must come with a new checkpoint key.
+std::shared_ptr<ModelImputer> build_learned(const std::string& base,
+                                            const MethodParams& params) {
+  TrainConfig train = params.train;
+  ModelFamily family;
+  const nn::TransformerConfig model = params.model;
+  const auto transformer_net = [model](fmnet::Rng& rng) {
+    FMNET_CHECK_EQ(model.input_channels, kChannels);
+    return std::make_unique<nn::ImputationTransformer>(model, rng);
+  };
   if (base == "mlp") {
-    return std::make_shared<PointwiseMlpImputer>(32, params.train);
+    family.name = "PointwiseMLP";
+    family.make_net = [](fmnet::Rng& rng) {
+      return std::make_unique<PointwiseMlpNet>(kChannels, 32, rng);
+    };
+    family.forward = plain_forward<PointwiseMlpNet>;
+  } else if (base == "gru") {
+    family.name = "BiGRU";
+    family.make_net = [](fmnet::Rng& rng) {
+      return std::make_unique<nn::BiGruImputerNet>(kChannels, 16, rng);
+    };
+    family.forward = plain_forward<nn::BiGruImputerNet>;
+  } else if (base == "rate") {
+    family.name = "RateTransformer";
+    family.make_net = transformer_net;
+    family.forward = rate_forward;
+  } else if (base == "transformer" || base == "transformer+kal") {
+    family.name = base == "transformer" ? "Transformer" : "Transformer+KAL";
+    family.make_net = transformer_net;
+    family.forward = transformer_forward;
+    if (base == "transformer+kal") {
+      // The Knowledge-Augmented Loss (§3.1): augmented-Lagrangian
+      // penalties with per-example multipliers over the training set.
+      family.penalty = [mu = train.kal_mu](
+                           const std::vector<ImputationExample>& examples)
+          -> Penalty {
+        auto kal = std::make_shared<nn::KalState>(examples.size(), mu);
+        return [&examples, kal](const Tensor& row, std::size_t i) {
+          const nn::KalTerms terms =
+              nn::kal_penalty(row, examples[i].constraints, kal->lambda_eq(i),
+                              kal->lambda_ineq(i), kal->mu());
+          kal->update(i, terms.phi, terms.psi);
+          return terms.penalty;
+        };
+      };
+      family.penalty_weight = train.kal_weight;
+    }
+  } else if (base == "autoencoder") {
+    const AutoencoderConfig ae = params.autoencoder;
+    family.name = "Autoencoder";
+    family.make_net = [ae](fmnet::Rng& rng) {
+      return std::make_unique<AutoencoderNet>(ae, kChannels, rng);
+    };
+    family.forward = plain_forward<AutoencoderNet>;
+    family.penalty = [ae, mu = train.kal_mu](
+                         const std::vector<ImputationExample>& examples)
+        -> Penalty {
+      // The net is sized for one window length; reject any other up front.
+      for (const ImputationExample& ex : examples) {
+        FMNET_CHECK_EQ(static_cast<std::int64_t>(ex.window), ae.window);
+      }
+      if (ae.penalty_weight <= 0.0f) return nullptr;
+      // Fixed-weight domain-knowledge penalty: kal_penalty with zero
+      // multipliers, i.e. the pure quadratic μΦ²/μΨ² terms — no
+      // augmented-Lagrangian multiplier schedule (DESIGN.md §13).
+      return [&examples, mu](const Tensor& row, std::size_t i) {
+        return nn::kal_penalty(row, examples[i].constraints, 0.0f, 0.0f, mu)
+            .penalty;
+      };
+    };
+    family.penalty_weight = ae.penalty_weight;
+    // One micro-shard per batch: the whole batch is one forward, so
+    // training runs inline on the calling lane (finer shards would regroup
+    // the loss sums and move every trained weight).
+    train.micro_batch = train.batch_size;
+  } else {
+    return nullptr;
   }
-  if (base == "gru") return std::make_shared<BiGruImputer>(16, params.train);
-  if (base == "rate") {
-    return std::make_shared<PhysicsRateImputer>(
-        RateImputerConfig{params.model}, params.train);
-  }
-  if (base == "transformer" || base == "transformer+kal") {
-    TrainConfig cfg = params.train;
-    cfg.use_kal = base == "transformer+kal";
-    return std::make_shared<TransformerImputer>(params.model, cfg,
-                                                params.pool);
-  }
-  if (base == "autoencoder") {
-    return std::make_shared<AutoencoderImputer>(params.autoencoder,
-                                                params.train, params.pool);
-  }
-  return nullptr;
+  return std::make_shared<ModelImputer>(std::move(family), train,
+                                        params.pool);
 }
 
 std::shared_ptr<Imputer> build_base(const std::string& base,
                                     const MethodParams& params,
-                                    std::shared_ptr<CheckpointableImputer>*
-                                        trainable) {
+                                    std::shared_ptr<ModelImputer>* trainable) {
   if (base == "linear") {
     return std::make_shared<LinearInterpImputer>(params.pool);
   }

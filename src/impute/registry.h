@@ -27,10 +27,10 @@
 #include <string>
 #include <vector>
 
-#include "impute/autoencoder_imputer.h"
 #include "impute/cem.h"
 #include "impute/imputer.h"
-#include "impute/transformer_imputer.h"
+#include "impute/model_imputer.h"
+#include "impute/networks.h"
 #include "nn/transformer.h"
 
 namespace fmnet::impute {
@@ -40,27 +40,26 @@ namespace fmnet::impute {
 /// whole scenario grid.
 struct MethodParams {
   nn::TransformerConfig model;
-  /// Training of every learned method; `use_kal` is overridden by the
-  /// method name (transformer vs transformer+kal), never read from here.
+  /// Training of every learned method.
   TrainConfig train;
   /// Autoencoder architecture; its `window` must match the dataset window
   /// length (the engine sets it from the scenario's data.window-ms).
   AutoencoderConfig autoencoder;
   CemConfig cem;
-  /// Forwarded to every method's batched inference (model forwards and
-  /// the analytical baselines' per-window loops) and to CEM wrappers, so
-  /// windows are imputed and corrected concurrently; must outlive the
-  /// imputer. null = global pool.
+  /// Forwarded to every method's batched inference (the sharded forward
+  /// of every learned method, the analytical baselines' per-window loops)
+  /// and to CEM wrappers, so windows are imputed and corrected
+  /// concurrently; must outlive the imputer. null = global pool.
   util::ThreadPool* pool = nullptr;
 };
 
 /// A constructed method. `trainable` is non-null for every learned method
 /// (mlp, gru, rate, transformer, transformer+kal, autoencoder), whose
-/// weights checkpoint via nn::serialize — it aliases the innermost
-/// checkpointable imputer of `imputer` (through any CEM wrapper).
+/// weights checkpoint via nn::serialize — it aliases the model imputer
+/// inside `imputer` (through any CEM wrapper).
 struct BuiltImputer {
   std::shared_ptr<Imputer> imputer;
-  std::shared_ptr<CheckpointableImputer> trainable;
+  std::shared_ptr<ModelImputer> trainable;
 };
 
 class Registry {

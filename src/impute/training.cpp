@@ -21,9 +21,8 @@ using tensor::Tensor;
 std::vector<float> train_model(nn::Module& model,
                                const std::vector<ImputationExample>& examples,
                                const TrainConfig& config,
-                               const TrainHooks& hooks, fmnet::Rng& rng,
-                               util::ThreadPool* pool,
-                               const std::string& name) {
+                               const ModelFamily& family, fmnet::Rng& rng,
+                               util::ThreadPool* pool) {
   obs::ScopedSpan train_span("train");
   auto& reg = obs::Registry::global();
   static obs::Counter& epochs_done = reg.counter("train.epochs");
@@ -38,6 +37,7 @@ std::vector<float> train_model(nn::Module& model,
   const std::size_t n = examples.size();
   const auto batch_size = static_cast<std::size_t>(config.batch_size);
   const auto micro = static_cast<std::size_t>(config.micro_batch);
+  const Penalty penalty = family.penalty ? family.penalty(examples) : nullptr;
   model.set_training(true);
 
   util::ThreadPool& tp = util::ThreadPool::resolve(pool);
@@ -49,7 +49,8 @@ std::vector<float> train_model(nn::Module& model,
   std::vector<std::vector<Tensor>> lane_params;
   lane_params.push_back(model.parameters());
   for (std::size_t l = 1; l < std::min(tp.size(), max_shards); ++l) {
-    replicas.push_back(hooks.make_replica());
+    fmnet::Rng init_rng(0);
+    replicas.push_back(family.make_net(init_rng));
     replicas.back()->set_training(true);
     lane_params.push_back(replicas.back()->parameters());
   }
@@ -128,22 +129,23 @@ std::vector<float> train_model(nn::Module& model,
         const Tensor y = stack_targets(examples, shard);
 
         fmnet::Rng shard_rng(shard_seeds[s]);
-        const Tensor pred = hooks.forward(m, x, shard, shard_rng);
+        const Tensor pred = family.forward(m, x, examples, shard, shard_rng);
         Tensor loss = config.loss == TrainConfig::Loss::kEmd
                           ? nn::emd_loss(pred, y)
                           : nn::mse_loss(pred, y);
-        if (hooks.penalty) {
-          Tensor penalty = Tensor::scalar(0.0f);
+        if (penalty) {
+          Tensor shard_penalty = Tensor::scalar(0.0f);
           for (std::size_t b = 0; b < shard.size(); ++b) {
             const Tensor row = tensor::reshape(
                 tensor::slice(pred, 0, static_cast<std::int64_t>(b),
                               static_cast<std::int64_t>(b) + 1),
                 {static_cast<std::int64_t>(examples[shard[b]].window)});
-            penalty = penalty + hooks.penalty(row, shard[b]);
+            shard_penalty = shard_penalty + penalty(row, shard[b]);
           }
           loss = loss + tensor::mul_scalar(
-                            penalty, hooks.penalty_weight /
-                                         static_cast<float>(shard.size()));
+                            shard_penalty,
+                            family.penalty_weight /
+                                static_cast<float>(shard.size()));
         }
         // Weight so that Σ_shards scaled losses/grads equals the loss and
         // gradient of the whole batch processed at once.
@@ -187,7 +189,7 @@ std::vector<float> train_model(nn::Module& model,
         static_cast<float>(epoch_loss / static_cast<double>(batches)));
     loss_gauge.set(static_cast<double>(epoch_losses.back()));
     if (config.verbose) {
-      std::printf("[%s] epoch %3d loss %.5f\n", name.c_str(), epoch,
+      std::printf("[%s] epoch %3d loss %.5f\n", family.name.c_str(), epoch,
                   epoch_losses.back());
     }
   }

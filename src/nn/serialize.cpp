@@ -1,9 +1,12 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "util/check.h"
 
@@ -44,15 +47,27 @@ void load_parameters(Module& module, std::istream& in) {
   auto params = module.parameters();
   const auto count = read_pod<std::uint64_t>(in);
   FMNET_CHECK_EQ(count, params.size());
-  for (Tensor& p : params) {
+  // Every tensor is read and checked before any is copied in, so a
+  // rejected checkpoint leaves the module exactly as it was.
+  std::vector<std::vector<float>> staged(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const tensor::Shape& expected = params[i].shape();
+    const std::string mismatch = "checkpoint tensor " + std::to_string(i) +
+                                 ": expected shape " +
+                                 tensor::shape_to_string(expected) + ", found ";
     const auto ndim = read_pod<std::uint64_t>(in);
-    FMNET_CHECK_EQ(ndim, p.ndim());
-    for (std::size_t d = 0; d < ndim; ++d) {
-      FMNET_CHECK_EQ(read_pod<std::int64_t>(in), p.shape()[d]);
-    }
-    in.read(reinterpret_cast<char*>(p.data().data()),
-            static_cast<std::streamsize>(p.data().size() * sizeof(float)));
+    FMNET_CHECK(ndim == expected.size(),
+                mismatch + "rank " + std::to_string(ndim));
+    tensor::Shape found(expected.size());
+    for (std::int64_t& d : found) d = read_pod<std::int64_t>(in);
+    FMNET_CHECK(found == expected, mismatch + tensor::shape_to_string(found));
+    staged[i].resize(params[i].data().size());
+    in.read(reinterpret_cast<char*>(staged[i].data()),
+            static_cast<std::streamsize>(staged[i].size() * sizeof(float)));
     FMNET_CHECK(in.good(), "unexpected end of checkpoint stream");
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    std::copy(staged[i].begin(), staged[i].end(), params[i].data().begin());
   }
 }
 

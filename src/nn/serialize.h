@@ -14,7 +14,10 @@ namespace fmnet::nn {
 void save_parameters(const Module& module, const std::string& path);
 
 /// Loads parameters saved by save_parameters into `module`. The module must
-/// have identical architecture: tensor count and shapes are verified.
+/// have identical architecture: tensor count and shapes are verified, all
+/// before any weight is written, so on a CheckError (which names the first
+/// mismatching tensor, its expected and its found shape) the module is
+/// unchanged.
 void load_parameters(Module& module, const std::string& path);
 
 /// Stream variants of the same format, used by the engine's artifact store

@@ -10,7 +10,7 @@
 #include "core/pipeline.h"
 #include "impute/knowledge_imputer.h"
 #include "impute/linear_interp.h"
-#include "impute/transformer_imputer.h"
+#include "impute/registry.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -160,10 +160,11 @@ TEST(Evaluation, BatchedEvaluationMatchesPerWindowPath) {
   const PreparedData data = prepare_data(c, 300, 50);
   Table1Evaluator eval(c, data);
   util::ThreadPool pool(4);
-  impute::TrainConfig train;
-  train.epochs = 0;  // the deterministic initial weights are enough
-  auto model = std::make_shared<impute::TransformerImputer>(
-      nn::TransformerConfig{}, train, &pool);
+  impute::MethodParams params;
+  params.train.epochs = 0;  // the deterministic initial weights are enough
+  params.pool = &pool;
+  const std::shared_ptr<impute::Imputer> model =
+      impute::Registry::create("transformer", params);
   impute::KnowledgeAugmentedImputer corrected(model, impute::CemConfig{},
                                               &pool);
   for (impute::Imputer* imputer :

@@ -14,7 +14,7 @@
 #include "core/pipeline.h"
 #include "core/scenario.h"
 #include "impute/cem.h"
-#include "impute/transformer_imputer.h"
+#include "impute/registry.h"
 #include "obs/metrics.h"
 #include "telemetry/dataset.h"
 #include "telemetry/monitors.h"
@@ -204,38 +204,36 @@ TEST(Determinism, TrainingIdenticalAcrossThreadCounts) {
       gt, ct, dcfg, campaign.switch_config.queues_per_port);
   ASSERT_GT(examples.size(), 8u);
 
-  nn::TransformerConfig mcfg;
-  mcfg.input_channels = telemetry::kNumInputChannels;
-  mcfg.d_model = 8;
-  mcfg.num_heads = 2;
-  mcfg.num_layers = 1;
-  mcfg.d_ff = 16;
-  mcfg.max_seq_len = 128;
-  mcfg.dropout = 0.1f;  // exercise the per-shard dropout streams
-  impute::TrainConfig tcfg;
-  tcfg.epochs = 2;
-  tcfg.seed = 7;
-  tcfg.use_kal = true;
+  impute::MethodParams params;
+  params.model.input_channels = telemetry::kNumInputChannels;
+  params.model.d_model = 8;
+  params.model.num_heads = 2;
+  params.model.num_layers = 1;
+  params.model.d_ff = 16;
+  params.model.max_seq_len = 128;
+  params.model.dropout = 0.1f;  // exercise the per-shard dropout streams
+  params.train.epochs = 2;
+  params.train.seed = 7;
 
-  impute::TransformerImputer imp_one(mcfg, tcfg);
-  impute::TransformerImputer imp_eight(mcfg, tcfg);
+  const auto imp_one =
+      impute::Registry::build("transformer+kal", params).trainable;
+  const auto imp_eight =
+      impute::Registry::build("transformer+kal", params).trainable;
   util::ThreadPool one(1);
   util::ThreadPool eight(8);
-  const auto stats_one = imp_one.train(examples, &one);
-  const auto stats_eight = imp_eight.train(examples, &eight);
+  const auto losses_one = imp_one->train(examples, &one);
+  const auto losses_eight = imp_eight->train(examples, &eight);
 
-  EXPECT_EQ(stats_one.epoch_loss, stats_eight.epoch_loss);
-  EXPECT_EQ(stats_one.final_mean_phi, stats_eight.final_mean_phi);
-  EXPECT_EQ(stats_one.final_mean_psi, stats_eight.final_mean_psi);
-  const auto pa = imp_one.model().parameters();
-  const auto pb = imp_eight.model().parameters();
+  EXPECT_EQ(losses_one, losses_eight);
+  const auto pa = imp_one->model().parameters();
+  const auto pb = imp_eight->model().parameters();
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t p = 0; p < pa.size(); ++p) {
     EXPECT_EQ(pa[p].data(), pb[p].data()) << "parameter " << p;
   }
   // Inference through the trained weights (pooled tensor path) must agree
   // bit-for-bit too, not just the stored parameters.
-  EXPECT_EQ(imp_one.impute(examples[0]), imp_eight.impute(examples[0]));
+  EXPECT_EQ(imp_one->impute(examples[0]), imp_eight->impute(examples[0]));
 }
 
 TEST(Determinism, EngineRunIdenticalAcrossThreadCounts) {

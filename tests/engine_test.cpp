@@ -19,6 +19,7 @@
 #include "core/evaluation.h"
 #include "core/scenario.h"
 #include "impute/registry.h"
+#include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "util/hash.h"
 
@@ -297,6 +298,38 @@ TEST(Engine, CheckpointRoundTripIsBitIdentical) {
   for (const auto& ex : data.split.test) {
     EXPECT_EQ(trained.imputer->impute(ex), loaded.imputer->impute(ex));
   }
+}
+
+TEST(Engine, RejectedCheckpointRetrainsFromColdWeights) {
+  // A checkpoint of the wrong shape under the scenario's key, with a valid
+  // digest: only d_ff differs, so the tensors before the first mismatch
+  // load cleanly. A load that copied as it checked would leave the model
+  // half-overwritten, and the retrain would start from weights a cold run
+  // never has.
+  core::Scenario s = small_scenario();
+  s.methods = {"transformer"};
+  const std::string cold_table =
+      table_to_string(core::Engine{core::ArtifactStore()}.run(s));
+
+  core::Scenario other = s;
+  other.model.d_ff *= 2;
+  other.train.seed += 1;  // weights unlike any the cold run draws
+  const impute::BuiltImputer wrong =
+      impute::Registry::build("transformer", core::method_params(other));
+  const std::string dir = fresh_dir("engine_rejected_checkpoint");
+  const core::ArtifactStore store(dir);
+  ASSERT_TRUE(store
+                  .put("checkpoint",
+                       core::Engine::checkpoint_key(s, "transformer"),
+                       [&](std::ostream& out) {
+                         nn::save_parameters(wrong.trainable->model(), out);
+                       })
+                  .has_value());
+
+  const auto before = ArtifactCounters::now();
+  core::Engine engine{core::ArtifactStore(dir)};
+  EXPECT_EQ(table_to_string(engine.run(s)), cold_table);
+  EXPECT_EQ(ArtifactCounters::now().delta(before).corrupt, 0);
 }
 
 TEST(Engine, WarmRunServesFromCacheBitIdentically) {

@@ -4,11 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 
-#include "impute/alt_models.h"
 #include "impute/knowledge_imputer.h"
 #include "impute/linear_interp.h"
-#include "impute/rate_imputer.h"
+#include "impute/registry.h"
 #include "impute/window_buffer.h"
 #include "nn/gru.h"
 #include "nn/losses.h"
@@ -19,6 +20,7 @@
 #include "tensor/ops.h"
 #include "test_helpers.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace fmnet {
 namespace {
@@ -135,24 +137,37 @@ telemetry::DatasetSplit small_split(std::uint64_t seed) {
       telemetry::build_examples(gt, ct, cfg, 2));
 }
 
+/// Registry method `method` with a tiny transformer (the rate family's
+/// network) and `epochs` of training; inference on `pool` (null = global
+/// pool).
+std::shared_ptr<impute::Imputer> tiny_learned(
+    const std::string& method, int epochs, util::ThreadPool* pool = nullptr) {
+  impute::MethodParams params;
+  params.model.input_channels = telemetry::kNumInputChannels;
+  params.model.d_model = 8;
+  params.model.num_heads = 2;
+  params.model.num_layers = 1;
+  params.model.d_ff = 16;
+  params.model.max_seq_len = 128;
+  params.train.epochs = epochs;
+  params.pool = pool;
+  return impute::Registry::create(method, params);
+}
+
 TEST(AltModels, BiGruTrainsAndImputes) {
   const auto split = small_split(41);
-  impute::TrainConfig cfg;
-  cfg.epochs = 3;
-  impute::BiGruImputer imp(8, cfg);
-  imp.fit(split.train);
-  const auto out = imp.impute(split.test.front());
+  const auto imp = tiny_learned("gru", 3);
+  imp->fit(split.train);
+  const auto out = imp->impute(split.test.front());
   ASSERT_EQ(out.size(), split.test.front().window);
   for (const double v : out) ASSERT_GE(v, 0.0);
 }
 
 TEST(AltModels, PointwiseMlpTrainsAndImputes) {
   const auto split = small_split(43);
-  impute::TrainConfig cfg;
-  cfg.epochs = 5;
-  impute::PointwiseMlpImputer imp(16, cfg);
-  imp.fit(split.train);
-  const auto out = imp.impute(split.test.front());
+  const auto imp = tiny_learned("mlp", 5);
+  imp->fit(split.train);
+  const auto out = imp->impute(split.test.front());
   ASSERT_EQ(out.size(), split.test.front().window);
   for (const double v : out) ASSERT_GE(v, 0.0);
 }
@@ -162,12 +177,10 @@ TEST(AltModels, PointwiseOutputConstantWithinInterval) {
   // output must be constant within each interval — the structural reason
   // temporal models are needed.
   const auto split = small_split(47);
-  impute::TrainConfig cfg;
-  cfg.epochs = 2;
-  impute::PointwiseMlpImputer imp(8, cfg);
-  imp.fit(split.train);
+  const auto imp = tiny_learned("mlp", 2);
+  imp->fit(split.train);
   const auto& ex = split.test.front();
-  const auto out = imp.impute(ex);
+  const auto out = imp->impute(ex);
   const auto factor = static_cast<std::size_t>(ex.constraints.coarse_factor);
   for (std::size_t w = 0; w * factor < out.size(); ++w) {
     for (std::size_t k = 1; k < factor; ++k) {
@@ -180,32 +193,30 @@ TEST(AltModels, PointwiseOutputConstantWithinInterval) {
 // Physics-informed rate imputer.
 // ---------------------------------------------------------------------------
 
-impute::RateImputerConfig small_rate_config() {
-  impute::RateImputerConfig cfg;
-  cfg.model.input_channels = telemetry::kNumInputChannels;
-  cfg.model.d_model = 8;
-  cfg.model.num_heads = 2;
-  cfg.model.num_layers = 1;
-  cfg.model.d_ff = 16;
-  cfg.model.max_seq_len = 128;
-  return cfg;
-}
-
-impute::TrainConfig rate_training(int epochs) {
-  impute::TrainConfig cfg;
-  cfg.epochs = epochs;
-  return cfg;
-}
-
 TEST(RateImputer, OutputsObeyPhysicsByConstruction) {
   const auto split = small_split(53);
-  impute::PhysicsRateImputer imp(small_rate_config(), rate_training(3));
-  imp.fit(split.train);
-  for (const auto& ex : split.test) {
-    const auto out = imp.impute(ex);
+  // The test windows in one lane-parallel batch of two inference shards
+  // (16 windows of 100 steps each). q[0] of each output must be its own
+  // window's first sample; the campaign's windows all start from the same
+  // queue, so the first samples are made distinct here and a row/q0
+  // mismatch inside or across shards shows.
+  std::vector<telemetry::ImputationExample> windows = split.test;
+  ASSERT_GT(windows.size(), 16u);
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    windows[i].constraints.sample_val.front() =
+        0.01f * static_cast<float>(i + 1);
+  }
+  util::ThreadPool pool(8);
+  const auto imp = tiny_learned("rate", 3, &pool);
+  imp->fit(split.train);
+  const auto outs = imp->impute_batch(windows);
+  ASSERT_EQ(outs.size(), windows.size());
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const auto& ex = windows[i];
+    const auto& out = outs[i];
     ASSERT_EQ(out.size(), ex.window);
     // Non-negative everywhere, q[0] anchored at the first sample, and the
-    // per-step slope bounded by the configured physical limit.
+    // per-step slope bounded by the physical rate limit.
     EXPECT_NEAR(out[0],
                 static_cast<double>(ex.constraints.sample_val.front()) *
                     ex.qlen_scale,
@@ -222,7 +233,7 @@ TEST(RateImputer, OutputsObeyPhysicsByConstruction) {
 
 TEST(RateImputer, TrainingReducesEmd) {
   const auto split = small_split(59);
-  impute::PhysicsRateImputer imp(small_rate_config(), rate_training(6));
+  const auto imp = tiny_learned("rate", 6);
   // Compare EMD to ground truth before/after training on the train set.
   auto emd_to_truth = [&](impute::Imputer& m) {
     double acc = 0.0;
@@ -240,16 +251,15 @@ TEST(RateImputer, TrainingReducesEmd) {
     }
     return acc;
   };
-  const double before = emd_to_truth(imp);
-  imp.fit(split.train);
-  const double after = emd_to_truth(imp);
+  const double before = emd_to_truth(*imp);
+  imp->fit(split.train);
+  const double after = emd_to_truth(*imp);
   EXPECT_LT(after, before);
 }
 
 TEST(RateImputer, ComposesWithCem) {
   const auto split = small_split(61);
-  auto base = std::make_shared<impute::PhysicsRateImputer>(
-      small_rate_config(), rate_training(3));
+  const auto base = tiny_learned("rate", 3);
   base->fit(split.train);
   impute::KnowledgeAugmentedImputer full(base);
   const auto& ex = split.test.front();

@@ -4,13 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 
 #include "impute/cem.h"
 #include "impute/fm_model.h"
 #include "impute/iterative_imputer.h"
 #include "impute/knowledge_imputer.h"
 #include "impute/linear_interp.h"
-#include "impute/transformer_imputer.h"
+#include "impute/registry.h"
 #include "obs/metrics.h"
 #include "smt/solve_cache.h"
 #include "telemetry/dataset.h"
@@ -429,15 +431,18 @@ TEST(CemBudget, DecisionBudgetMakesRepairsDeterministic) {
 // Transformer pipeline
 // ---------------------------------------------------------------------------
 
-nn::TransformerConfig tiny_model() {
-  nn::TransformerConfig cfg;
-  cfg.input_channels = telemetry::kNumInputChannels;
-  cfg.d_model = 8;
-  cfg.num_heads = 2;
-  cfg.num_layers = 1;
-  cfg.d_ff = 16;
-  cfg.max_seq_len = 128;
-  return cfg;
+/// A tiny transformer of `method` ("transformer" or "transformer+kal").
+std::shared_ptr<ModelImputer> tiny_transformer(const std::string& method,
+                                               const TrainConfig& train) {
+  MethodParams params;
+  params.model.input_channels = telemetry::kNumInputChannels;
+  params.model.d_model = 8;
+  params.model.num_heads = 2;
+  params.model.num_layers = 1;
+  params.model.d_ff = 16;
+  params.model.max_seq_len = 128;
+  params.train = train;
+  return Registry::build(method, params).trainable;
 }
 
 TEST(TransformerImputerTest, TrainingReducesLoss) {
@@ -455,12 +460,12 @@ TEST(TransformerImputerTest, TrainingReducesLoss) {
   TrainConfig tcfg;
   tcfg.epochs = 8;
   tcfg.seed = 7;
-  TransformerImputer imp(tiny_model(), tcfg);
-  const auto stats = imp.train(examples);
-  ASSERT_EQ(stats.epoch_loss.size(), 8u);
-  EXPECT_LT(stats.epoch_loss.back(), stats.epoch_loss.front());
+  const auto imp = tiny_transformer("transformer", tcfg);
+  const auto epoch_loss = imp->train(examples);
+  ASSERT_EQ(epoch_loss.size(), 8u);
+  EXPECT_LT(epoch_loss.back(), epoch_loss.front());
 
-  const auto out = imp.impute(examples.front());
+  const auto out = imp->impute(examples.front());
   ASSERT_EQ(out.size(), examples.front().window);
   for (const double v : out) ASSERT_GE(v, 0.0);
 }
@@ -491,17 +496,15 @@ TEST(TransformerImputerTest, KalReducesConstraintViolations) {
   TrainConfig plain;
   plain.epochs = 10;
   plain.seed = 21;
-  TransformerImputer base(tiny_model(), plain);
-  base.train(examples);
+  const auto base = tiny_transformer("transformer", plain);
+  base->train(examples);
 
-  TrainConfig kal = plain;
-  kal.use_kal = true;
-  TransformerImputer with_kal(tiny_model(), kal);
-  with_kal.train(examples);
+  const auto with_kal = tiny_transformer("transformer+kal", plain);
+  with_kal->train(examples);
 
   // KAL must reduce (not necessarily nullify) C1+C2 violation on the
   // training distribution.
-  EXPECT_LT(violation_sum(with_kal), violation_sum(base));
+  EXPECT_LT(violation_sum(*with_kal), violation_sum(*base));
 }
 
 TEST(KnowledgeImputerTest, OutputSatisfiesConstraintsExactly) {
@@ -519,7 +522,7 @@ TEST(KnowledgeImputerTest, OutputSatisfiesConstraintsExactly) {
   TrainConfig tcfg;
   tcfg.epochs = 3;
   tcfg.seed = 5;
-  auto base = std::make_shared<TransformerImputer>(tiny_model(), tcfg);
+  const auto base = tiny_transformer("transformer", tcfg);
   base->train(examples);
   KnowledgeAugmentedImputer full(base);
 

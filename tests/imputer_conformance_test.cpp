@@ -6,7 +6,8 @@
 //     batch's micro-shards are handed to the pool together;
 //   * impute_batch equals the per-window impute loop bit-for-bit, also
 //     lane-parallel on 8 lanes against the 1-lane loop, with and without
-//     the +cem wrapper (whose counters must match too);
+//     the +cem wrapper (whose counters must match too), and every learned
+//     method forwards a batch's windows exactly once;
 //   * serving (a multi-session serve::ServeCore) publishes, per session,
 //     exactly the offline imputation of that session's trailing window;
 //   * every learned method round-trips through nn/serialize exactly, and
@@ -247,6 +248,22 @@ TEST_P(ImputerConformance, ParallelBatchMatchesLoopAcrossLanes) {
   EXPECT_EQ(par.cem_calls(), static_cast<std::int64_t>(test.size()));
   EXPECT_EQ(par.cem_calls(), loop.cem_calls());
   EXPECT_EQ(par.infeasible_windows(), loop.infeasible_windows());
+}
+
+TEST_P(ImputerConformance, BatchForwardsEveryWindowOnce) {
+  // Every learned method imputes a batch through one sharded model forward,
+  // which counts each window once; the analytical methods run no model.
+  const std::shared_ptr<impute::Imputer>& imputer =
+      fitted(GetParam(), 8).imputer;
+  const auto& test = split().test;
+  const obs::Counter& forwarded =
+      obs::Registry::global().counter("impute.forward.windows");
+  const std::int64_t before = forwarded.value();
+  (void)imputer->impute_batch(test);
+  EXPECT_EQ(forwarded.value() - before,
+            analytical(GetParam()) ? 0
+                                   : static_cast<std::int64_t>(test.size()))
+      << GetParam();
 }
 
 TEST_P(ImputerConformance, StreamingMatchesOffline) {

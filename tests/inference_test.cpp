@@ -4,9 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "impute/transformer_imputer.h"
+#include "impute/registry.h"
 #include "nn/kal.h"
 #include "tensor/pool.h"
 #include "tensor/tensor.h"
@@ -36,20 +37,23 @@ telemetry::ImputationExample make_example(std::uint64_t seed,
   return ex;
 }
 
-impute::TransformerImputer make_imputer() {
+std::shared_ptr<impute::ModelImputer> make_imputer() {
   // Untrained is fine: the constructor seeds the weights deterministically
   // and every path under test sees the same ones.
-  nn::TransformerConfig model;
-  impute::TrainConfig train;
-  train.epochs = 0;
-  return impute::TransformerImputer(model, train);
+  impute::MethodParams params;
+  params.train.epochs = 0;
+  return impute::Registry::build("transformer", params).trainable;
+}
+
+nn::ImputationTransformer& transformer_of(impute::ModelImputer& imputer) {
+  return static_cast<nn::ImputationTransformer&>(imputer.model());
 }
 
 // ---- no-autograd forward parity -------------------------------------------
 
 TEST(InferenceMode, ForwardMatchesTrainingForwardBitForBit) {
   auto imputer = make_imputer();
-  auto& model = imputer.model();
+  auto& model = transformer_of(*imputer);
   model.set_training(false);
 
   const auto ex = make_example(11);
@@ -80,9 +84,9 @@ TEST(InferenceMode, ForwardMatchesTrainingForwardBitForBit) {
 TEST(InferenceMode, ReusesPooledActivationsAcrossCalls) {
   auto imputer = make_imputer();
   const auto ex = make_example(12);
-  (void)imputer.impute(ex);  // warm the pool with this shape's buffers
+  (void)imputer->impute(ex);  // warm the pool with this shape's buffers
   const auto before = tensor::pool::stats();
-  (void)imputer.impute(ex);
+  (void)imputer->impute(ex);
   const auto after = tensor::pool::stats();
   EXPECT_GT(after.hits, before.hits)
       << "second inference call allocated fresh activations instead of "
@@ -91,7 +95,7 @@ TEST(InferenceMode, ReusesPooledActivationsAcrossCalls) {
 
 TEST(InferenceMode, InferenceResultsCarryNoGraph) {
   auto imputer = make_imputer();
-  auto& model = imputer.model();
+  auto& model = transformer_of(*imputer);
   model.set_training(false);
   const auto ex = make_example(13);
   const tensor::Tensor x = tensor::Tensor::from_vector(
@@ -127,7 +131,7 @@ TEST(BatchedInference, MatchesPerWindowLoopExactly) {
     windows.push_back(make_example(100 + i));
   }
   std::vector<std::vector<double>> loop_out;
-  for (const auto& ex : windows) loop_out.push_back(imputer.impute(ex));
+  for (const auto& ex : windows) loop_out.push_back(imputer->impute(ex));
 
   for (const std::size_t b : {std::size_t{1}, std::size_t{4},
                               std::size_t{16}}) {
@@ -135,7 +139,7 @@ TEST(BatchedInference, MatchesPerWindowLoopExactly) {
       const std::vector<telemetry::ImputationExample> chunk(
           windows.begin() + static_cast<std::ptrdiff_t>(begin),
           windows.begin() + static_cast<std::ptrdiff_t>(begin + b));
-      const auto batched = imputer.impute_batch(chunk);
+      const auto batched = imputer->impute_batch(chunk);
       ASSERT_EQ(batched.size(), b);
       for (std::size_t i = 0; i < b; ++i) {
         EXPECT_EQ(batched[i], loop_out[begin + i])
@@ -149,10 +153,10 @@ TEST(BatchedInference, MixedWindowLengthsFallBackToLoop) {
   auto imputer = make_imputer();
   std::vector<telemetry::ImputationExample> windows = {
       make_example(20, 60), make_example(21, 90), make_example(22, 60)};
-  const auto batched = imputer.impute_batch(windows);
+  const auto batched = imputer->impute_batch(windows);
   ASSERT_EQ(batched.size(), windows.size());
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    EXPECT_EQ(batched[i], imputer.impute(windows[i])) << "window " << i;
+    EXPECT_EQ(batched[i], imputer->impute(windows[i])) << "window " << i;
   }
 }
 

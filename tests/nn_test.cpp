@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <sstream>
+#include <string>
 
 #include "nn/attention.h"
 #include "nn/kal.h"
@@ -483,6 +485,51 @@ TEST(Serialize, RejectsArchitectureMismatch) {
   save_parameters(a, path);
   EXPECT_THROW(load_parameters(b, path), CheckError);
   std::remove(path.c_str());
+}
+
+TEST(Serialize, RejectedLoadLeavesModelUnchanged) {
+  // Only d_ff differs, so the leading tensors (input projection, attention,
+  // LayerNorm) match and the mismatch comes mid-stream: a load that copied
+  // each tensor as it checked it would have overwritten those by then.
+  TransformerConfig narrow;
+  narrow.d_model = 8;
+  narrow.num_heads = 2;
+  narrow.num_layers = 1;
+  narrow.d_ff = 16;
+  TransformerConfig wide = narrow;
+  wide.d_ff = 32;
+  fmnet::Rng rng_a(30);
+  const ImputationTransformer a(narrow, rng_a);
+  fmnet::Rng rng_b(31);
+  ImputationTransformer b(wide, rng_b);
+  fmnet::Rng rng_fresh(31);
+  const ImputationTransformer fresh(wide, rng_fresh);
+
+  const auto pa = a.parameters();
+  const auto pb = b.parameters();
+  const auto pf = fresh.parameters();
+  std::size_t mismatch = 0;
+  while (pa[mismatch].shape() == pb[mismatch].shape()) ++mismatch;
+  ASSERT_GT(mismatch, 0u);
+
+  std::stringstream buf;
+  save_parameters(a, buf);
+  try {
+    load_parameters(b, buf);
+    FAIL() << "a checkpoint of another architecture was accepted";
+  } catch (const CheckError& e) {
+    // The error names the first mismatching tensor and both shapes.
+    const std::string expected =
+        "checkpoint tensor " + std::to_string(mismatch) +
+        ": expected shape " + tensor::shape_to_string(pb[mismatch].shape()) +
+        ", found " + tensor::shape_to_string(pa[mismatch].shape());
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
+  ASSERT_EQ(pb.size(), pf.size());
+  for (std::size_t i = 0; i < pb.size(); ++i) {
+    EXPECT_EQ(pb[i].data(), pf[i].data()) << "parameter " << i;
+  }
 }
 
 }  // namespace
