@@ -58,7 +58,12 @@ std::vector<std::vector<double>> ModelImputer::impute_batch(
     shards.back().push_back(i);
   }
 
+  // Outputs are sized here, on the calling thread, and the shards only
+  // write into them: the caller that frees them also allocated them.
   std::vector<std::vector<double>> out(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    out[i].resize(batch[i].window);
+  }
   const auto run_shard = [&](std::int64_t s) {
     const std::vector<std::size_t>& rows = shards[static_cast<std::size_t>(s)];
     const std::size_t window = batch[rows.front()].window;
@@ -69,7 +74,6 @@ std::vector<std::vector<double>> ModelImputer::impute_batch(
     const float* pv = pred.data().data();
     for (std::size_t r = 0; r < rows.size(); ++r) {
       std::vector<double>& dst = out[rows[r]];
-      dst.resize(window);
       for (std::size_t j = 0; j < window; ++j) {
         // Denormalise to packets; queue lengths are non-negative.
         dst[j] = std::max(0.0, static_cast<double>(pv[r * window + j]) *

@@ -17,11 +17,13 @@ struct ServeConfig {
   std::int64_t ticks = 200;
   /// The real-time budget per tick — the paper's coarse interval.
   double interval_ms = 50.0;
-  /// Cross-session batching: coalesce up to this many ready windows into
-  /// one impute_batch call.
+  /// Cross-session batching: ready windows are released in whole groups
+  /// of this many, all of a tick's in one impute_batch call. It sizes the
+  /// groups, not the call.
   std::int64_t max_batch = 64;
-  /// How many ticks a ready window may wait for the batch to fill before
-  /// the partial batch is flushed. 0 = flush every tick (lowest latency).
+  /// How many ticks the partial rest (fewer than max_batch windows) may
+  /// wait for its group to fill before it is released anyway. 0 = release
+  /// every tick (lowest latency).
   std::int64_t max_delay_ticks = 0;
   /// Admission control: when more ready windows than this are pending,
   /// the oldest are shed to the degraded linear-interpolation path.

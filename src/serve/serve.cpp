@@ -1,11 +1,11 @@
 #include "serve/serve.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "impute/registry.h"
 #include "util/check.h"
-#include "util/mpsc_queue.h"
 
 namespace fmnet::serve {
 
@@ -77,127 +77,135 @@ void ServeCore::ingest(
   const auto num_sessions = static_cast<std::int64_t>(sessions_.size());
   const std::int64_t num_shards =
       (num_sessions + kIngestShard - 1) / kIngestShard;
-  // Cross-lane hand-off: shards publish ready windows lock-free; the
-  // drained batch is sorted by session id below, which restores a
-  // deterministic processing order regardless of lane interleaving.
-  util::MpscQueue<ReadyWindow> queue(
-      static_cast<std::size_t>(num_sessions));
+  // Each shard lists its ready windows in session order; appending the
+  // lists in shard order puts them in session order at any lane count.
+  struct ShardReady {
+    std::vector<ReadyWindow> windows;
+    std::vector<impute::ImputationExample> examples;
+  };
+  std::vector<ShardReady> shards(static_cast<std::size_t>(num_shards));
   util::ThreadPool::resolve(pool_).parallel_for(
       0, num_shards, [&](std::int64_t shard) {
+        ShardReady& ready = shards[static_cast<std::size_t>(shard)];
         const std::int64_t begin = shard * kIngestShard;
         const std::int64_t end =
             std::min(begin + kIngestShard, num_sessions);
+        ready.windows.reserve(static_cast<std::size_t>(end - begin));
+        ready.examples.reserve(static_cast<std::size_t>(end - begin));
         for (std::int64_t i = begin; i < end; ++i) {
           Session& s = sessions_[static_cast<std::size_t>(i)];
           if (!s.window.push(updates[static_cast<std::size_t>(i)])) {
             continue;
           }
-          ReadyWindow w;
-          w.session = i;
-          w.tick = tick_;
-          w.arrival = arrival;
-          w.ex = s.window.make_example();
-          FMNET_CHECK(queue.try_push(std::move(w)),
-                      "ready-queue overflow (capacity == sessions)");
+          ready.windows.push_back(ReadyWindow{i, tick_, arrival});
+          ready.examples.push_back(s.window.make_example());
         }
       });
-  std::vector<ReadyWindow> drained = queue.drain();
-  std::sort(drained.begin(), drained.end(),
-            [](const ReadyWindow& a, const ReadyWindow& b) {
-              return a.session < b.session;
-            });
-  for (ReadyWindow& w : drained) ready_.push_back(std::move(w));
-}
-
-void ServeCore::publish_degraded(const ReadyWindow& w,
-                                 std::vector<PublishedWindow>& out) {
-  const std::vector<double> full = fallback_->impute(w.ex);
-  PublishedWindow p;
-  p.session = w.session;
-  p.tick = w.tick;
-  p.kind = WindowKind::kDegraded;
-  p.fine = newest_interval(full, factor_);
-  p.latency_seconds = util::Clock::resolve(clock_).now() - w.arrival;
-  out.push_back(std::move(p));
-  ++stats_.windows_degraded;
-  obs_degraded_.add(1);
+  std::size_t added = 0;
+  for (const ShardReady& shard : shards) added += shard.windows.size();
+  ready_.reserve(ready_.size() + added);
+  ready_examples_.reserve(ready_examples_.size() + added);
+  for (ShardReady& shard : shards) {
+    ready_.insert(ready_.end(), shard.windows.begin(), shard.windows.end());
+    ready_examples_.insert(ready_examples_.end(),
+                           std::make_move_iterator(shard.examples.begin()),
+                           std::make_move_iterator(shard.examples.end()));
+  }
 }
 
 void ServeCore::shed_over_budget(std::vector<PublishedWindow>& out) {
-  while (static_cast<std::int64_t>(ready_.size()) > config_.queue_budget) {
-    const ReadyWindow w = std::move(ready_.front());
-    ready_.pop_front();
-    publish_degraded(w, out);
+  const std::int64_t over =
+      static_cast<std::int64_t>(ready_.size()) - config_.queue_budget;
+  if (over <= 0) return;
+  for (std::int64_t i = 0; i < over; ++i) {
+    const ReadyWindow& w = ready_[static_cast<std::size_t>(i)];
+    PublishedWindow p;
+    p.session = w.session;
+    p.tick = w.tick;
+    p.kind = WindowKind::kDegraded;
+    p.fine = newest_interval(
+        fallback_->impute(ready_examples_[static_cast<std::size_t>(i)]),
+        factor_);
+    p.latency_seconds = util::Clock::resolve(clock_).now() - w.arrival;
+    out.push_back(std::move(p));
+    ++stats_.windows_degraded;
+    obs_degraded_.add(1);
     ++stats_.shed_queue;
     obs_shed_queue_.add(1);
     ++sessions_[static_cast<std::size_t>(w.session)].windows_shed;
   }
+  ready_.erase(ready_.begin(), ready_.begin() + over);
+  ready_examples_.erase(ready_examples_.begin(),
+                        ready_examples_.begin() + over);
 }
 
-void ServeCore::run_batch(std::size_t count,
-                          std::vector<PublishedWindow>& out) {
-  FMNET_CHECK_GE(ready_.size(), count);
-  std::vector<ReadyWindow> items;
-  items.reserve(count);
-  std::vector<impute::ImputationExample> batch;
-  batch.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    items.push_back(std::move(ready_.front()));
-    ready_.pop_front();
-    batch.push_back(std::move(items.back().ex));
+void ServeCore::flush_batches(bool force,
+                              std::vector<PublishedWindow>& out) {
+  // Every whole max_batch group, plus the partial rest once forced or once
+  // its oldest window has waited max_delay_ticks.
+  const std::size_t ready = ready_.size();
+  const auto group = static_cast<std::size_t>(config_.max_batch);
+  std::size_t count = ready / group * group;
+  if (count < ready &&
+      (force || tick_ - ready_[count].tick >= config_.max_delay_ticks)) {
+    count = ready;
   }
-  const std::vector<std::vector<double>> full =
-      model_->impute_batch(batch);
+  if (count == 0) return;
+  // The windows held back step aside, so the forward takes the released
+  // ones in place.
+  std::vector<impute::ImputationExample> held(
+      std::make_move_iterator(ready_examples_.begin() +
+                              static_cast<std::ptrdiff_t>(count)),
+      std::make_move_iterator(ready_examples_.end()));
+  ready_examples_.resize(count);
+  std::vector<std::vector<double>> full =
+      model_->impute_batch(ready_examples_);
   FMNET_CHECK_EQ(full.size(), count);
   ++stats_.batches;
   obs_batches_.add(1);
 
   const double now = util::Clock::resolve(clock_).now();
   for (std::size_t i = 0; i < count; ++i) {
-    FMNET_CHECK_EQ(full[i].size(), batch[i].window);
+    const ReadyWindow& w = ready_[i];
+    impute::ImputationExample& ex = ready_examples_[i];
+    FMNET_CHECK_EQ(full[i].size(), ex.window);
     PublishedWindow p;
-    p.session = items[i].session;
-    p.tick = items[i].tick;
+    p.session = w.session;
+    p.tick = w.tick;
     p.kind = WindowKind::kRaw;
     p.fine = newest_interval(full[i], factor_);
-    p.latency_seconds = now - items[i].arrival;
+    p.latency_seconds = now - w.arrival;
     ++stats_.windows_raw;
     obs_raw_.add(1);
     obs_latency_raw_.record(p.latency_seconds * 1e3);
-    ++sessions_[static_cast<std::size_t>(items[i].session)]
-          .windows_published;
+    ++sessions_[static_cast<std::size_t>(w.session)].windows_published;
 
     if (config_.repair) {
-      // Async repair job for the newest interval, in packet units.
+      // Async repair job for the newest interval, in packet units; over
+      // budget, the oldest job is dropped.
       const auto intervals =
-          static_cast<std::int64_t>(batch[i].constraints.window_max.size());
+          static_cast<std::int64_t>(ex.constraints.window_max.size());
       FMNET_CHECK_GT(intervals, 0);
       repairs_.push_back(RepairJob{
-          items[i].session, items[i].tick, items[i].arrival, p.fine,
-          impute::packet_interval(batch[i].constraints, qlen_scale_,
+          w.session, w.tick, w.arrival, p.fine,
+          impute::packet_interval(ex.constraints, qlen_scale_,
                                   intervals - 1)});
+      if (static_cast<std::int64_t>(repairs_.size()) >
+          config_.repair_budget) {
+        repairs_.pop_front();
+        ++stats_.shed_repair;
+        obs_shed_repair_.add(1);
+      }
     }
     out.push_back(std::move(p));
+    // The window's example and output are used up: free them now, so the
+    // publications built after this one reuse their memory.
+    ex = impute::ImputationExample{};
+    full[i] = std::vector<double>{};
   }
-
-  while (static_cast<std::int64_t>(repairs_.size()) >
-         config_.repair_budget) {
-    repairs_.pop_front();
-    ++stats_.shed_repair;
-    obs_shed_repair_.add(1);
-  }
-}
-
-void ServeCore::flush_batches(bool force,
-                              std::vector<PublishedWindow>& out) {
-  while (static_cast<std::int64_t>(ready_.size()) >= config_.max_batch) {
-    run_batch(static_cast<std::size_t>(config_.max_batch), out);
-  }
-  if (ready_.empty()) return;
-  const std::int64_t age = tick_ - ready_.front().tick;
-  if (force || age >= config_.max_delay_ticks) {
-    run_batch(ready_.size(), out);
-  }
+  ready_.erase(ready_.begin(),
+               ready_.begin() + static_cast<std::ptrdiff_t>(count));
+  ready_examples_ = std::move(held);
 }
 
 void ServeCore::run_repairs(std::vector<PublishedWindow>& out) {

@@ -3,10 +3,12 @@
 // repo's one online imputation path — with the three serving layers the
 // batch path never needed:
 //
-//  * batching — ready windows from different sessions are coalesced into
-//    single Imputer::impute_batch calls (the PR-7 batched GEMM path) under
-//    a max-batch/max-delay policy; outputs are bit-identical to imputing
-//    each session alone (fp32 path).
+//  * batching — every window a tick releases, from all sessions, goes
+//    through one Imputer::impute_batch call, which the model imputer
+//    spreads over the pool in one region. Windows are released in whole
+//    max_batch groups, plus the partial rest once it has waited
+//    max_delay_ticks; outputs are bit-identical to imputing each session
+//    alone, whatever the grouping.
 //  * async repair — CEM repair runs *behind* the prediction path: raw
 //    predictions publish immediately (they carry the latency SLO), repair
 //    jobs execute on the pool one tick later and publish a corrected
@@ -20,9 +22,9 @@
 // Determinism contract (same as the rest of the repo): published windows
 // are a pure function of (config, model weights, update schedule, clock
 // readings) — never of lane count. Ingest shards are a pure function of
-// the session count; cross-lane hand-off goes through an MPSC queue whose
-// drained batch is sorted by session id; batches are formed in that sorted
-// order; repair jobs execute via deterministic parallel_map. Under a
+// the session count, and each lists its ready windows in session order;
+// appending the lists in shard order keeps the ready queue in session
+// order. Repair jobs execute via deterministic parallel_map. Under a
 // VirtualClock the latencies themselves are deterministic too.
 #pragma once
 
@@ -71,7 +73,7 @@ struct ServeStats {
   std::int64_t windows_degraded = 0;
   std::int64_t shed_queue = 0;   // ready windows shed to the fallback
   std::int64_t shed_repair = 0;  // repair jobs dropped over budget
-  std::int64_t batches = 0;      // impute_batch calls issued
+  std::int64_t batches = 0;      // impute_batch calls: one per releasing tick
 };
 
 class ServeCore {
@@ -94,26 +96,23 @@ class ServeCore {
   void tick(const std::vector<impute::CoarseIntervalUpdate>& updates,
             std::vector<PublishedWindow>& out);
 
-  /// Flushes everything still pending (partial batch + queued repair
+  /// Flushes everything still pending (held-back windows + queued repair
   /// jobs) — call once after the last tick.
   void drain(std::vector<PublishedWindow>& out);
 
   const ServeStats& stats() const { return stats_; }
   std::int64_t ticks_seen() const { return tick_; }
-  std::int64_t num_sessions() const {
-    return static_cast<std::int64_t>(sessions_.size());
-  }
   const Session& session(std::int64_t i) const {
     return sessions_[static_cast<std::size_t>(i)];
   }
 
  private:
-  /// A full context window waiting for the batcher.
+  /// A full context window waiting for the forward; its example sits at
+  /// the same index of ready_examples_.
   struct ReadyWindow {
     std::int64_t session = 0;
     std::int64_t tick = 0;
     double arrival = 0.0;
-    impute::ImputationExample ex;
   };
   /// A published raw window waiting for async CEM repair.
   struct RepairJob {
@@ -127,10 +126,7 @@ class ServeCore {
   void ingest(const std::vector<impute::CoarseIntervalUpdate>& updates);
   void shed_over_budget(std::vector<PublishedWindow>& out);
   void flush_batches(bool force, std::vector<PublishedWindow>& out);
-  void run_batch(std::size_t count, std::vector<PublishedWindow>& out);
   void run_repairs(std::vector<PublishedWindow>& out);
-  void publish_degraded(const ReadyWindow& w,
-                        std::vector<PublishedWindow>& out);
 
   ServeConfig config_;
   std::shared_ptr<impute::Imputer> model_;
@@ -142,7 +138,10 @@ class ServeCore {
   util::ThreadPool* pool_;
 
   std::vector<Session> sessions_;
-  std::deque<ReadyWindow> ready_;
+  // The ready queue, oldest first, in two parallel vectors: the examples
+  // are the very vector the forward takes.
+  std::vector<ReadyWindow> ready_;
+  std::vector<impute::ImputationExample> ready_examples_;
   std::deque<RepairJob> repairs_;
   std::int64_t tick_ = 0;
   ServeStats stats_;
@@ -175,8 +174,6 @@ class ReplaySource {
   /// `updates` to the session count.
   void fill(std::int64_t tick,
             std::vector<impute::CoarseIntervalUpdate>& updates) const;
-
-  std::int64_t sessions() const { return sessions_; }
 
  private:
   const telemetry::CoarseTelemetry& coarse_;

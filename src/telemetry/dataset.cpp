@@ -21,7 +21,6 @@ ImputationExample build_example(std::span<const CoarseIntervalUpdate> reports,
   ex.qlen_scale = qlen_scale;
   ex.count_scale = count_scale;
   ex.features.resize(ex.window * kNumInputChannels);
-  ex.target.assign(ex.window, 0.0f);
 
   // Constraint data: normalised queue-length units for C1/C2, fine-step
   // count units for C3.
@@ -106,6 +105,7 @@ std::vector<ImputationExample> build_examples(
       ex.queue = static_cast<std::int32_t>(q);
       ex.port = port;
       ex.start_ms = start;
+      ex.target.resize(config.window_ms);
       for (std::size_t t = 0; t < config.window_ms; ++t) {
         ex.target[t] = static_cast<float>(gt.queue_len[q][start + t] /
                                           config.qlen_scale);

@@ -29,7 +29,8 @@ enum InputChannel : std::size_t {
 struct ImputationExample {
   /// Row-major [T][kNumInputChannels] features.
   std::vector<float> features;
-  /// [T] fine-grained queue length (normalised by qlen_scale).
+  /// [T] fine-grained queue length (normalised by qlen_scale); empty for
+  /// an online window, which has no ground truth.
   std::vector<float> target;
   /// Constraint data in the same normalised units (see DatasetConfig).
   constraints::ExampleConstraints constraints;
@@ -85,7 +86,8 @@ struct ReportValidity {
 /// `validity` is empty for clean telemetry, else one entry per interval: a
 /// dropped periodic report emits no C2 equality, and a lost LANZ report
 /// clears the interval's constraints.window_max_valid bit (see
-/// constraints::ExampleConstraints::c1_binds). The target is zero-filled;
+/// constraints::ExampleConstraints::c1_binds). The target is left empty:
+/// an online window has no ground truth and no imputer reads it. Target,
 /// queue, port and start_ms are left to the caller.
 ImputationExample build_example(std::span<const CoarseIntervalUpdate> reports,
                                 std::span<const ReportValidity> validity,

@@ -267,10 +267,10 @@ TEST_P(ImputerConformance, BatchForwardsEveryWindowOnce) {
 }
 
 TEST_P(ImputerConformance, StreamingMatchesOffline) {
-  // Serve three sessions (batches of two, so one batch mixes sessions)
-  // and mirror each session's intervals into a shadow WindowBuffer; every
-  // raw publication must be exactly the tail slice of imputing that
-  // session's trailing window offline.
+  // Serve three sessions (groups of two, all three in one forward, which
+  // mixes sessions) and mirror each session's intervals into a shadow
+  // WindowBuffer; every raw publication must be exactly the tail slice of
+  // imputing that session's trailing window offline.
   const std::shared_ptr<impute::Imputer> base = fitted(GetParam(), 1).imputer;
   constexpr std::int64_t kSessions = 3;
   serve::ServeConfig cfg;

@@ -5,6 +5,7 @@
 // invariance).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -12,6 +13,7 @@
 
 #include "core/engine.h"
 #include "core/scenario.h"
+#include "impute/linear_interp.h"
 #include "impute/registry.h"
 #include "obs/metrics.h"
 #include "serve/serve.h"
@@ -76,25 +78,42 @@ serve::ServeConfig small_config(std::int64_t sessions) {
   return cfg;
 }
 
-/// Runs a full replay on a dedicated pool and returns every published
-/// window in publication order.
-std::vector<serve::PublishedWindow> run_replay(
-    const serve::ServeConfig& cfg, const telemetry::CoarseTelemetry& ct,
-    std::size_t lanes) {
-  util::ThreadPool pool(lanes);
-  util::VirtualClock clock;
-  serve::ServeCore core(cfg, impute::Registry::create("linear", {}),
-                        kWindowIntervals, kFactor, kQlenScale, kCountScale,
-                        impute::CemConfig{}, &clock, &pool);
-  serve::ReplaySource source(ct, /*queues_per_port=*/1, cfg.sessions);
-  std::vector<impute::CoarseIntervalUpdate> updates;
-  std::vector<serve::PublishedWindow> out;
-  for (std::int64_t t = 0; t < cfg.ticks; ++t) {
-    source.fill(t, updates);
+/// A ServeCore over `model` (default: linear interpolation) on a dedicated
+/// pool and virtual clock, fed by a ReplaySource of `ct` with one queue per
+/// port. `ct` must outlive it.
+struct Replay {
+  Replay(const serve::ServeConfig& cfg, const telemetry::CoarseTelemetry& ct,
+         std::size_t lanes,
+         std::shared_ptr<impute::Imputer> model =
+             impute::Registry::create("linear", {}))
+      : pool(lanes),
+        core(cfg, std::move(model), kWindowIntervals, kFactor, kQlenScale,
+             kCountScale, impute::CemConfig{}, &clock, &pool),
+        source(ct, /*queues_per_port=*/1, cfg.sessions) {}
+
+  /// Runs the next tick, then advances the clock by one interval.
+  void step(std::vector<serve::PublishedWindow>& out) {
+    source.fill(core.ticks_seen(), updates);
     core.tick(updates, out);
     clock.advance(kIntervalS);
   }
-  core.drain(out);
+
+  util::ThreadPool pool;
+  util::VirtualClock clock;
+  serve::ServeCore core;
+  serve::ReplaySource source;
+  std::vector<impute::CoarseIntervalUpdate> updates;
+};
+
+/// Runs a full replay and returns every published window in publication
+/// order.
+std::vector<serve::PublishedWindow> run_replay(
+    const serve::ServeConfig& cfg, const telemetry::CoarseTelemetry& ct,
+    std::size_t lanes) {
+  Replay r(cfg, ct, lanes);
+  std::vector<serve::PublishedWindow> out;
+  for (std::int64_t t = 0; t < cfg.ticks; ++t) r.step(out);
+  r.core.drain(out);
   return out;
 }
 
@@ -113,7 +132,7 @@ void expect_identical(const std::vector<serve::PublishedWindow>& a,
 TEST(ServeCore, PublishedWindowsBitIdenticalAcrossLaneCounts) {
   // The tentpole determinism contract: sessions x ticks replay under a
   // virtual clock publishes the exact same sequence at 1 and at 8 lanes —
-  // ingest sharding, MPSC hand-off and parallel repair may move work
+  // ingest sharding, the sharded forward and parallel repair may move work
   // between threads but never change a single published bit.
   const auto ct = make_telemetry(7, 37, /*seed=*/123);
   const auto one = run_replay(small_config(96), ct, 1);
@@ -132,14 +151,112 @@ TEST(ServeCore, PublishedWindowsBitIdenticalAcrossLaneCounts) {
 }
 
 TEST(ServeCore, BatchSizeNeverChangesPublishedBits) {
-  // Cross-session coalescing is a pure wall-clock optimisation: max_batch
-  // 1 (every window its own impute call) and 64 publish identically.
+  // Release grouping never shows in the output: max_batch 1 (every window
+  // its own group) and 64 publish identically.
   const auto ct = make_telemetry(5, 29, /*seed=*/7);
   serve::ServeConfig one_cfg = small_config(48);
   one_cfg.max_batch = 1;
   serve::ServeConfig big_cfg = small_config(48);
   big_cfg.max_batch = 64;
   expect_identical(run_replay(one_cfg, ct, 4), run_replay(big_cfg, ct, 4));
+}
+
+/// The published stream as runs of consecutive sessions that share a kind,
+/// an arrival tick and a latency in whole ticks of the virtual clock:
+/// "raw t4 +0 s0-15" is the raw windows of sessions 0..15 that became
+/// ready on tick 4 and published on that same tick.
+std::vector<std::string> publication_runs(
+    const std::vector<serve::PublishedWindow>& out) {
+  static constexpr const char* kKinds[] = {"raw", "repaired", "degraded"};
+  std::vector<std::string> runs;
+  std::string key;
+  std::int64_t first = 0;
+  std::int64_t last = -2;
+  const auto close = [&] {
+    if (last >= 0) {
+      runs.push_back(key + " s" + std::to_string(first) + "-" +
+                     std::to_string(last));
+    }
+  };
+  for (const auto& p : out) {
+    std::string k =
+        std::string(kKinds[static_cast<int>(p.kind)]) + " t" +
+        std::to_string(p.tick) + " +" +
+        std::to_string(std::lround(p.latency_seconds / kIntervalS));
+    if (k == key && p.session == last + 1) {
+      last = p.session;
+      continue;
+    }
+    close();
+    key = std::move(k);
+    first = last = p.session;
+  }
+  close();
+  return runs;
+}
+
+TEST(ServeCore, MaxDelayReleaseRuleIsPinned) {
+  // Whole max_batch groups are released on the tick they fill; the partial
+  // rest waits until its oldest window has waited max_delay_ticks, or until
+  // drain forces it out. Repairs publish one tick behind their raw window.
+  const auto ct = make_telemetry(5, 29, /*seed=*/7);
+  serve::ServeConfig cfg = small_config(48);
+  cfg.ticks = 8;
+  cfg.max_batch = 64;
+  cfg.max_delay_ticks = 2;
+  // 48 windows a tick against groups of 64: ticks 4 to 6 release one group
+  // each, tick 7 none, and the rest waits at most one tick.
+  EXPECT_EQ(publication_runs(run_replay(cfg, ct, 4)),
+            (std::vector<std::string>{
+                "raw t3 +1 s0-47",       "raw t4 +0 s0-15",
+                "repaired t3 +2 s0-47",  "repaired t4 +1 s0-15",
+                "raw t4 +1 s16-47",      "raw t5 +0 s0-31",
+                "repaired t4 +2 s16-47", "repaired t5 +1 s0-31",
+                "raw t5 +1 s32-47",      "raw t6 +0 s0-47",
+                "repaired t5 +2 s32-47", "repaired t6 +1 s0-47",
+                "raw t7 +1 s0-47",       "repaired t7 +1 s0-47"}));
+  // 20 windows a tick never fill a group: the delay releases ticks 3 to 5
+  // on tick 5, and drain the last two ticks.
+  cfg.sessions = 20;
+  EXPECT_EQ(publication_runs(run_replay(cfg, ct, 4)),
+            (std::vector<std::string>{
+                "raw t3 +2 s0-19", "raw t4 +1 s0-19", "raw t5 +0 s0-19",
+                "repaired t3 +3 s0-19", "repaired t4 +2 s0-19",
+                "repaired t5 +1 s0-19", "raw t6 +2 s0-19", "raw t7 +1 s0-19",
+                "repaired t6 +2 s0-19", "repaired t7 +1 s0-19"}));
+}
+
+/// Linear interpolation that counts its impute_batch calls.
+struct CountingImputer : impute::LinearInterpImputer {
+  std::vector<std::vector<double>> impute_batch(
+      const std::vector<impute::ImputationExample>& batch) override {
+    ++calls;
+    return LinearInterpImputer::impute_batch(batch);
+  }
+  std::int64_t calls = 0;
+};
+
+TEST(ServeCore, OneForwardPerReleasingTick) {
+  // 96 windows a tick are one whole group of 64 plus a rest of 32 that
+  // max_delay_ticks = 0 releases at once: both go through a single
+  // impute_batch call, at any lane count, and stats().batches counts it.
+  const auto ct = make_telemetry(7, 37, /*seed=*/123);
+  const serve::ServeConfig cfg = small_config(96);
+  // Every session has a full window from this tick on.
+  const auto first = static_cast<std::int64_t>(kWindowIntervals) - 1;
+  for (const std::size_t lanes : {1u, 8u}) {
+    const auto counting = std::make_shared<CountingImputer>();
+    Replay r(cfg, ct, lanes, counting);
+    std::vector<serve::PublishedWindow> out;
+    for (std::int64_t t = 0; t < cfg.ticks; ++t) {
+      const std::int64_t before = counting->calls;
+      r.step(out);
+      EXPECT_EQ(counting->calls - before, t >= first ? 1 : 0)
+          << "lanes=" << lanes << " t=" << t;
+    }
+    EXPECT_EQ(r.core.stats().windows_raw, cfg.sessions * (cfg.ticks - first));
+    EXPECT_EQ(r.core.stats().batches, counting->calls);
+  }
 }
 
 TEST(ServeCore, ShedsOldestFirstWithExactCounters) {
@@ -159,21 +276,10 @@ TEST(ServeCore, ShedsOldestFirstWithExactCounters) {
   cfg.queue_budget = 8;
   cfg.repair = false;
   const auto ct = make_telemetry(4, 17, /*seed=*/55);
-  util::ThreadPool pool(4);
-  util::VirtualClock clock;
-  serve::ServeCore core(cfg, impute::Registry::create("linear", {}),
-                        kWindowIntervals, kFactor, kQlenScale, kCountScale,
-                        impute::CemConfig{}, &clock, &pool);
-  serve::ReplaySource source(ct, 1, sessions);
-  std::vector<impute::CoarseIntervalUpdate> updates;
+  Replay r(cfg, ct, 4);
   std::vector<serve::PublishedWindow> out;
-  for (std::int64_t t = 0;
-       t < static_cast<std::int64_t>(kWindowIntervals); ++t) {
-    source.fill(t, updates);
-    core.tick(updates, out);
-    clock.advance(kIntervalS);
-  }
-  core.drain(out);
+  for (std::size_t t = 0; t < kWindowIntervals; ++t) r.step(out);
+  r.core.drain(out);
   // All 32 windows became ready on the same tick; budget 8 sheds the 24
   // oldest — the lowest session ids, since same-tick windows are ordered
   // by session — to the degraded fallback, and serves the rest raw.
@@ -187,11 +293,11 @@ TEST(ServeCore, ShedsOldestFirstWithExactCounters) {
     EXPECT_EQ(out[i].kind, serve::WindowKind::kRaw) << "i=" << i;
     EXPECT_EQ(out[i].session, static_cast<std::int64_t>(i));
   }
-  EXPECT_EQ(core.stats().shed_queue, 24);
-  EXPECT_EQ(core.stats().windows_degraded, 24);
-  EXPECT_EQ(core.stats().windows_raw, 8);
-  EXPECT_EQ(core.session(0).windows_shed, 1);
-  EXPECT_EQ(core.session(31).windows_published, 1);
+  EXPECT_EQ(r.core.stats().shed_queue, 24);
+  EXPECT_EQ(r.core.stats().windows_degraded, 24);
+  EXPECT_EQ(r.core.stats().windows_raw, 8);
+  EXPECT_EQ(r.core.session(0).windows_shed, 1);
+  EXPECT_EQ(r.core.session(31).windows_published, 1);
   // The obs mirror matches the in-core stats exactly.
   EXPECT_EQ(reg.counter("serve.shed.queue").value() - shed0, 24);
   EXPECT_EQ(reg.counter("serve.windows.degraded").value() - degraded0, 24);
@@ -203,19 +309,11 @@ TEST(ServeCore, RepairPublishesOneTickBehindRaw) {
   const std::int64_t sessions = 4;
   serve::ServeConfig cfg = small_config(sessions);
   const auto ct = make_telemetry(4, 13, /*seed=*/99);
-  util::ThreadPool pool(2);
-  util::VirtualClock clock;
-  serve::ServeCore core(cfg, impute::Registry::create("linear", {}),
-                        kWindowIntervals, kFactor, kQlenScale, kCountScale,
-                        impute::CemConfig{}, &clock, &pool);
-  serve::ReplaySource source(ct, 1, sessions);
-  std::vector<impute::CoarseIntervalUpdate> updates;
+  Replay r(cfg, ct, 2);
   const auto ready_tick = static_cast<std::int64_t>(kWindowIntervals) - 1;
   for (std::int64_t t = 0; t < 6; ++t) {
     std::vector<serve::PublishedWindow> out;
-    source.fill(t, updates);
-    core.tick(updates, out);
-    clock.advance(kIntervalS);
+    r.step(out);
     if (t < ready_tick) {
       EXPECT_TRUE(out.empty()) << "t=" << t;
       continue;
@@ -244,12 +342,12 @@ TEST(ServeCore, RepairPublishesOneTickBehindRaw) {
     }
   }
   std::vector<serve::PublishedWindow> rest;
-  core.drain(rest);
+  r.core.drain(rest);
   ASSERT_EQ(rest.size(), static_cast<std::size_t>(sessions));
   for (const auto& p : rest) {
     EXPECT_EQ(p.kind, serve::WindowKind::kRepaired);
   }
-  EXPECT_EQ(core.stats().windows_raw, core.stats().windows_repaired);
+  EXPECT_EQ(r.core.stats().windows_raw, r.core.stats().windows_repaired);
 }
 
 TEST(ServeCore, RepairBudgetDropsOldestJobs) {
@@ -259,25 +357,14 @@ TEST(ServeCore, RepairBudgetDropsOldestJobs) {
   serve::ServeConfig cfg = small_config(sessions);
   cfg.repair_budget = 2;
   const auto ct = make_telemetry(4, 11, /*seed=*/21);
-  util::ThreadPool pool(2);
-  util::VirtualClock clock;
-  serve::ServeCore core(cfg, impute::Registry::create("linear", {}),
-                        kWindowIntervals, kFactor, kQlenScale, kCountScale,
-                        impute::CemConfig{}, &clock, &pool);
-  serve::ReplaySource source(ct, 1, sessions);
-  std::vector<impute::CoarseIntervalUpdate> updates;
+  Replay r(cfg, ct, 2);
   std::vector<serve::PublishedWindow> out;
-  for (std::int64_t t = 0;
-       t < static_cast<std::int64_t>(kWindowIntervals); ++t) {
-    source.fill(t, updates);
-    core.tick(updates, out);
-    clock.advance(kIntervalS);
-  }
-  core.drain(out);
+  for (std::size_t t = 0; t < kWindowIntervals; ++t) r.step(out);
+  r.core.drain(out);
   // 8 raw windows queued 8 repair jobs; budget 2 dropped the 6 oldest
   // (sessions 0..5), so only sessions 6 and 7 publish repaired windows.
-  EXPECT_EQ(core.stats().shed_repair, 6);
-  EXPECT_EQ(core.stats().windows_repaired, 2);
+  EXPECT_EQ(r.core.stats().shed_repair, 6);
+  EXPECT_EQ(r.core.stats().windows_repaired, 2);
   std::vector<std::int64_t> repaired_sessions;
   for (const auto& p : out) {
     if (p.kind == serve::WindowKind::kRepaired) {

@@ -4,6 +4,7 @@
 // feasible.
 #include <gtest/gtest.h>
 
+#include "impute/window_buffer.h"
 #include "telemetry/dataset.h"
 #include "telemetry/monitors.h"
 #include "test_helpers.h"
@@ -206,6 +207,31 @@ TEST(Dataset, GroundTruthTargetSatisfiesConstraints) {
     // per-queue NE must satisfy the per-port budget too.
     ASSERT_NEAR(v.c3.violation, 0.0, 1e-5);
   }
+}
+
+TEST(Dataset, OnlineExamplesCarryNoTarget) {
+  // Offline examples carry their ground-truth target. An online window has
+  // none: WindowBuffer's example of the same intervals is the same example
+  // with an empty target.
+  const auto campaign = fmnet::testing::run_small_campaign(7, 400);
+  const auto gt = trim_to_multiple(campaign.gt, 50);
+  const CoarseTelemetry ct = sample_telemetry(gt, 50);
+  const auto cfg = small_dataset_config();
+  const ImputationExample offline =
+      build_examples(gt, ct, cfg, campaign.config.queues_per_port).back();
+  ASSERT_EQ(offline.target.size(), cfg.window_ms);
+  const auto q = static_cast<std::size_t>(offline.queue);
+  const auto p = static_cast<std::size_t>(offline.port);
+  impute::WindowBuffer buffer(cfg.window_ms / cfg.factor, cfg.factor,
+                              cfg.qlen_scale, cfg.count_scale);
+  for (std::size_t i = offline.start_ms / cfg.factor; !buffer.ready(); ++i) {
+    buffer.push({ct.periodic_qlen[q][i], ct.max_qlen[q][i],
+                 ct.snmp_sent[p][i], ct.snmp_dropped[p][i]});
+  }
+  const ImputationExample online = buffer.make_example();
+  EXPECT_TRUE(online.target.empty());
+  EXPECT_EQ(online.features, offline.features);
+  EXPECT_EQ(online.constraints.sample_val, offline.constraints.sample_val);
 }
 
 TEST(Dataset, SplitCoversAllAndDisjoint) {

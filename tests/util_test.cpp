@@ -19,7 +19,6 @@
 #include "util/check.h"
 #include "util/clock.h"
 #include "util/csv.h"
-#include "util/mpsc_queue.h"
 #include "util/rng.h"
 #include "util/serial.h"
 #include "util/stats.h"
@@ -491,61 +490,6 @@ TEST(Clock, VirtualClockReadsExactlyWhatTheDriverSet) {
   EXPECT_EQ(&util::Clock::resolve(&clock), &clock);
   EXPECT_THROW(clock.advance(-1.0), CheckError);
   EXPECT_THROW(clock.set(2.0), CheckError);  // set() may not go backwards
-}
-
-TEST(MpscQueue, SingleThreadPushDrainPreservesClaimOrder) {
-  util::MpscQueue<int> q(4);
-  EXPECT_EQ(q.capacity(), 4u);
-  EXPECT_TRUE(q.try_push(10));
-  EXPECT_TRUE(q.try_push(11));
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.drain(), (std::vector<int>{10, 11}));
-  EXPECT_EQ(q.size(), 0u);
-  // Reusable after drain.
-  EXPECT_TRUE(q.try_push(12));
-  EXPECT_EQ(q.drain(), (std::vector<int>{12}));
-}
-
-TEST(MpscQueue, RejectsPushesBeyondCapacityWithoutLosingElements) {
-  util::MpscQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  int spilled = 3;
-  EXPECT_FALSE(q.try_push(std::move(spilled)));
-  EXPECT_EQ(q.drain(), (std::vector<int>{1, 2}));
-}
-
-TEST(MpscQueue, ConcurrentProducersLoseNothingUnderPoolPressure) {
-  // N pool lanes hammer one queue; after the region, a single drain must
-  // hold every pushed element exactly once (in nondeterministic order —
-  // callers sort by content key, which is what this test does).
-  util::ThreadPool pool(8);
-  const std::int64_t n = 20'000;
-  util::MpscQueue<std::int64_t> q(static_cast<std::size_t>(n));
-  pool.parallel_for(0, n, [&](std::int64_t i) {
-    ASSERT_TRUE(q.try_push(std::move(i)));
-  });
-  std::vector<std::int64_t> got = q.drain();
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(n));
-  std::sort(got.begin(), got.end());
-  for (std::int64_t i = 0; i < n; ++i) {
-    ASSERT_EQ(got[static_cast<std::size_t>(i)], i);
-  }
-}
-
-TEST(MpscQueue, ConcurrentPushesRaceForTheLastSlotsExactly) {
-  // More producers than capacity: exactly `capacity` pushes may win.
-  util::ThreadPool pool(8);
-  const std::int64_t n = 10'000;
-  util::MpscQueue<std::int64_t> q(64);
-  std::atomic<std::int64_t> accepted{0};
-  pool.parallel_for(0, n, [&](std::int64_t i) {
-    if (q.try_push(std::move(i))) {
-      accepted.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  EXPECT_EQ(accepted.load(), 64);
-  EXPECT_EQ(q.drain().size(), 64u);
 }
 
 }  // namespace
