@@ -8,6 +8,7 @@
 // truth); evaluation code compares against the target afterwards.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -37,15 +38,19 @@ class Imputer {
     (void)pool;
   }
 
-  /// Imputes the fine-grained queue length (in packets, length
-  /// ex.window) from the example's coarse features/constraints.
+  /// Imputes the fine-grained queue length (in packets) of steps
+  /// [ex.output_from, ex.window) — exactly ex.window − ex.output_from
+  /// values, the whole window offline and the newest interval online —
+  /// from the example's coarse features/constraints. Each returned step is
+  /// the value a whole-window imputation (output_from 0) returns for it.
   virtual std::vector<double> impute(const ImputationExample& ex) = 0;
 
   /// Imputes many independent windows at once; out[i] corresponds to
-  /// batch[i]. The default just loops impute(); model-backed imputers
-  /// override it to stack the windows into one forward pass (the batched
-  /// inference path — see DESIGN.md), which must match the loop
-  /// bit-for-bit since each window's rows are computed independently.
+  /// batch[i] and holds the steps impute(batch[i]) returns. The default
+  /// just loops impute(); model-backed imputers override it to stack the
+  /// windows into one forward pass (the batched inference path — see
+  /// DESIGN.md), which must match the loop bit-for-bit since each window's
+  /// rows are computed independently.
   virtual std::vector<std::vector<double>> impute_batch(
       const std::vector<ImputationExample>& batch) {
     std::vector<std::vector<double>> out;
@@ -68,5 +73,14 @@ class Imputer {
         });
   }
 };
+
+/// Steps [ex.output_from, ex.window) of `whole`, a whole-window
+/// imputation of ex: what an imputer that must compute every step returns.
+inline std::vector<double> output_steps(std::vector<double> whole,
+                                        const ImputationExample& ex) {
+  whole.erase(whole.begin(),
+              whole.begin() + static_cast<std::ptrdiff_t>(ex.output_from));
+  return whole;
+}
 
 }  // namespace fmnet::impute

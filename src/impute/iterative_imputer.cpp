@@ -141,7 +141,8 @@ std::vector<double> IterativeImputer::impute(const ImputationExample& ex) {
     }
     q = std::move(next_q);
   }
-  return q;
+  // Every round refits on the whole window, so the head is computed too.
+  return output_steps(std::move(q), ex);
 }
 
 }  // namespace fmnet::impute

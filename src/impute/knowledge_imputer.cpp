@@ -1,9 +1,25 @@
 #include "impute/knowledge_imputer.h"
 
+#include <string>
+
 #include "obs/span.h"
 #include "util/check.h"
 
 namespace fmnet::impute {
+
+namespace {
+
+/// CEM repairs whole windows; an online example asks for its newest
+/// interval alone, which the server repairs through its own lane.
+void require_whole_window(const ImputationExample& ex) {
+  FMNET_CHECK(ex.output_from == 0,
+              "+cem repairs whole windows, but this example has output_from " +
+                  std::to_string(ex.output_from) +
+                  " (an online window; serve::ServeCore repairs its newest "
+                  "interval itself)");
+}
+
+}  // namespace
 
 KnowledgeAugmentedImputer::KnowledgeAugmentedImputer(
     std::shared_ptr<Imputer> base, CemConfig cem_config,
@@ -14,6 +30,7 @@ KnowledgeAugmentedImputer::KnowledgeAugmentedImputer(
 
 std::vector<double> KnowledgeAugmentedImputer::impute(
     const ImputationExample& ex) {
+  require_whole_window(ex);
   obs::ScopedSpan span("impute");
   return tally(
       cem_.correct(base_->impute(ex), ex.constraints, ex.qlen_scale, pool_));
@@ -29,6 +46,7 @@ std::vector<std::vector<double>> KnowledgeAugmentedImputer::repair_batch(
     const std::vector<std::vector<double>>& base_outputs,
     const std::vector<ImputationExample>& batch) {
   FMNET_CHECK_EQ(base_outputs.size(), batch.size());
+  for (const ImputationExample& ex : batch) require_whole_window(ex);
   // Windows repair concurrently; each correct() still fans its intervals
   // out on the same pool, recruiting only idle lanes.
   std::vector<CemResult> results = util::parallel_map<CemResult>(

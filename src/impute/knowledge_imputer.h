@@ -13,7 +13,10 @@ namespace fmnet::impute {
 /// Wraps any base imputer and corrects its output with CEM. The composite
 /// output satisfies C1–C3 exactly (feasibility is guaranteed for
 /// measurements produced by a real switch, since the ground truth is a
-/// witness).
+/// witness). It repairs whole windows only: an example with a nonzero
+/// output_from (an online window) is rejected with a CheckError, since
+/// serve::ServeCore repairs the interval it publishes through its own
+/// repair lane.
 class KnowledgeAugmentedImputer : public Imputer {
  public:
   /// `pool` is forwarded to CEM so windows are corrected concurrently

@@ -27,9 +27,12 @@ std::vector<double> LinearInterpImputer::impute(const ImputationExample& ex) {
   }
   std::sort(anchors.begin(), anchors.end());
 
-  std::vector<double> out(static_cast<std::size_t>(t_len), 0.0);
+  // Only the steps the example asks for: each is a function of the
+  // anchors alone.
+  const auto from = static_cast<std::int64_t>(ex.output_from);
+  std::vector<double> out(static_cast<std::size_t>(t_len - from), 0.0);
   FMNET_CHECK(!anchors.empty(), "no anchor points");
-  for (std::int64_t t = 0; t < t_len; ++t) {
+  for (std::int64_t t = from; t < t_len; ++t) {
     // Find surrounding anchors.
     auto it = std::lower_bound(
         anchors.begin(), anchors.end(), std::make_pair(t, -1.0));
@@ -45,7 +48,7 @@ std::vector<double> LinearInterpImputer::impute(const ImputationExample& ex) {
                    : y1 + (y2 - y1) * static_cast<double>(t - x1) /
                               static_cast<double>(x2 - x1);
     }
-    out[static_cast<std::size_t>(t)] = std::max(0.0, v);
+    out[static_cast<std::size_t>(t - from)] = std::max(0.0, v);
   }
   return out;
 }

@@ -5,6 +5,7 @@
 #include "impute/batching.h"
 #include "obs/metrics.h"
 #include "tensor/tensor.h"
+#include "util/check.h"
 
 namespace fmnet::impute {
 
@@ -46,13 +47,15 @@ std::vector<std::vector<double>> ModelImputer::impute_batch(
   forwarded.add(static_cast<std::int64_t>(batch.size()));
   // Written only on a transition, so overlapping calls never race on it.
   if (net_->training()) net_->set_training(false);
+  // A shard's windows share their length and the steps they return.
   std::vector<std::vector<std::size_t>> shards;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const std::size_t window = batch[i].window;
-    const std::size_t cap =
-        std::max<std::size_t>(1, kShardRows / std::max<std::size_t>(1, window));
+    const ImputationExample& ex = batch[i];
+    const std::size_t cap = std::max<std::size_t>(
+        1, kShardRows / std::max<std::size_t>(1, ex.window));
     if (shards.empty() || shards.back().size() >= cap ||
-        batch[shards.back().front()].window != window) {
+        batch[shards.back().front()].window != ex.window ||
+        batch[shards.back().front()].output_from != ex.output_from) {
       shards.emplace_back();
     }
     shards.back().push_back(i);
@@ -62,21 +65,24 @@ std::vector<std::vector<double>> ModelImputer::impute_batch(
   // write into them: the caller that frees them also allocated them.
   std::vector<std::vector<double>> out(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    out[i].resize(batch[i].window);
+    out[i].resize(batch[i].window - batch[i].output_from);
   }
   const auto run_shard = [&](std::int64_t s) {
     const std::vector<std::size_t>& rows = shards[static_cast<std::size_t>(s)];
-    const std::size_t window = batch[rows.front()].window;
+    const std::size_t steps = out[rows.front()].size();
     const tensor::InferenceGuard guard;  // per lane: the flag is thread-local
     fmnet::Rng eval_rng(0);  // dropout is off in eval mode; never drawn
-    const Tensor pred = family_.forward(*net_, stack_features(batch, rows),
-                                        batch, rows, eval_rng);  // [b, T]
+    const Tensor pred =
+        family_.forward(*net_, stack_features(batch, rows), batch, rows,
+                        eval_rng);  // [b, T - output_from]
+    FMNET_CHECK_EQ(pred.numel(),
+                   static_cast<std::int64_t>(rows.size() * steps));
     const float* pv = pred.data().data();
     for (std::size_t r = 0; r < rows.size(); ++r) {
       std::vector<double>& dst = out[rows[r]];
-      for (std::size_t j = 0; j < window; ++j) {
+      for (std::size_t j = 0; j < steps; ++j) {
         // Denormalise to packets; queue lengths are non-negative.
-        dst[j] = std::max(0.0, static_cast<double>(pv[r * window + j]) *
+        dst[j] = std::max(0.0, static_cast<double>(pv[r * steps + j]) *
                                    batch[rows[r]].qlen_scale);
       }
     }

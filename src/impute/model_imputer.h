@@ -45,16 +45,16 @@ class ModelImputer : public Imputer {
   std::vector<double> impute(const ImputationExample& ex) override;
 
   /// Lane-parallel batched inference. The batch is cut into shards of
-  /// consecutive equal-length windows, at most max(1, kShardRows / T) each
-  /// (model_imputer.cpp), so shard boundaries never depend on the lane
-  /// count.
+  /// consecutive windows that share their length T and output_from, at
+  /// most max(1, kShardRows / T) each (model_imputer.cpp), so shard
+  /// boundaries never depend on the lane count.
   /// Every shard is stacked into one [b, T, C] tensor and run through the
   /// family forward under a tensor::InferenceGuard — no autograd graph,
   /// pooled activations recycled across calls — concurrently across lanes
-  /// (a single shard runs inline). out[i] is window i's prediction in
-  /// packets, clamped at zero. A window's rows never mix with another
-  /// window's inside the forward, so the result equals forwarding each
-  /// window alone, bit for bit. Counts the batch in
+  /// (a single shard runs inline). out[i] is window i's prediction of
+  /// steps [output_from, T) in packets, clamped at zero. A window's rows
+  /// never mix with another window's inside the forward, so the result
+  /// equals forwarding each window alone, bit for bit. Counts the batch in
   /// `impute.forward.windows`.
   std::vector<std::vector<double>> impute_batch(
       const std::vector<ImputationExample>& batch) override;

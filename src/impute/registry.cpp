@@ -33,8 +33,9 @@ class FmOnlyImputer : public Imputer {
   std::vector<double> impute(const ImputationExample& ex) override {
     const std::vector<double> zeros(ex.window, 0.0);
     ConstraintEnforcementModule cem(cem_config_);
-    return cem.correct(zeros, ex.constraints, ex.qlen_scale, pool_)
-        .corrected;
+    return output_steps(
+        cem.correct(zeros, ex.constraints, ex.qlen_scale, pool_).corrected,
+        ex);
   }
   std::vector<std::vector<double>> impute_batch(
       const std::vector<ImputationExample>& batch) override {
@@ -73,20 +74,40 @@ constexpr auto kChannels =
 /// queue units: the port-rate physical bound.
 constexpr float kMaxStepDelta = 0.5f;
 
-/// The forward of a family whose network is `Net`, called as net.forward(x).
-template <class Net>
-Tensor plain_forward(const nn::Module& net, const Tensor& x,
-                     const std::vector<ImputationExample>&,
-                     const std::vector<std::size_t>&, fmnet::Rng&) {
-  return static_cast<const Net&>(net).forward(x);
+/// The first step every row of a family forward returns (ModelForward).
+std::int64_t output_from(const std::vector<ImputationExample>& examples,
+                         const std::vector<std::size_t>& rows) {
+  return static_cast<std::int64_t>(examples[rows.front()].output_from);
 }
 
+/// Steps [output_from, T) of a whole-window [b, T] prediction: the output
+/// of a family whose network cannot skip rows.
+Tensor output_tail(const Tensor& whole,
+                   const std::vector<ImputationExample>& examples,
+                   const std::vector<std::size_t>& rows) {
+  const std::int64_t from = output_from(examples, rows);
+  return from == 0 ? whole : tensor::slice(whole, 1, from, whole.dim(1));
+}
+
+/// The forward of a family whose network is `Net`, called as net.forward(x)
+/// on the whole window.
+template <class Net>
+Tensor plain_forward(const nn::Module& net, const Tensor& x,
+                     const std::vector<ImputationExample>& examples,
+                     const std::vector<std::size_t>& rows, fmnet::Rng&) {
+  return output_tail(static_cast<const Net&>(net).forward(x), examples, rows);
+}
+
+const nn::ImputationTransformer& transformer_of(const nn::Module& net) {
+  return static_cast<const nn::ImputationTransformer&>(net);
+}
+
+/// The transformer computes only the steps it returns.
 Tensor transformer_forward(const nn::Module& net, const Tensor& x,
-                           const std::vector<ImputationExample>&,
-                           const std::vector<std::size_t>&,
+                           const std::vector<ImputationExample>& examples,
+                           const std::vector<std::size_t>& rows,
                            fmnet::Rng& dropout) {
-  return static_cast<const nn::ImputationTransformer&>(net).forward(x,
-                                                                   dropout);
+  return transformer_of(net).forward(x, dropout, output_from(examples, rows));
 }
 
 /// The rate family (§5's "other means of integrating network knowledge"):
@@ -99,6 +120,8 @@ Tensor transformer_forward(const nn::Module& net, const Tensor& x,
 ///
 /// Non-negativity and bounded slope then hold by construction rather than
 /// being learned, and gradients flow through the recursion in training.
+/// The recursion runs from the window's first step, so the whole window is
+/// forwarded and the tail kept.
 Tensor rate_forward(const nn::Module& net, const Tensor& x,
                     const std::vector<ImputationExample>& examples,
                     const std::vector<std::size_t>& rows,
@@ -112,7 +135,7 @@ Tensor rate_forward(const nn::Module& net, const Tensor& x,
     q0.push_back(samples.empty() ? 0.0f : samples.front());
   }
   const Tensor rates = tensor::mul_scalar(
-      tensor::tanh(transformer_forward(net, x, examples, rows, dropout)),
+      tensor::tanh(transformer_of(net).forward(x, dropout)),
       kMaxStepDelta);  // [B, T]
 
   Tensor q = Tensor::from_vector(std::move(q0), {b, 1});
@@ -124,7 +147,8 @@ Tensor rate_forward(const nn::Module& net, const Tensor& x,
     q = tensor::relu(q + net_t);
     steps.push_back(q);
   }
-  return tensor::reshape(tensor::cat(steps, 1), {b, t_len});
+  return output_tail(tensor::reshape(tensor::cat(steps, 1), {b, t_len}),
+                     examples, rows);
 }
 
 /// The learned bases, one ModelImputer per family; null for any other

@@ -45,11 +45,15 @@ struct TrainConfig {
 
 /// One forward of a model family: the network (the master or a training
 /// lane's replica), the stacked [b, T, C] features of examples[rows] and a
-/// dropout stream -> [b, T] normalised queue lengths. Training passes the
-/// training set and one micro-shard's indices; inference passes the batch
-/// and one inference shard's rows, under a tensor::InferenceGuard with the
-/// network in eval mode. Row r of the output may depend only on window
-/// examples[rows[r]], so a batched forward equals the per-window loop.
+/// dropout stream -> [b, T - output_from] normalised queue lengths of steps
+/// [output_from, T); every row of a call shares output_from =
+/// examples[rows[r]].output_from. Training passes the training set (whole
+/// windows: output_from 0) and one micro-shard's indices; inference passes
+/// the batch and one inference shard's rows, under a tensor::InferenceGuard
+/// with the network in eval mode. Row r of the output may depend only on
+/// window examples[rows[r]], and each step must equal that step of the
+/// whole-window forward, so a batched forward equals the per-window loop
+/// and an online window equals the tail of its offline imputation.
 using ModelForward = std::function<tensor::Tensor(
     const nn::Module& net, const tensor::Tensor& x,
     const std::vector<ImputationExample>& examples,

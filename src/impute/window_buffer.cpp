@@ -26,8 +26,10 @@ bool WindowBuffer::push(const CoarseIntervalUpdate& update) {
 
 ImputationExample WindowBuffer::make_example() const {
   FMNET_CHECK(ready(), "window not full yet");
-  return telemetry::build_example(window_, {}, factor_, qlen_scale_,
-                                  count_scale_);
+  ImputationExample ex = telemetry::build_example(window_, {}, factor_,
+                                                  qlen_scale_, count_scale_);
+  ex.output_from = ex.window - factor_;
+  return ex;
 }
 
 }  // namespace fmnet::impute

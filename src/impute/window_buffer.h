@@ -17,8 +17,8 @@ using telemetry::CoarseIntervalUpdate;
 /// Buffers the trailing context window of coarse intervals and builds the
 /// ImputationExample the model consumes through telemetry::build_example —
 /// the builder the offline dataset uses, so online and offline examples of
-/// the same intervals are identical. Holds no model: one imputer can serve
-/// any number of WindowBuffers.
+/// the same intervals are identical but for output_from. Holds no model:
+/// one imputer can serve any number of WindowBuffers.
 class WindowBuffer {
  public:
   /// `window_intervals` is the model's context length in coarse intervals
@@ -33,7 +33,9 @@ class WindowBuffer {
   /// True once window_intervals updates have been buffered.
   bool ready() const { return window_.size() == window_intervals_; }
 
-  /// The trailing-window example. Requires ready().
+  /// The trailing-window example, with output_from = window − factor: an
+  /// imputer returns only the newest interval's factor steps, and the
+  /// older intervals are its context. Requires ready().
   ImputationExample make_example() const;
 
   std::size_t intervals_seen() const { return intervals_seen_; }

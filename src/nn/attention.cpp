@@ -23,12 +23,14 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(std::int64_t d_model,
   FMNET_CHECK_EQ(d_model % num_heads, 0);
 }
 
-Tensor MultiHeadSelfAttention::forward(const Tensor& x) const {
+Tensor MultiHeadSelfAttention::forward(const Tensor& x,
+                                       std::int64_t query_from) const {
   FMNET_CHECK_EQ(x.ndim(), 3u);
   FMNET_CHECK_EQ(x.dim(2), d_model_);
   const float inv_sqrt_d =
       1.0f / std::sqrt(static_cast<float>(head_dim_));
-  const Tensor q = wq_.forward(x);
+  const Tensor q = wq_.forward(
+      query_from == 0 ? x : slice(x, 1, query_from, x.dim(1)));
   const Tensor k = wk_.forward(x);
   const Tensor v = wv_.forward(x);
   // Scores, softmax and the value product of every head fused into one

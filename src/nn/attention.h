@@ -13,10 +13,14 @@ class MultiHeadSelfAttention : public Module {
   MultiHeadSelfAttention(std::int64_t d_model, std::int64_t num_heads,
                          fmnet::Rng& rng);
 
-  /// x: [B, T, d_model] -> [B, T, d_model]. Full (non-causal) attention:
-  /// imputation may look at the whole window, unlike autoregressive
-  /// decoding.
-  Tensor forward(const Tensor& x) const;
+  /// x: [B, T, d_model] -> [B, T - query_from, d_model]: the attention
+  /// output of rows [query_from, T) only. Keys and values come from every
+  /// row; queries are formed for the kept rows alone. Each output row is a
+  /// function of its own query and the keys and values, so it equals that
+  /// row of the query_from = 0 output bit for bit. Full (non-causal)
+  /// attention: imputation may look at the whole window, unlike
+  /// autoregressive decoding.
+  Tensor forward(const Tensor& x, std::int64_t query_from = 0) const;
 
   std::vector<Tensor> parameters() const override;
 

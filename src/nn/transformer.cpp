@@ -19,9 +19,12 @@ TransformerEncoderLayer::TransformerEncoderLayer(std::int64_t d_model,
       ff2_(d_ff, d_model, rng),
       dropout_(dropout) {}
 
-Tensor TransformerEncoderLayer::forward(const Tensor& x,
-                                        fmnet::Rng& rng) const {
-  Tensor h = x + dropout_.forward(attn_.forward(ln1_.forward(x)), rng);
+Tensor TransformerEncoderLayer::forward(const Tensor& x, fmnet::Rng& rng,
+                                        std::int64_t output_from) const {
+  const Tensor kept =
+      output_from == 0 ? x : slice(x, 1, output_from, x.dim(1));
+  Tensor h = kept + dropout_.forward(
+                        attn_.forward(ln1_.forward(x), output_from), rng);
   const Tensor ff = ff2_.forward(ff1_.forward(ln2_.forward(h), Act::kGelu));
   return h + dropout_.forward(ff, rng);
 }
@@ -58,14 +61,19 @@ ImputationTransformer::ImputationTransformer(const TransformerConfig& config,
   }
 }
 
-Tensor ImputationTransformer::forward(const Tensor& x,
-                                      fmnet::Rng& rng) const {
+Tensor ImputationTransformer::forward(const Tensor& x, fmnet::Rng& rng,
+                                      std::int64_t output_from) const {
   FMNET_CHECK_EQ(x.ndim(), 3u);
   FMNET_CHECK_EQ(x.dim(2), config_.input_channels);
+  FMNET_CHECK(output_from == 0 || (output_from > 0 && output_from < x.dim(1)),
+              "output_from must leave at least one step of the window");
   Tensor h = pos_.forward(input_proj_.forward(x));
-  for (const auto& layer : layers_) h = layer->forward(h, rng);
-  h = head_.forward(final_ln_.forward(h));  // [B, T, 1]
-  return reshape(h, {x.dim(0), x.dim(1)});
+  for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
+    h = layers_[i]->forward(h, rng);
+  }
+  h = layers_.back()->forward(h, rng, output_from);  // [B, T - from, D]
+  h = head_.forward(final_ln_.forward(h));           // [B, T - from, 1]
+  return reshape(h, {x.dim(0), x.dim(1) - output_from});
 }
 
 std::vector<Tensor> ImputationTransformer::parameters() const {

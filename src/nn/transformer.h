@@ -19,7 +19,12 @@ class TransformerEncoderLayer : public Module {
   TransformerEncoderLayer(std::int64_t d_model, std::int64_t num_heads,
                           std::int64_t d_ff, float dropout, fmnet::Rng& rng);
 
-  Tensor forward(const Tensor& x, fmnet::Rng& rng) const;
+  /// x: [B, T, D] -> [B, T - output_from, D], the block's output rows
+  /// [output_from, T). LN1, keys and values cover every row; queries and
+  /// every row-wise op after attention run on the kept rows alone, which
+  /// keep the bits of the output_from = 0 output.
+  Tensor forward(const Tensor& x, fmnet::Rng& rng,
+                 std::int64_t output_from = 0) const;
   std::vector<Tensor> parameters() const override;
   void set_training(bool training) override;
 
@@ -52,8 +57,15 @@ class ImputationTransformer : public Module {
  public:
   ImputationTransformer(const TransformerConfig& config, fmnet::Rng& rng);
 
-  /// x: [B, T, C]; returns [B, T].
-  Tensor forward(const Tensor& x, fmnet::Rng& rng) const;
+  /// x: [B, T, C]; returns [B, T - output_from], the imputed steps
+  /// [output_from, T). Every layer but the last runs on all T rows, as do
+  /// the last layer's LN1, keys and values; its queries, attention output,
+  /// FFN, the final LayerNorm and the head run on the kept rows alone.
+  /// Each kept row is a function of its own query and the keys and
+  /// values, so it equals that column of forward(x, rng) bit for bit.
+  /// Training never sets output_from.
+  Tensor forward(const Tensor& x, fmnet::Rng& rng,
+                 std::int64_t output_from = 0) const;
 
   std::vector<Tensor> parameters() const override;
   void set_training(bool training) override;

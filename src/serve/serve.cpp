@@ -21,12 +21,6 @@ constexpr std::int64_t kPhaseStride = 7919;
 /// published bit — is identical at any FMNET_THREADS.
 constexpr std::int64_t kIngestShard = 64;
 
-std::vector<double> newest_interval(const std::vector<double>& full,
-                                    std::size_t factor) {
-  FMNET_CHECK_GE(full.size(), factor);
-  return {full.end() - static_cast<std::ptrdiff_t>(factor), full.end()};
-}
-
 }  // namespace
 
 ServeCore::ServeCore(const ServeConfig& config,
@@ -123,9 +117,7 @@ void ServeCore::shed_over_budget(std::vector<PublishedWindow>& out) {
     p.session = w.session;
     p.tick = w.tick;
     p.kind = WindowKind::kDegraded;
-    p.fine = newest_interval(
-        fallback_->impute(ready_examples_[static_cast<std::size_t>(i)]),
-        factor_);
+    p.fine = fallback_->impute(ready_examples_[static_cast<std::size_t>(i)]);
     p.latency_seconds = util::Clock::resolve(clock_).now() - w.arrival;
     out.push_back(std::move(p));
     ++stats_.windows_degraded;
@@ -158,9 +150,11 @@ void ServeCore::flush_batches(bool force,
                               static_cast<std::ptrdiff_t>(count)),
       std::make_move_iterator(ready_examples_.end()));
   ready_examples_.resize(count);
-  std::vector<std::vector<double>> full =
+  // Each example asks for its newest interval alone (output_from), so
+  // every output is the publication itself.
+  std::vector<std::vector<double>> fine =
       model_->impute_batch(ready_examples_);
-  FMNET_CHECK_EQ(full.size(), count);
+  FMNET_CHECK_EQ(fine.size(), count);
   ++stats_.batches;
   obs_batches_.add(1);
 
@@ -168,12 +162,12 @@ void ServeCore::flush_batches(bool force,
   for (std::size_t i = 0; i < count; ++i) {
     const ReadyWindow& w = ready_[i];
     impute::ImputationExample& ex = ready_examples_[i];
-    FMNET_CHECK_EQ(full[i].size(), ex.window);
+    FMNET_CHECK_EQ(fine[i].size(), factor_);
     PublishedWindow p;
     p.session = w.session;
     p.tick = w.tick;
     p.kind = WindowKind::kRaw;
-    p.fine = newest_interval(full[i], factor_);
+    p.fine = std::move(fine[i]);
     p.latency_seconds = now - w.arrival;
     ++stats_.windows_raw;
     obs_raw_.add(1);
@@ -198,10 +192,9 @@ void ServeCore::flush_batches(bool force,
       }
     }
     out.push_back(std::move(p));
-    // The window's example and output are used up: free them now, so the
-    // publications built after this one reuse their memory.
+    // The window's example is used up: free it now, so the publications
+    // built after this one reuse its memory.
     ex = impute::ImputationExample{};
-    full[i] = std::vector<double>{};
   }
   ready_.erase(ready_.begin(),
                ready_.begin() + static_cast<std::ptrdiff_t>(count));
@@ -210,31 +203,31 @@ void ServeCore::flush_batches(bool force,
 
 void ServeCore::run_repairs(std::vector<PublishedWindow>& out) {
   if (repairs_.empty()) return;
-  std::vector<RepairJob> jobs(std::make_move_iterator(repairs_.begin()),
-                              std::make_move_iterator(repairs_.end()));
-  repairs_.clear();
   // Each job is an independent, stateless window repair; parallel_map
   // collects results in job order for a deterministic publish sequence.
+  // The jobs are read in place and cleared once published.
   std::vector<impute::CemResult> results =
       util::parallel_map<impute::CemResult>(
           util::ThreadPool::resolve(pool_),
-          static_cast<std::int64_t>(jobs.size()), [&](std::int64_t j) {
-            const RepairJob& job = jobs[static_cast<std::size_t>(j)];
+          static_cast<std::int64_t>(repairs_.size()), [&](std::int64_t j) {
+            const RepairJob& job = repairs_[static_cast<std::size_t>(j)];
             return cem_.correct_window(job.raw, job.interval);
           });
   const double now = util::Clock::resolve(clock_).now();
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
+  for (std::size_t j = 0; j < repairs_.size(); ++j) {
+    const RepairJob& job = repairs_[j];
     PublishedWindow p;
-    p.session = jobs[j].session;
-    p.tick = jobs[j].tick;
+    p.session = job.session;
+    p.tick = job.tick;
     p.kind = WindowKind::kRepaired;
     p.fine = std::move(results[j].corrected);
-    p.latency_seconds = now - jobs[j].arrival;
+    p.latency_seconds = now - job.arrival;
     ++stats_.windows_repaired;
     obs_repaired_.add(1);
     obs_latency_repair_.record(p.latency_seconds * 1e3);
     out.push_back(std::move(p));
   }
+  repairs_.clear();
 }
 
 void ServeCore::tick(

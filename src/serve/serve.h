@@ -5,10 +5,15 @@
 //
 //  * batching — every window a tick releases, from all sessions, goes
 //    through one Imputer::impute_batch call, which the model imputer
-//    spreads over the pool in one region. Windows are released in whole
+//    spreads over the pool in one region. Each window's example asks for
+//    its newest interval alone (ImputationExample::output_from), the one
+//    interval published: the transformer runs every row through keys and
+//    values but forms queries for that interval only, and the output of
+//    each window is its publication. Windows are released in whole
 //    max_batch groups, plus the partial rest once it has waited
 //    max_delay_ticks; outputs are bit-identical to imputing each session
-//    alone, whatever the grouping.
+//    alone, whatever the grouping, and to the tail of imputing the same
+//    window offline.
 //  * async repair — CEM repair runs *behind* the prediction path: raw
 //    predictions publish immediately (they carry the latency SLO), repair
 //    jobs execute on the pool one tick later and publish a corrected

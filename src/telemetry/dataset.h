@@ -39,6 +39,12 @@ struct ImputationExample {
   std::int32_t port = 0;      // owning port
   std::size_t start_ms = 0;   // window position in the campaign
   std::size_t window = 0;     // window length T (fine steps)
+  /// First fine step an imputer returns: every Imputer imputes steps
+  /// [output_from, window) and nothing else. 0 (the whole window) for
+  /// every offline example; an online window (impute::WindowBuffer) sets
+  /// window − factor, its newest interval, the one a server publishes. The
+  /// earlier intervals are context only. Not serialized.
+  std::size_t output_from = 0;
   /// Normalisation divisors copied from DatasetConfig, so imputers can
   /// convert between normalised units and packets.
   double qlen_scale = 1.0;
@@ -88,7 +94,7 @@ struct ReportValidity {
 /// clears the interval's constraints.window_max_valid bit (see
 /// constraints::ExampleConstraints::c1_binds). The target is left empty:
 /// an online window has no ground truth and no imputer reads it. Target,
-/// queue, port and start_ms are left to the caller.
+/// queue, port, start_ms and output_from (0 here) are left to the caller.
 ImputationExample build_example(std::span<const CoarseIntervalUpdate> reports,
                                 std::span<const ReportValidity> validity,
                                 std::size_t factor, double qlen_scale,

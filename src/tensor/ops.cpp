@@ -1,6 +1,8 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "tensor/activations.h"
 #include "tensor/broadcast.h"
@@ -11,52 +13,83 @@ namespace fmnet::tensor {
 
 namespace {
 
+/// True when `s` is a trailing suffix of `out` (every shape is a suffix of
+/// itself): out element n then reads s at n modulo numel(s).
+bool is_suffix(const Shape& s, const Shape& out) {
+  return s.size() <= out.size() &&
+         std::equal(s.begin(), s.end(),
+                    out.end() - static_cast<std::ptrdiff_t>(s.size()));
+}
+
 // Shared implementation for broadcasting binary elementwise ops.
 // F:  (a, b) -> out
 // DA: (a, b, gout) -> grad contribution to a
 // DB: (a, b, gout) -> grad contribution to b
 //
-// Equal-shape inputs (the common case: residual adds, dropout masks, loss
-// residuals) skip the mixed-radix broadcast iterator for plain unit-stride
-// loops, forward and backward.
+// When each operand's shape is the output's or a trailing suffix of it —
+// equal shapes (residual adds, dropout masks, loss residuals) or a
+// repeated operand such as the positional table [T, D] under [B, T, D] —
+// the op skips the mixed-radix broadcast iterator for unit-stride blocks
+// of the smaller operand's size, forward and backward. The blocks visit
+// elements in the iterator's order, so a repeated operand's gradient sums
+// in the same order and every bit is the iterator's.
 template <class F, class DA, class DB>
 Tensor binary_op(const Tensor& a, const Tensor& b, F f, DA da, DB db) {
-  const bool same_shape = a.shape() == b.shape();
-  const Shape out_shape =
-      same_shape ? a.shape() : detail::broadcast_shape(a.shape(), b.shape());
-  std::vector<float> out =
-      pool::acquire(static_cast<std::size_t>(numel(out_shape)));
-  const auto& av = a.data();
-  const auto& bv = b.data();
-  if (same_shape) {
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = f(av[i], bv[i]);
+  const Shape out_shape = a.shape() == b.shape()
+                              ? a.shape()
+                              : detail::broadcast_shape(a.shape(), b.shape());
+  const std::int64_t total = numel(out_shape);
+  // Block length; 0 = use the broadcast iterator.
+  const std::int64_t block =
+      is_suffix(a.shape(), out_shape) && is_suffix(b.shape(), out_shape)
+          ? std::min(a.numel(), b.numel())
+          : 0;
+  // Whether each operand advances with the blocks or repeats in each one.
+  const bool a_full = a.numel() == total;
+  const bool b_full = b.numel() == total;
+  std::vector<float> out = pool::acquire(static_cast<std::size_t>(total));
+  const float* av = a.data().data();
+  const float* bv = b.data().data();
+  if (block > 0) {
+    for (std::int64_t i0 = 0; i0 < total; i0 += block) {
+      const float* x = av + (a_full ? i0 : 0);
+      const float* y = bv + (b_full ? i0 : 0);
+      float* o = out.data() + i0;
+      for (std::int64_t j = 0; j < block; ++j) o[j] = f(x[j], y[j]);
+    }
   } else {
     const auto sa = detail::aligned_strides(a.shape(), out_shape);
     const auto sb = detail::aligned_strides(b.shape(), out_shape);
-    detail::for_each_bcast2(out_shape, sa, sb,
-                            [&](std::int64_t n, std::int64_t ia,
-                                std::int64_t ib) {
-                              out[static_cast<std::size_t>(n)] =
-                                  f(av[static_cast<std::size_t>(ia)],
-                                    bv[static_cast<std::size_t>(ib)]);
-                            });
+    detail::for_each_bcast2(
+        out_shape, sa, sb, [&](std::int64_t n, std::int64_t ia,
+                               std::int64_t ib) {
+          out[static_cast<std::size_t>(n)] = f(av[ia], bv[ib]);
+        });
   }
   auto an = a.node();
   auto bn = b.node();
   return make_op_result(
       out_shape, std::move(out), {a, b},
-      [an, bn, out_shape, same_shape, da, db](Node& o) {
+      [an, bn, out_shape, total, block, a_full, b_full, da, db](Node& o) {
         const bool need_a = an->requires_grad;
         const bool need_b = bn->requires_grad;
         if (need_a) an->ensure_grad();
         if (need_b) bn->ensure_grad();
-        if (same_shape) {
-          const auto& xv = an->cdata();
-          const auto& yv = bn->cdata();
-          for (std::size_t i = 0; i < o.grad.size(); ++i) {
-            const float g = o.grad[i];
-            if (need_a) an->grad[i] += da(xv[i], yv[i], g);
-            if (need_b) bn->grad[i] += db(xv[i], yv[i], g);
+        if (block > 0) {
+          // Both updates of an element in one iteration, a first: a
+          // same-node pair (x * x) accumulates as the iterator does.
+          for (std::int64_t i0 = 0; i0 < total; i0 += block) {
+            const std::int64_t ia = a_full ? i0 : 0;
+            const std::int64_t ib = b_full ? i0 : 0;
+            const float* x = an->cdata().data() + ia;
+            const float* y = bn->cdata().data() + ib;
+            const float* g = o.grad.data() + i0;
+            float* gx = need_a ? an->grad.data() + ia : nullptr;
+            float* gy = need_b ? bn->grad.data() + ib : nullptr;
+            for (std::int64_t j = 0; j < block; ++j) {
+              if (need_a) gx[j] += da(x[j], y[j], g[j]);
+              if (need_b) gy[j] += db(x[j], y[j], g[j]);
+            }
           }
           return;
         }

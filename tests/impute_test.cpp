@@ -540,6 +540,36 @@ TEST(KnowledgeImputerTest, OutputSatisfiesConstraintsExactly) {
   EXPECT_GT(full.cem_calls(), 0);
 }
 
+TEST(KnowledgeImputerTest, RejectsOnlineExamplesNamingOutputFrom) {
+  // CEM repairs whole windows. An online example asks for its newest
+  // interval alone, and the server repairs that interval through its own
+  // lane, so a +cem imputer refuses it rather than repairing a window it
+  // was handed only the tail of.
+  auto ex = toy_example(8, 4);
+  ex.constraints.sample_idx = {0, 4};
+  ex.constraints.sample_val = {2.0f, 0.0f};
+  ex.constraints.window_max = {6.0f, 0.0f};
+  ex.constraints.port_sent = {4.0f, 4.0f};
+  ex.output_from = 4;
+  const auto with_cem = Registry::create("linear+cem", {});
+  const auto message_of = [](const auto& call) {
+    try {
+      call();
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no CheckError");
+  };
+  EXPECT_NE(message_of([&] { (void)with_cem->impute(ex); })
+                .find("output_from 4"),
+            std::string::npos);
+  EXPECT_NE(message_of([&] { (void)with_cem->impute_batch({ex}); })
+                .find("output_from 4"),
+            std::string::npos);
+  ex.output_from = 0;
+  EXPECT_EQ(with_cem->impute(ex).size(), 8u);
+}
+
 // ---------------------------------------------------------------------------
 // FM-alone switch model
 // ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@
 //     the +cem wrapper (whose counters must match too), and every learned
 //     method forwards a batch's windows exactly once;
 //   * serving (a multi-session serve::ServeCore) publishes, per session,
-//     exactly the offline imputation of that session's trailing window;
+//     exactly the newest interval of the offline imputation of that
+//     session's trailing window (output_from cleared), which is what the
+//     online example's own imputation returns;
 //   * every learned method round-trips through nn/serialize exactly, and
 //     a warm engine run reloads it instead of training;
 //   * C1–C3 hold after CEM correction;
@@ -269,8 +271,12 @@ TEST_P(ImputerConformance, BatchForwardsEveryWindowOnce) {
 TEST_P(ImputerConformance, StreamingMatchesOffline) {
   // Serve three sessions (groups of two, all three in one forward, which
   // mixes sessions) and mirror each session's intervals into a shadow
-  // WindowBuffer; every raw publication must be exactly the tail slice of
-  // imputing that session's trailing window offline.
+  // WindowBuffer. Its example asks for the newest interval alone
+  // (output_from = 50), and the imputer returns exactly those 50 steps.
+  // Every raw publication must be exactly the tail slice of imputing the
+  // same window offline, i.e. with output_from cleared: a method that
+  // computes the newest interval differently from the whole window fails
+  // here.
   const std::shared_ptr<impute::Imputer> base = fitted(GetParam(), 1).imputer;
   constexpr std::int64_t kSessions = 3;
   serve::ServeConfig cfg;
@@ -298,8 +304,12 @@ TEST_P(ImputerConformance, StreamingMatchesOffline) {
     for (const serve::PublishedWindow& p : out) {
       ASSERT_EQ(p.kind, serve::WindowKind::kRaw);
       ASSERT_EQ(p.tick, tick);
-      const auto offline = base->impute(
-          shadow[static_cast<std::size_t>(p.session)].make_example());
+      telemetry::ImputationExample ex =
+          shadow[static_cast<std::size_t>(p.session)].make_example();
+      ASSERT_EQ(ex.output_from, 50u);
+      EXPECT_EQ(base->impute(ex), p.fine) << GetParam();
+      ex.output_from = 0;
+      const auto offline = base->impute(ex);
       ASSERT_EQ(offline.size(), 100u);
       ASSERT_EQ(p.fine.size(), 50u);
       for (std::size_t t = 0; t < 50; ++t) {

@@ -1,14 +1,18 @@
 // Inference-path parity: the no-autograd forward (tensor::InferenceGuard)
-// against the graph-building training forward, and batched serving against
-// the per-window loop.
+// against the graph-building training forward, the forward of an online
+// window's kept steps against the tail of the whole-window forward, and
+// batched serving against the per-window loop.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "impute/registry.h"
 #include "nn/kal.h"
+#include "nn/transformer.h"
+#include "tensor/kernels.h"
 #include "tensor/pool.h"
 #include "tensor/tensor.h"
 #include "util/check.h"
@@ -16,6 +20,8 @@
 
 namespace fmnet {
 namespace {
+
+namespace kernels = tensor::kernels;
 
 // T = 90 on purpose: 90 % 4 == 2, so stacked windows start at different
 // panel-quad phases — the layout that exposed row-position-dependent FMA
@@ -120,6 +126,62 @@ TEST(InferenceMode, KalPenaltyRefusesInferenceScope) {
   EXPECT_THROW(nn::kal_penalty(pred, c, /*lambda_eq=*/0.0f,
                                /*lambda_ineq=*/0.0f, /*mu=*/0.5f),
                CheckError);
+}
+
+// ---- forwarding only the kept steps ----------------------------------------
+
+/// forward(x, rng, output_from) against the last T - output_from columns of
+/// forward(x, rng) for a 3-window batch of random features, in inference
+/// and in graph-building eval mode, on every ISA this host executes.
+void check_kept_steps(const nn::TransformerConfig& config, std::int64_t t,
+                      const std::vector<std::int64_t>& output_froms) {
+  fmnet::Rng init(5);
+  nn::ImputationTransformer model(config, init);
+  model.set_training(false);
+  constexpr std::int64_t kBatch = 3;
+  fmnet::Rng data(6);
+  const tensor::Tensor x =
+      tensor::Tensor::randn({kBatch, t, config.input_channels}, data);
+  fmnet::Rng eval_rng(0);
+  const kernels::Isa startup = kernels::active_isa();
+  for (const kernels::Isa isa : kernels::compiled_isas()) {
+    if (!kernels::isa_supported(isa)) continue;
+    kernels::set_isa(isa);
+    const std::vector<float> whole = model.forward(x, eval_rng).data();
+    for (const std::int64_t from : output_froms) {
+      const std::int64_t kept = t - from;
+      std::vector<float> tail;
+      for (std::int64_t b = 0; b < kBatch; ++b) {
+        tail.insert(tail.end(), whole.begin() + b * t + from,
+                    whole.begin() + (b + 1) * t);
+      }
+      const std::string where = std::string(kernels::isa_name(isa)) + " T" +
+                                std::to_string(t) + " from " +
+                                std::to_string(from);
+      const tensor::Tensor graph = model.forward(x, eval_rng, from);
+      EXPECT_EQ(graph.shape(), (tensor::Shape{kBatch, kept})) << where;
+      EXPECT_EQ(graph.data(), tail) << where << " (graph)";
+      const tensor::InferenceGuard guard;
+      EXPECT_EQ(model.forward(x, eval_rng, from).data(), tail)
+          << where << " (inference)";
+    }
+  }
+  kernels::set_isa(startup);
+}
+
+// The serving model (d 8, one head, one layer) at the serving window, with
+// the newest interval and the last step alone kept, and the Table-1 model
+// at its window: 50, 1 and 50 query rows, none a multiple of the 16-row
+// key-major attention tile.
+TEST(KeptSteps, ForwardEqualsTailOfWholeWindowOnEveryIsa) {
+  nn::TransformerConfig serving;
+  serving.d_model = 8;
+  serving.num_heads = 1;
+  serving.num_layers = 1;
+  serving.d_ff = 16;
+  check_kept_steps(serving, 100, {50, 99});
+  nn::TransformerConfig table1;  // d 16, 2 heads of 8, 2 layers
+  check_kept_steps(table1, 300, {250});
 }
 
 // ---- batched serving vs the per-window loop -------------------------------

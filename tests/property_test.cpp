@@ -69,24 +69,33 @@ TEST_P(BroadcastSweep, AddMatchesReferenceAndGradSums) {
       tensor::detail::broadcast_shape(param.a, param.b);
   ASSERT_EQ(c.shape(), expect);
 
-  // Reference: explicit index arithmetic.
+  // Reference: explicit index arithmetic, bit for bit.
   const auto sa = tensor::detail::aligned_strides(param.a, expect);
   const auto sb = tensor::detail::aligned_strides(param.b, expect);
   std::size_t n = 0;
   tensor::detail::for_each_bcast2(
       expect, sa, sb, [&](std::int64_t lin, std::int64_t ia, std::int64_t ib) {
-        ASSERT_FLOAT_EQ(c.data()[lin], a.data()[ia] + b.data()[ib]);
+        ASSERT_EQ(c.data()[lin], a.data()[ia] + b.data()[ib]);
         ++n;
       });
   ASSERT_EQ(static_cast<std::int64_t>(n), c.numel());
 
-  // Gradient mass conservation: d(sum)/da sums to numel of output per
-  // broadcast fan-out; total grad mass of a equals output numel.
-  Tensor loss = tensor::sum(c);
+  // d(sum(c * w))/dc = w, so each operand element's gradient is the sum
+  // of w over the output elements it feeds: summed here in the broadcast
+  // iterator's order, which a repeated operand's gradient must keep to
+  // the bit.
+  const Tensor w = Tensor::randn(expect, rng);
+  Tensor loss = tensor::sum(c * w);
   loss.backward();
-  double ga = 0.0;
-  for (const float g : a.grad()) ga += g;
-  EXPECT_NEAR(ga, static_cast<double>(c.numel()), 1e-3);
+  std::vector<float> ref_a(static_cast<std::size_t>(a.numel()), 0.0f);
+  std::vector<float> ref_b(static_cast<std::size_t>(b.numel()), 0.0f);
+  tensor::detail::for_each_bcast2(
+      expect, sa, sb, [&](std::int64_t lin, std::int64_t ia, std::int64_t ib) {
+        ref_a[static_cast<std::size_t>(ia)] += w.data()[lin];
+        ref_b[static_cast<std::size_t>(ib)] += w.data()[lin];
+      });
+  EXPECT_EQ(a.grad(), ref_a);
+  EXPECT_EQ(b.grad(), ref_b);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -97,7 +106,8 @@ INSTANTIATE_TEST_SUITE_P(
                       BroadcastCase{{4, 1, 3}, {2, 3}},
                       BroadcastCase{{2, 2, 2}, {}},
                       BroadcastCase{{1}, {5}},
-                      BroadcastCase{{2, 3, 4}, {2, 3, 4}}));
+                      BroadcastCase{{2, 3, 4}, {2, 3, 4}},
+                      BroadcastCase{{2, 5, 4}, {5, 4}}));
 
 // ---------------------------------------------------------------------------
 // Attention is permutation-equivariant (no mask, positions added outside).

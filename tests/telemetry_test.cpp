@@ -210,9 +210,10 @@ TEST(Dataset, GroundTruthTargetSatisfiesConstraints) {
 }
 
 TEST(Dataset, OnlineExamplesCarryNoTarget) {
-  // Offline examples carry their ground-truth target. An online window has
-  // none: WindowBuffer's example of the same intervals is the same example
-  // with an empty target.
+  // Offline examples carry their ground-truth target and ask for the whole
+  // window. An online window has no target and asks for its newest
+  // interval alone: WindowBuffer's example of the same intervals is the
+  // same example with an empty target and output_from = window − factor.
   const auto campaign = fmnet::testing::run_small_campaign(7, 400);
   const auto gt = trim_to_multiple(campaign.gt, 50);
   const CoarseTelemetry ct = sample_telemetry(gt, 50);
@@ -220,6 +221,7 @@ TEST(Dataset, OnlineExamplesCarryNoTarget) {
   const ImputationExample offline =
       build_examples(gt, ct, cfg, campaign.config.queues_per_port).back();
   ASSERT_EQ(offline.target.size(), cfg.window_ms);
+  EXPECT_EQ(offline.output_from, 0u);
   const auto q = static_cast<std::size_t>(offline.queue);
   const auto p = static_cast<std::size_t>(offline.port);
   impute::WindowBuffer buffer(cfg.window_ms / cfg.factor, cfg.factor,
@@ -230,6 +232,8 @@ TEST(Dataset, OnlineExamplesCarryNoTarget) {
   }
   const ImputationExample online = buffer.make_example();
   EXPECT_TRUE(online.target.empty());
+  EXPECT_EQ(online.window, offline.window);
+  EXPECT_EQ(online.output_from, cfg.window_ms - cfg.factor);
   EXPECT_EQ(online.features, offline.features);
   EXPECT_EQ(online.constraints.sample_val, offline.constraints.sample_val);
 }
