@@ -25,11 +25,16 @@ bool WindowBuffer::push(const CoarseIntervalUpdate& update) {
 }
 
 ImputationExample WindowBuffer::make_example() const {
-  FMNET_CHECK(ready(), "window not full yet");
-  ImputationExample ex = telemetry::build_example(window_, {}, factor_,
-                                                  qlen_scale_, count_scale_);
-  ex.output_from = ex.window - factor_;
+  ImputationExample ex;
+  fill_example(ex);
   return ex;
+}
+
+void WindowBuffer::fill_example(ImputationExample& ex) const {
+  FMNET_CHECK(ready(), "window not full yet");
+  telemetry::build_example(window_, {}, factor_, qlen_scale_, count_scale_,
+                           ex);
+  ex.output_from = ex.window - factor_;
 }
 
 }  // namespace fmnet::impute

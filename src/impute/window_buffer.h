@@ -38,6 +38,9 @@ class WindowBuffer {
   /// older intervals are its context. Requires ready().
   ImputationExample make_example() const;
 
+  /// make_example() into `ex` in place, reusing its vectors' capacity.
+  void fill_example(ImputationExample& ex) const;
+
   std::size_t intervals_seen() const { return intervals_seen_; }
   std::size_t window_intervals() const { return window_intervals_; }
   std::size_t factor() const { return factor_; }

@@ -92,7 +92,8 @@ void ServeCore::ingest(
             continue;
           }
           ready.windows.push_back(ReadyWindow{i, tick_, arrival});
-          ready.examples.push_back(s.window.make_example());
+          s.window.fill_example(s.example);
+          ready.examples.push_back(std::move(s.example));
         }
       });
   std::size_t added = 0;
@@ -117,14 +118,18 @@ void ServeCore::shed_over_budget(std::vector<PublishedWindow>& out) {
     p.session = w.session;
     p.tick = w.tick;
     p.kind = WindowKind::kDegraded;
-    p.fine = fallback_->impute(ready_examples_[static_cast<std::size_t>(i)]);
+    impute::ImputationExample& ex =
+        ready_examples_[static_cast<std::size_t>(i)];
+    p.fine = fallback_->impute(ex);
     p.latency_seconds = util::Clock::resolve(clock_).now() - w.arrival;
     out.push_back(std::move(p));
     ++stats_.windows_degraded;
     obs_degraded_.add(1);
     ++stats_.shed_queue;
     obs_shed_queue_.add(1);
-    ++sessions_[static_cast<std::size_t>(w.session)].windows_shed;
+    Session& s = sessions_[static_cast<std::size_t>(w.session)];
+    ++s.windows_shed;
+    s.example = std::move(ex);
   }
   ready_.erase(ready_.begin(), ready_.begin() + over);
   ready_examples_.erase(ready_examples_.begin(),
@@ -172,7 +177,8 @@ void ServeCore::flush_batches(bool force,
     ++stats_.windows_raw;
     obs_raw_.add(1);
     obs_latency_raw_.record(p.latency_seconds * 1e3);
-    ++sessions_[static_cast<std::size_t>(w.session)].windows_published;
+    Session& s = sessions_[static_cast<std::size_t>(w.session)];
+    ++s.windows_published;
 
     if (config_.repair) {
       // Async repair job for the newest interval, in packet units; over
@@ -192,9 +198,9 @@ void ServeCore::flush_batches(bool force,
       }
     }
     out.push_back(std::move(p));
-    // The window's example is used up: free it now, so the publications
-    // built after this one reuse its memory.
-    ex = impute::ImputationExample{};
+    // The window's example is used up: it goes back to its session, whose
+    // next ready window refills it in place.
+    s.example = std::move(ex);
   }
   ready_.erase(ready_.begin(),
                ready_.begin() + static_cast<std::ptrdiff_t>(count));

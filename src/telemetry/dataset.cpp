@@ -6,20 +6,25 @@
 
 namespace fmnet::telemetry {
 
-ImputationExample build_example(std::span<const CoarseIntervalUpdate> reports,
-                                std::span<const ReportValidity> validity,
-                                std::size_t factor, double qlen_scale,
-                                double count_scale) {
+void build_example(std::span<const CoarseIntervalUpdate> reports,
+                   std::span<const ReportValidity> validity,
+                   std::size_t factor, double qlen_scale, double count_scale,
+                   ImputationExample& ex) {
   FMNET_CHECK_GT(factor, 0u);
   FMNET_CHECK_GT(qlen_scale, 0.0);
   FMNET_CHECK_GT(count_scale, 0.0);
   FMNET_CHECK(validity.empty() || validity.size() == reports.size(),
               "report validity must be empty or one entry per interval");
   const std::size_t intervals = reports.size();
-  ImputationExample ex;
   ex.window = intervals * factor;
   ex.qlen_scale = qlen_scale;
   ex.count_scale = count_scale;
+  ex.queue = 0;
+  ex.port = 0;
+  ex.start_ms = 0;
+  ex.output_from = 0;
+  ex.target.clear();
+  // Every feature is written below.
   ex.features.resize(ex.window * kNumInputChannels);
 
   // Constraint data: normalised queue-length units for C1/C2, fine-step
@@ -28,7 +33,13 @@ ImputationExample build_example(std::span<const CoarseIntervalUpdate> reports,
   c.coarse_factor = static_cast<std::int64_t>(factor);
   c.window_max.resize(intervals);
   c.port_sent.resize(intervals);
-  if (!validity.empty()) c.window_max_valid.assign(intervals, 1);
+  c.sample_idx.clear();
+  c.sample_val.clear();
+  if (validity.empty()) {
+    c.window_max_valid.clear();
+  } else {
+    c.window_max_valid.assign(intervals, 1);
+  }
   for (std::size_t i = 0; i < intervals; ++i) {
     const CoarseIntervalUpdate& u = reports[i];
     const auto periodic = static_cast<float>(u.periodic_qlen / qlen_scale);
@@ -58,6 +69,14 @@ ImputationExample build_example(std::span<const CoarseIntervalUpdate> reports,
   // tanh sharpness: one packet of queue (1/qlen_scale after normalisation)
   // should register as "non-empty".
   c.ne_tanh_scale = static_cast<float>(qlen_scale);
+}
+
+ImputationExample build_example(std::span<const CoarseIntervalUpdate> reports,
+                                std::span<const ReportValidity> validity,
+                                std::size_t factor, double qlen_scale,
+                                double count_scale) {
+  ImputationExample ex;
+  build_example(reports, validity, factor, qlen_scale, count_scale, ex);
   return ex;
 }
 

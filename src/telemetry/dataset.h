@@ -95,6 +95,16 @@ struct ReportValidity {
 /// constraints::ExampleConstraints::c1_binds). The target is left empty:
 /// an online window has no ground truth and no imputer reads it. Target,
 /// queue, port, start_ms and output_from (0 here) are left to the caller.
+///
+/// Fills `ex` in place: every field is set as on a fresh example, and the
+/// vectors keep their capacity, so a caller that refills one example per
+/// window (serve::Session) allocates nothing once it is warm.
+void build_example(std::span<const CoarseIntervalUpdate> reports,
+                   std::span<const ReportValidity> validity,
+                   std::size_t factor, double qlen_scale, double count_scale,
+                   ImputationExample& ex);
+
+/// build_example into a fresh example.
 ImputationExample build_example(std::span<const CoarseIntervalUpdate> reports,
                                 std::span<const ReportValidity> validity,
                                 std::size_t factor, double qlen_scale,

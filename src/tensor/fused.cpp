@@ -5,7 +5,6 @@
 // which paid graph, allocation and broadcast iteration overhead per
 // element).
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -64,12 +63,8 @@ Tensor linear_act(const Tensor& x, const Tensor& w, const Tensor& b,
   const std::int64_t rows = x.numel() / k;  // batch and time fold together
   std::vector<float> out =
       pool::acquire(static_cast<std::size_t>(rows * n));
-  const auto& bv = b.data();
-  for (std::int64_t i = 0; i < rows; ++i) {
-    std::memcpy(out.data() + i * n, bv.data(),
-                static_cast<std::size_t>(n) * sizeof(float));
-  }
-  kernels::gemm(x.data().data(), w.data().data(), out.data(), rows, k, n);
+  kernels::gemm_bias(x.data().data(), w.data().data(), b.data().data(),
+                     out.data(), rows, k, n);
 
   // GELU's gradient needs the pre-activation values; stash them (skipped in
   // inference mode, where no backward will ever read them). ReLU's gate is
@@ -150,28 +145,9 @@ Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   // Per-row (mu, inv_std), saved for backward.
   auto st = std::make_shared<PooledBuf>(
       pool::acquire(static_cast<std::size_t>(2 * rows)));
-  const float* xv = x.data().data();
-  const float* gv = gamma.data().data();
-  const float* bv = beta.data().data();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* row = xv + r * f;
-    float sum = 0.0f;
-    for (std::int64_t j = 0; j < f; ++j) sum += row[j];
-    const float mu = sum * inv_f;
-    float var = 0.0f;
-    for (std::int64_t j = 0; j < f; ++j) {
-      const float d = row[j] - mu;
-      var += d * d;
-    }
-    var *= inv_f;
-    const float inv_std = 1.0f / std::sqrt(var + eps);
-    st->v[static_cast<std::size_t>(2 * r)] = mu;
-    st->v[static_cast<std::size_t>(2 * r + 1)] = inv_std;
-    float* orow = out.data() + r * f;
-    for (std::int64_t j = 0; j < f; ++j) {
-      orow[j] = (row[j] - mu) * inv_std * gv[j] + bv[j];
-    }
-  }
+  kernels::layer_norm_rows(x.data().data(), gamma.data().data(),
+                           beta.data().data(), rows, f, inv_f, eps,
+                           out.data(), st->v.data());
 
   auto xn = x.node();
   auto gn = gamma.node();

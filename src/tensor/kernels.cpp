@@ -130,7 +130,7 @@ using PanelFn = void (*)(const float*, std::int64_t, std::int64_t,
                          std::int64_t, std::int64_t, std::int64_t, bool);
 using SkinnyFn = void (*)(const float*, std::int64_t, std::int64_t,
                           const float*, float*, std::int64_t, std::int64_t,
-                          std::int64_t, std::int64_t, bool);
+                          std::int64_t, std::int64_t, bool, const float*);
 using SoftmaxFn = void (*)(float*, std::int64_t, std::int64_t, float);
 using GeluFn = void (*)(float*, std::int64_t, std::int64_t);
 using AttentionFn = ProbsLayout (*)(const float*, const float*,
@@ -270,10 +270,17 @@ Isa active_isa_slow() {
 
 PanelFn panel_fn() { return fn_for(active_isa_slow()); }
 
-// Zeroes an [m, n] block whose rows are rs apart.
-void zero_rows(float* c, std::int64_t rs, std::int64_t m, std::int64_t n) {
+// Fills every row of an [m, n] block whose rows are rs apart with `row`,
+// or with zeros when it is null.
+void fill_rows(float* c, std::int64_t rs, std::int64_t m, std::int64_t n,
+               const float* row = nullptr) {
+  const auto bytes = static_cast<std::size_t>(n) * sizeof(float);
   for (std::int64_t i = 0; i < m; ++i) {
-    std::memset(c + i * rs, 0, static_cast<std::size_t>(n) * sizeof(float));
+    if (row != nullptr) {
+      std::memcpy(c + i * rs, row, bytes);
+    } else {
+      std::memset(c + i * rs, 0, bytes);
+    }
   }
 }
 
@@ -305,7 +312,7 @@ void gemm_driver(const float* a, std::int64_t a_rs, std::int64_t a_cs,
   if (m == 0 || n == 0) return;
   if (k == 0) {
     // An empty sum: overwrite mode still owes the caller zeros.
-    if (!accumulate) zero_rows(c, c_rs, m, n);
+    if (!accumulate) fill_rows(c, c_rs, m, n);
     return;
   }
   const PanelFn panel = panel_fn();
@@ -341,16 +348,19 @@ void gemm_driver(const float* a, std::int64_t a_rs, std::int64_t a_cs,
 // buffer) is first copied into a [k, n] block — k*n floats against the
 // kernel's m*k*n multiply-adds, on the calling thread before lanes fan
 // out. Same row-block partitioning and inline threshold as gemm_driver, so
-// the lane-count determinism contract carries over unchanged.
+// the lane-count determinism contract carries over unchanged. A non-null
+// `bias` row is added to every row's sum in place of C's contents.
 bool skinny_gemm(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                  const float* b, std::int64_t b_rs, float* c,
                  std::int64_t c_rs, std::int64_t m, std::int64_t k,
-                 std::int64_t n, util::ThreadPool* pool, bool accumulate) {
+                 std::int64_t n, util::ThreadPool* pool, bool accumulate,
+                 const float* bias = nullptr) {
   if (n <= 0 || n > kSkinnyMaxN) return false;
   if (m == 0) return true;
   if (k == 0) {
-    // An empty sum: overwrite mode still owes the caller zeros.
-    if (!accumulate) zero_rows(c, c_rs, m, n);
+    // An empty sum: overwrite mode still owes the caller zeros, and a bias
+    // its row.
+    if (bias != nullptr || !accumulate) fill_rows(c, c_rs, m, n, bias);
     return true;
   }
   std::vector<float> packed;
@@ -371,7 +381,7 @@ bool skinny_gemm(const float* a, std::int64_t a_rs, std::int64_t a_cs,
     const std::int64_t i0 = blk * kRowBlock;
     const std::int64_t rows = std::min(kRowBlock, m - i0);
     fn(a + i0 * a_rs, a_rs, a_cs, b, c + i0 * c_rs, c_rs, rows, k, n,
-       accumulate);
+       accumulate, bias);
   };
   if (parallel) {
     tp.parallel_for(0, row_blocks, run_block);
@@ -453,6 +463,21 @@ void gemm(const float* a, const float* b, float* c, std::int64_t m,
   gemm_driver(a, /*a_rs=*/lda, /*a_cs=*/1, ldb, c, ldc, m, k, n, pool,
               accumulate, [b, ldb](std::int64_t p0, std::int64_t) {
                 return b + p0 * ldb;
+              });
+}
+
+void gemm_bias(const float* a, const float* b, const float* bias, float* c,
+               std::int64_t m, std::int64_t k, std::int64_t n,
+               util::ThreadPool* pool) {
+  if (skinny_gemm(a, /*a_rs=*/k, /*a_cs=*/1, b, n, c, n, m, k, n, pool,
+                  /*accumulate=*/false, bias)) {
+    return;
+  }
+  // The panel kernel re-reads C once per k-panel: start it at the bias.
+  fill_rows(c, n, m, n, bias);
+  gemm_driver(a, /*a_rs=*/k, /*a_cs=*/1, n, c, n, m, k, n, pool,
+              /*accumulate=*/true, [b, n](std::int64_t p0, std::int64_t) {
+                return b + p0 * n;
               });
 }
 

@@ -23,16 +23,25 @@
 // also compiled as an AVX2+FMA clone and selected at startup when the CPU
 // supports it (FMNET_KERNEL_ISA=portable pins the baseline path).
 //
-// Skinny outputs: when n <= kSkinnyMaxN (gemm and gemm_at only — gemm_bt
-// still needs its repack), a register-accumulating kernel keeps each C row
-// local across the full k extent and touches C once, dispatched over
-// fixed-width instantiations so the inner loops have compile-time trip
-// counts. Every row of a call computes its sum with the same operations —
-// the one row body, or on the AVX-512 clones for n = 8 an intrinsic body
-// that advances four rows per pass (kernels_avx512.inc) — so an output
-// element is independent of the row's position within the call: the
-// property batched inference leans on when it stacks windows whose start
-// offsets are not multiples of kMR (see kernels_skinny.inc).
+// Skinny outputs: when n <= kSkinnyMaxN (gemm, gemm_bias and gemm_at
+// only — gemm_bt still needs its repack), a register-accumulating kernel
+// keeps each C row local across the full k extent and touches C once,
+// dispatched over fixed-width instantiations so the inner loops have
+// compile-time trip counts. Every row of a call computes its sum with the
+// same operations — the one row body, or on the AVX-512 clones for n = 8
+// and n = 16 with k % kKU == 0 an intrinsic body that advances four rows
+// per pass and spells out the row body's -O3 operations
+// (kernels_avx512.inc) — so an output element is independent of the
+// row's position within the call: the property batched inference leans on
+// when it stacks windows whose start offsets are not multiples of kMR
+// (see kernels_skinny.inc).
+//
+// Bias: gemm_bias adds a bias row to every output row. The skinny kernels
+// add each finished row sum to the bias row instead of to a C row the
+// caller pre-filled with it — bias + sum, the same single rounding — so
+// the result is bitwise what fill-then-accumulate gives, without the fill
+// pass. The panel path (n > kSkinnyMaxN) fills C with the bias
+// first, since it re-reads C once per k-panel.
 //
 // Parallelism: output rows are split into fixed kRowBlock-row blocks and
 // sharded across util::ThreadPool lanes. Every output element is computed
@@ -119,6 +128,13 @@ void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n, util::ThreadPool* pool = nullptr,
           bool accumulate = true, RowStrides ld = {});
 
+/// C[m,n] = bias[n] + A[m,k] @ B[k,n], dense operands: bitwise the result
+/// of filling every C row with `bias` and calling gemm (accumulate), with
+/// C's prior contents never read. linear_act's forward.
+void gemm_bias(const float* a, const float* b, const float* bias, float* c,
+               std::int64_t m, std::int64_t k, std::int64_t n,
+               util::ThreadPool* pool = nullptr);
+
 /// C[m,n] (+)= A[k,m]^T @ B[k,n] (at points at the [k,m] buffer).
 void gemm_at(const float* at, const float* b, float* c, std::int64_t m,
              std::int64_t k, std::int64_t n,
@@ -144,6 +160,9 @@ void softmax_rows(float* v, std::int64_t rows, std::int64_t len,
                   float scale);
 
 /// In-place tanh-approximation GELU over `rows` contiguous rows of `len`.
+/// When len % 16 == 0 the rows run as one span: every element still takes
+/// the vector body, with its own operations unchanged, so the call equals
+/// `rows` one-row calls bit for bit.
 void gelu_rows(float* v, std::int64_t rows, std::int64_t len);
 
 /// Layout of the softmax rows attention_rows keeps for the backward.
@@ -210,12 +229,12 @@ std::int64_t attention_grad_scratch_floats(std::int64_t t, std::int64_t s);
 ///   - the Jacobian's row dot as softmax_jacobian_rows forms it, a
 ///     separately rounded multiply then an add per key in key order,
 ///     then dZ = (scale * P) * (dP - dot);
-///   - dQ with the forward's P @ V grouping (skinny8_rows');
-///   - dV and dK through skinny8_rows reading P and dZ key-major: one
+///   - dQ with the forward's P @ V grouping (skinny_rows');
+///   - dV and dK through skinny_rows<8> reading P and dZ key-major: one
 ///     tile's 16 query rows of a key are exactly one of its 4 * kKU-step
 ///     passes, so the grouping is the composition's.
 /// So it equals the spelled operations in every build and the composition
-/// in GCC -O3 Release builds, as the forward does. skinny8_rows takes only
+/// in GCC -O3 Release builds, as the forward does. skinny_rows takes only
 /// t % kKU == 0 (t is the k of dV and dK); for other t the key-major P is
 /// copied out row-major and the composition runs.
 void attention_rows_grad(const float* q, const float* k, const float* v,
@@ -224,13 +243,26 @@ void attention_rows_grad(const float* q, const float* k, const float* v,
                          std::int64_t t, std::int64_t s, std::int64_t hd,
                          std::int64_t ld, float scale, float* scratch);
 
-// Backward elementwise kernels (kernels_backward.cpp), ISA-dispatched
-// like the rest. Their translation unit is compiled without FMA
-// contraction, so every variant returns exactly the bits of the plain
-// scalar loops (two roundings per multiply-add) that the SSE2 baseline
-// ran before they were vectorised: trained weights do not depend on the
-// ISA through these kernels. Serial dots keep their left-to-right order
-// within a row and gain speed by interleaving rows.
+// Contraction-free row kernels (kernels_backward.cpp): the backward
+// elementwise kernels and the LayerNorm forward, ISA-dispatched like the
+// rest. Their translation unit is compiled without FMA contraction, so
+// every variant returns exactly the bits of the plain scalar loops (two
+// roundings per multiply-add) that the SSE2 baseline ran before they were
+// vectorised: trained weights and outputs do not depend on the ISA
+// through these kernels. Serial dots keep their left-to-right order
+// within a row and gain speed by interleaving rows, or on AVX-512 by
+// putting 16 rows in the vector lanes.
+
+/// LayerNorm forward over `rows` contiguous rows of `f`. Per row:
+///   mu = (sum_j x[j]) * inv_f,  var = (sum_j (x[j] - mu)^2) * inv_f,
+///   inv_std = 1 / sqrt(var + eps),
+///   out[j] = ((x[j] - mu) * inv_std) * gamma[j] + beta[j],
+/// both sums left to right from zero, sqrt and the division correctly
+/// rounded, every operation rounded on its own. stats receives
+/// (mu, inv_std) per row, as layer_norm_grad_rows reads them.
+void layer_norm_rows(const float* x, const float* gamma, const float* beta,
+                     std::int64_t rows, std::int64_t f, float inv_f,
+                     float eps, float* out, float* stats);
 
 /// dz[i] = dy[i] * gelu'(z[i]) over n elements (GELU's backward; z is the
 /// pre-activation).

@@ -238,6 +238,55 @@ TEST(Dataset, OnlineExamplesCarryNoTarget) {
   EXPECT_EQ(online.constraints.sample_val, offline.constraints.sample_val);
 }
 
+void expect_same_example(const ImputationExample& got,
+                         const ImputationExample& want) {
+  EXPECT_EQ(got.features, want.features);
+  EXPECT_EQ(got.target, want.target);
+  const constraints::ExampleConstraints& c = got.constraints;
+  const constraints::ExampleConstraints& w = want.constraints;
+  EXPECT_EQ(c.sample_idx, w.sample_idx);
+  EXPECT_EQ(c.sample_val, w.sample_val);
+  EXPECT_EQ(c.window_max, w.window_max);
+  EXPECT_EQ(c.window_max_valid, w.window_max_valid);
+  EXPECT_EQ(c.port_sent, w.port_sent);
+  EXPECT_EQ(c.coarse_factor, w.coarse_factor);
+  EXPECT_EQ(c.ne_tanh_scale, w.ne_tanh_scale);
+  EXPECT_EQ(got.queue, want.queue);
+  EXPECT_EQ(got.port, want.port);
+  EXPECT_EQ(got.start_ms, want.start_ms);
+  EXPECT_EQ(got.window, want.window);
+  EXPECT_EQ(got.output_from, want.output_from);
+  EXPECT_EQ(got.qlen_scale, want.qlen_scale);
+  EXPECT_EQ(got.count_scale, want.count_scale);
+}
+
+TEST(Dataset, RefilledExampleEqualsFreshOne) {
+  // serve::Session refills one example per window in place. Whatever the
+  // example held before — a longer window, lost reports, a target, ids —
+  // the refill equals a freshly built example field for field.
+  const std::vector<CoarseIntervalUpdate> reports = {
+      {3, 9, 40, 1}, {0, 4, 12, 0}, {7, 12, 55, 2}};
+  const std::vector<ReportValidity> validity = {
+      {true, true}, {false, true}, {true, false}};
+  ImputationExample stale = build_example(reports, validity, 4, 10.0, 50.0);
+  stale.target.assign(stale.window, 0.5f);
+  stale.queue = 3;
+  stale.port = 1;
+  stale.start_ms = 12;
+  stale.output_from = 4;
+
+  impute::WindowBuffer buffer(2, 4, 10.0, 50.0);
+  for (const CoarseIntervalUpdate& u : reports) buffer.push(u);
+  ImputationExample refilled = stale;
+  buffer.fill_example(refilled);
+  expect_same_example(refilled, buffer.make_example());
+
+  // And back: the online example refilled as the faulted offline one.
+  build_example(reports, validity, 4, 10.0, 50.0, refilled);
+  expect_same_example(refilled,
+                      build_example(reports, validity, 4, 10.0, 50.0));
+}
+
 TEST(Dataset, SplitCoversAllAndDisjoint) {
   const auto campaign = fmnet::testing::run_small_campaign(6, 400);
   const auto gt = trim_to_multiple(campaign.gt, 50);

@@ -1,7 +1,10 @@
 // Kernel-layer correctness: the blocked/register-tiled GEMM family against
 // the naive references over an exhaustive shape sweep, lane-count and
-// row-position bit-identity, strided operands, the backward kernels
-// against the scalar loops they replaced, fused ops (linear_act,
+// row-position bit-identity, strided operands, the bias fold, the
+// four-row skinny bodies against an explicit spelling of their
+// operations, GELU's one-span rows, the contraction-free kernels (the
+// backward ones and the LayerNorm forward) against the scalar loops they
+// replaced, fused ops (linear_act,
 // layer_norm, softmax, scaled_matmul_bt, head-strided attention) against
 // their primitive compositions and central-difference gradients, the
 // attention kernels (forward and backward) against the compositions they
@@ -177,6 +180,47 @@ TEST(GemmKernels, OverwriteModeEqualsAccumulateIntoZeros) {
   }
 }
 
+// gemm_bias (kernels.h) adds the bias row to each row's finished sum
+// instead of pre-filling C with it: bitwise the fill-then-accumulate
+// result, with C never read. n covers the single-row skinny widths, the
+// four-row bodies (8, 16) and the panel path (17, 32); k covers whole
+// 16-step passes, leftover kKU-groups, single k-steps and the empty sum;
+// m covers row tails and several row blocks. Every ISA.
+TEST(GemmKernels, BiasEqualsFillThenAccumulate) {
+  const kernels::Isa startup = kernels::active_isa();
+  fmnet::Rng rng(125);
+  for (const std::int64_t m : {std::int64_t{1}, std::int64_t{3},
+                               std::int64_t{37}, std::int64_t{130}}) {
+    for (const std::int64_t k : {std::int64_t{0}, std::int64_t{4},
+                                 std::int64_t{8}, std::int64_t{16},
+                                 std::int64_t{19}, std::int64_t{32}}) {
+      for (const std::int64_t n :
+           {std::int64_t{1}, std::int64_t{7}, std::int64_t{8},
+            std::int64_t{15}, std::int64_t{16}, std::int64_t{17},
+            std::int64_t{32}}) {
+        const auto a = random_buffer(static_cast<std::size_t>(m * k), rng);
+        const auto b = random_buffer(static_cast<std::size_t>(k * n), rng);
+        const auto bias = random_buffer(static_cast<std::size_t>(n), rng);
+        for (const kernels::Isa isa : kernels::compiled_isas()) {
+          if (!kernels::isa_supported(isa)) continue;
+          kernels::set_isa(isa);
+          std::vector<float> filled(static_cast<std::size_t>(m * n));
+          for (std::int64_t i = 0; i < m; ++i) {
+            std::copy(bias.begin(), bias.end(), filled.begin() + i * n);
+          }
+          kernels::gemm(a.data(), b.data(), filled.data(), m, k, n);
+          std::vector<float> got(static_cast<std::size_t>(m * n), 1e30f);
+          kernels::gemm_bias(a.data(), b.data(), bias.data(), got.data(), m,
+                             k, n);
+          ASSERT_EQ(got, filled) << kernels::isa_name(isa) << " " << m
+                                 << "x" << k << "x" << n;
+        }
+      }
+    }
+  }
+  kernels::set_isa(startup);
+}
+
 // ---- ISA dispatch sweep ---------------------------------------------------
 
 // Pins every compiled-and-executable FMNET_KERNEL_ISA variant (portable /
@@ -214,18 +258,21 @@ TEST(GemmKernels, AllIsaVariantsMatchReference) {
 // is the regression test for the batched-inference bug where a kMR-row
 // quad body contracted FMAs asymmetrically and windows starting at
 // different quad phases diverged from the per-window loop. On the AVX-512
-// clones n == 8 runs four rows per pass (kernels_avx512.inc), so the
-// offsets 1-3 move every row through every phase of that pass and between
-// the passes and the row tail; k covers full 16-step groups, leftover
-// kKU-groups and single k-steps (which take the single-row body). gemm_at
-// reaches the same kernels with the unit stride on the other side.
+// clones n == 8 and n == 16 run four rows per pass (skinny_rows in
+// kernels_avx512.inc), so the offsets 1-3 move every row through every
+// phase of that pass and between the passes and the row tail; k covers
+// full 16-step groups, leftover kKU-groups (the serving and Table-1
+// projections' k = 4, 8 and 32 among them) and single k-steps (which take
+// the single-row body). gemm_at reaches the same kernels with the unit
+// stride on the other side.
 TEST(GemmKernels, SkinnyRowsIndependentOfRowPosition) {
   const kernels::Isa startup = kernels::active_isa();
   fmnet::Rng rng(116);
   const std::int64_t m = 90;  // 90 % kMR != 0: rows cover every quad phase
   for (const std::int64_t k :
-       {std::int64_t{4}, std::int64_t{16}, std::int64_t{19}, std::int64_t{28},
-        std::int64_t{100}, std::int64_t{300}, std::int64_t{301}}) {
+       {std::int64_t{4}, std::int64_t{8}, std::int64_t{16}, std::int64_t{19},
+        std::int64_t{28}, std::int64_t{32}, std::int64_t{100},
+        std::int64_t{300}, std::int64_t{301}}) {
     for (const std::int64_t n : {std::int64_t{1}, std::int64_t{8},
                                  std::int64_t{16}}) {
       const auto a = random_buffer(static_cast<std::size_t>(m * k), rng);
@@ -368,6 +415,35 @@ TEST(FastMath, TanhMatchesLibmWithinTolerance) {
   }
   EXPECT_FLOAT_EQ(detail::fast_tanhf(50.0f), 1.0f);
   EXPECT_FLOAT_EQ(detail::fast_tanhf(-50.0f), -1.0f);
+}
+
+// gelu_rows runs rows whose length is a multiple of 16 as one span
+// (kernels_elementwise.inc). One call over R rows must still equal R
+// one-row calls bit for bit, with the span (len 16, 32) and without it
+// (len 8, 17), on every ISA; the inputs reach past fast_tanhf's clamp.
+TEST(ElementwiseKernels, GeluRowsEqualOneRowCalls) {
+  const kernels::Isa startup = kernels::active_isa();
+  fmnet::Rng rng(128);
+  const std::int64_t rows = 37;
+  for (const std::int64_t len : {std::int64_t{8}, std::int64_t{16},
+                                 std::int64_t{17}, std::int64_t{32}}) {
+    auto v0 = random_buffer(static_cast<std::size_t>(rows * len), rng);
+    for (auto& x : v0) x *= 4.0f;
+    v0[0] = 12.0f;
+    v0[1] = -12.0f;
+    for (const kernels::Isa isa : kernels::compiled_isas()) {
+      if (!kernels::isa_supported(isa)) continue;
+      kernels::set_isa(isa);
+      std::vector<float> whole = v0;
+      kernels::gelu_rows(whole.data(), rows, len);
+      std::vector<float> one_by_one = v0;
+      for (std::int64_t r = 0; r < rows; ++r) {
+        kernels::gelu_rows(one_by_one.data() + r * len, 1, len);
+      }
+      ASSERT_EQ(whole, one_by_one) << kernels::isa_name(isa) << " len=" << len;
+    }
+  }
+  kernels::set_isa(startup);
 }
 
 TEST(GemmKernels, PanelBoundaries) {
@@ -729,6 +805,73 @@ TEST(BackwardKernels, LayerNormGradMatchesScalarLoop) {
   kernels::set_isa(startup);
 }
 
+// The LayerNorm forward (kernels.h) against the scalar loop it replaced in
+// fused.cpp. f covers the serving (8) and Table-1 (16) widths and odd ones;
+// rows cover a lone row, the AVX-512 clone's 16-row lane blocks and the
+// row-major rows after the last block.
+TEST(BackwardKernels, LayerNormForwardMatchesScalarLoop) {
+  FMNET_SKIP_IF_REFERENCE_CONTRACTS();
+  const kernels::Isa startup = kernels::active_isa();
+  fmnet::Rng rng(127);
+  const float eps = 1e-5f;
+  for (const std::int64_t f : {std::int64_t{7}, std::int64_t{8},
+                               std::int64_t{16}, std::int64_t{33}}) {
+    for (const std::int64_t rows :
+         {std::int64_t{1}, std::int64_t{15}, std::int64_t{16},
+          std::int64_t{17}, std::int64_t{300}}) {
+      const auto numel = static_cast<std::size_t>(rows * f);
+      std::vector<float> x(numel);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        // Rows with their own offset and spread, one of them constant.
+        const double mu = rng.normal(0.0, 2.0);
+        const double sd = r == 0 ? 0.0 : rng.uniform(0.01, 3.0);
+        for (std::int64_t j = 0; j < f; ++j) {
+          x[static_cast<std::size_t>(r * f + j)] =
+              static_cast<float>(rng.normal(mu, sd));
+        }
+      }
+      const auto gamma = random_buffer(static_cast<std::size_t>(f), rng);
+      const auto beta = random_buffer(static_cast<std::size_t>(f), rng);
+      const float inv_f = 1.0f / static_cast<float>(f);
+      std::vector<float> ref(numel);
+      std::vector<float> ref_stats(static_cast<std::size_t>(2 * rows));
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const float* row = x.data() + r * f;
+        float sum = 0.0f;
+        for (std::int64_t j = 0; j < f; ++j) sum += row[j];
+        const float mu = sum * inv_f;
+        float var = 0.0f;
+        for (std::int64_t j = 0; j < f; ++j) {
+          const float d = row[j] - mu;
+          var += d * d;
+        }
+        var *= inv_f;
+        const float inv_std = 1.0f / std::sqrt(var + eps);
+        ref_stats[static_cast<std::size_t>(2 * r)] = mu;
+        ref_stats[static_cast<std::size_t>(2 * r + 1)] = inv_std;
+        for (std::int64_t j = 0; j < f; ++j) {
+          ref[static_cast<std::size_t>(r * f + j)] =
+              (row[j] - mu) * inv_std * gamma[static_cast<std::size_t>(j)] +
+              beta[static_cast<std::size_t>(j)];
+        }
+      }
+      for (const kernels::Isa isa : kernels::compiled_isas()) {
+        if (!kernels::isa_supported(isa)) continue;
+        kernels::set_isa(isa);
+        std::vector<float> out(numel, -7.5f);
+        std::vector<float> stats(static_cast<std::size_t>(2 * rows), 9.25f);
+        kernels::layer_norm_rows(x.data(), gamma.data(), beta.data(), rows, f,
+                                 inv_f, eps, out.data(), stats.data());
+        ASSERT_EQ(out, ref) << kernels::isa_name(isa) << " rows=" << rows
+                            << " f=" << f;
+        ASSERT_EQ(stats, ref_stats)
+            << kernels::isa_name(isa) << " rows=" << rows << " f=" << f;
+      }
+    }
+  }
+  kernels::set_isa(startup);
+}
+
 // ---- head-strided attention vs the split/merge composition ------------------
 
 struct AttnCase {
@@ -870,9 +1013,10 @@ float spelled_dot8(const float* x, const float* y) {
   return lo + hi;
 }
 
-// sum_{p < k} a(p) * b(p) (k % 4 == 0) grouped as the n = 8 skinny kernel
-// groups a row: four partial sums owning every fourth quad of p, leftover
-// quads into the first, each quad contracted as skinny8_group4 does.
+// sum_{p < k} a(p) * b(p) (k % 4 == 0) grouped as the n = 8 and n = 16
+// skinny kernels group a row: four partial sums owning every fourth quad
+// of p, leftover quads into the first, each quad contracted as
+// skinny_group4 does.
 template <class A, class B>
 float spelled_skinny_sum(std::int64_t k, const A& a, const B& b) {
   float acc[4] = {};
@@ -889,6 +1033,63 @@ float spelled_skinny_sum(std::int64_t k, const A& a, const B& b) {
   }
   for (; p < k; p += 4) quad(p, acc[0]);
   return (acc[0] + acc[1]) + (acc[2] + acc[3]);
+}
+
+// On the AVX-512 clones n = 8 and n = 16 with k % kKU == 0 run the
+// four-row bodies (skinny_rows, kernels_avx512.inc), which spell out the
+// single-row body's -O3 operations. Every build holds each of their
+// elements to spelled_skinny_sum, through gemm (unit column stride) and
+// gemm_at (unit row stride), and each of their three stores: overwrite,
+// accumulate and bias. m = 37 puts a row tail after the four-row passes.
+TEST(GemmKernels, FourRowBodiesMatchSpelledGrouping) {
+  if (!kernels::isa_supported(kernels::Isa::kAvx512)) {
+    GTEST_SKIP() << "no AVX-512 clone on this build or CPU";
+  }
+  const kernels::Isa startup = kernels::active_isa();
+  kernels::set_isa(kernels::Isa::kAvx512);
+  fmnet::Rng rng(126);
+  const std::int64_t m = 37;
+  for (const std::int64_t k :
+       {std::int64_t{4}, std::int64_t{8}, std::int64_t{16}, std::int64_t{28},
+        std::int64_t{32}, std::int64_t{300}}) {
+    for (const std::int64_t n : {std::int64_t{8}, std::int64_t{16}}) {
+      // `a` is gemm's [m, k] A and gemm_at's [k, m] A^T.
+      const auto a = random_buffer(static_cast<std::size_t>(m * k), rng);
+      const auto b = random_buffer(static_cast<std::size_t>(k * n), rng);
+      const auto c0 = random_buffer(static_cast<std::size_t>(m * n), rng);
+      const auto bias = random_buffer(static_cast<std::size_t>(n), rng);
+      std::vector<float> over(c0.size(), 1e30f), acc = c0,
+          biased(c0.size(), -1e30f), over_at(c0.size(), 1e30f), acc_at = c0;
+      kernels::gemm(a.data(), b.data(), over.data(), m, k, n, nullptr,
+                    /*accumulate=*/false);
+      kernels::gemm(a.data(), b.data(), acc.data(), m, k, n);
+      kernels::gemm_bias(a.data(), b.data(), bias.data(), biased.data(), m,
+                         k, n);
+      kernels::gemm_at(a.data(), b.data(), over_at.data(), m, k, n, nullptr,
+                       /*accumulate=*/false);
+      kernels::gemm_at(a.data(), b.data(), acc_at.data(), m, k, n);
+      for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          const auto bj = [&](std::int64_t p) { return b[p * n + j]; };
+          const float sum = spelled_skinny_sum(
+              k, [&](std::int64_t p) { return a[i * k + p]; }, bj);
+          const float sum_at = spelled_skinny_sum(
+              k, [&](std::int64_t p) { return a[p * m + i]; }, bj);
+          const auto e = static_cast<std::size_t>(i * n + j);
+          const std::string where = "k=" + std::to_string(k) +
+                                    " n=" + std::to_string(n) +
+                                    " row " + std::to_string(i);
+          ASSERT_EQ(over[e], sum) << where << " overwrite";
+          ASSERT_EQ(acc[e], c0[e] + sum) << where << " accumulate";
+          ASSERT_EQ(biased[e], bias[static_cast<std::size_t>(j)] + sum)
+              << where << " bias";
+          ASSERT_EQ(over_at[e], sum_at) << where << " gemm_at overwrite";
+          ASSERT_EQ(acc_at[e], c0[e] + sum_at) << where << " gemm_at";
+        }
+      }
+    }
+  }
+  kernels::set_isa(startup);
 }
 
 // x * y rounded on its own, even where the compiler could contract it
